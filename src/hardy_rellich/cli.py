@@ -16,8 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -29,29 +27,6 @@ from .errors import ConvergenceError, HardyRellichError
 DEFAULT_SEED = 1729
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Numeric flags shared by the commands, echoed into every JSON output."""
-
-    command: str
-    n: int = 1
-    alpha: Optional[float] = None
-    sigma: Optional[float] = None
-    eps: tuple = ()
-    a: float = 10.0
-    c: float = 1.0
-    x_min: float = grid.DEFAULT_WINDOW[0]
-    x_max: float = grid.DEFAULT_WINDOW[1]
-    points: int = grid.DEFAULT_POINTS
-    theta_count: int = 8192
-    seed: int = DEFAULT_SEED
-    threads: int = 1
-    output: Optional[str] = None
-
-    def make_grid(self) -> grid.LogGrid:
-        return grid.LogGrid(self.x_min, self.x_max, self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +177,9 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _ratio_payload(report: functional.RatioReport) -> dict:
-    return report.to_dict()
-
-
 def cmd_ratio(args) -> int:
-    cfg = RunConfig(command="ratio", n=args.n, x_min=args.x_min, x_max=args.x_max,
-                    points=args.points, output=args.output)
     f = parse_function(args.function, args.n)
-    lg = cfg.make_grid()
+    lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if isinstance(f, list):
         report = interval.vector_birman_ratio(args.n, f, lg)
     elif isinstance(f, grid.GridFunction):
@@ -220,35 +189,14 @@ def cmd_ratio(args) -> int:
     else:
         report = functional.birman_ratio(args.n, f, lg)
     emit({"command": "ratio", "function": args.function,
-          "window": [cfg.x_min, cfg.x_max], "points": cfg.points,
-          "report": _ratio_payload(report)}, args.output)
+          "window": [args.x_min, args.x_max], "points": args.points,
+          "report": report.to_dict()}, args.output)
     return 0
-
-
-def _extrapolate_to_zero(pairs) -> float:
-    ordered = sorted(pairs)
-    if len(ordered) < 2:
-        return ordered[0][1]
-    (e1, r1), (e2, r2) = ordered[0], ordered[1]
-    return r1 - e1 * (r2 - r1) / (e2 - e1)
 
 
 def cmd_sharpness(args) -> int:
     eps = tuple(float(v) for v in args.eps.split(","))
-    if args.threads > 1:
-        # deterministic ordering: executor.map preserves input order
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(
-                lambda e: functional.birman_ratio(
-                    args.n, functional.ProbeSpec(args.n, -0.5 + e, args.cutoff)),
-                eps))
-        sweep = functional.SweepResult(
-            reports=tuple(reports),
-            extrapolated_limit=_extrapolate_to_zero(
-                [(e, r.ratio) for e, r in zip(eps, reports)]),
-            constant=float(constants.birman_constant(args.n).c))
-    else:
-        sweep = functional.sharpness_sweep(args.n, eps, args.cutoff)
+    sweep = functional.sharpness_sweep(args.n, eps, args.cutoff)
     emit({
         "command": "sharpness",
         "n": args.n,
@@ -256,15 +204,13 @@ def cmd_sharpness(args) -> int:
         "eps": list(eps),
         "constant": sweep.constant,
         "extrapolated_limit": sweep.extrapolated_limit,
-        "reports": [_ratio_payload(r) for r in sweep.reports],
+        "reports": [r.to_dict() for r in sweep.reports],
     }, args.output)
     return 0
 
 
 def cmd_norm(args) -> int:
-    cfg = RunConfig(command="norm", n=args.n, x_min=args.x_min, x_max=args.x_max,
-                    points=args.points, seed=args.seed, output=args.output)
-    lg = cfg.make_grid()
+    lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if args.operator == "cesaro":
         op = operators.DiscreteCesaro(args.n, lg, boundary=args.boundary)
         target = float(constants.cesaro_norm(args.n))
@@ -282,8 +228,8 @@ def cmd_norm(args) -> int:
         "operator": args.operator,
         "n": args.n,
         "boundary": args.boundary,
-        "window": [cfg.x_min, cfg.x_max],
-        "points": cfg.points,
+        "window": [args.x_min, args.x_max],
+        "points": args.points,
         "seed": args.seed,
         "estimate": estimate,
         "target": target,
@@ -349,7 +295,7 @@ def cmd_interval(args) -> int:
         "command": "interval",
         "function": args.function,
         "panels": args.panels,
-        "report": _ratio_payload(report),
+        "report": report.to_dict(),
     }, args.output)
     return 0
 
@@ -407,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated positive offsets from -1/2")
     p.add_argument("--cutoff", type=float, default=10.0,
                    help="probe cutoff a (tail becomes subdominant for large a)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_sharpness)
 

@@ -17,7 +17,7 @@ is available in closed form and decreases to c_n as sigma drops to -1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,8 +32,6 @@ __all__ = [
     "ProbeFunction",
     "RatioReport",
     "DecayIndicator",
-    "probe_eval",
-    "probe_derivatives",
     "probe_ratio_closed_form",
     "birman_ratio",
     "birman_ratio_sampled",
@@ -115,16 +113,6 @@ class ProbeFunction(AnalyticFunction):
             return out if out.shape else out[()]
 
         return evaluate
-
-
-def probe_eval(spec: ProbeSpec, x):
-    """Value of the probe's n-fold antiderivative at x."""
-    return ProbeFunction(spec).deriv(0)(x)
-
-
-def probe_derivatives(spec: ProbeSpec, x, j: int):
-    """j-th derivative of the probe antiderivative, 0 <= j <= n."""
-    return ProbeFunction(spec).deriv(j)(x)
 
 
 def _probe_tail_integral(spec: ProbeSpec) -> float:
@@ -263,16 +251,13 @@ class SweepResult:
     constant: float
 
 
-def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0,
-                    grid: Optional[LogGrid] = None) -> SweepResult:
+def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0) -> SweepResult:
     """Probe ratios at sigma = -1/2 + eps for each offset, via closed forms.
 
     The ratios sit strictly above c_n and decrease toward it as eps drops;
     the returned limit extrapolates the two smallest offsets linearly to
-    eps = 0.  The optional grid is accepted for interface symmetry; the
-    closed forms need no quadrature.
+    eps = 0.  The closed forms need no quadrature.
     """
-    del grid  # closed forms throughout
     eps_values = list(eps_values)
     if not eps_values:
         raise ValueError("need at least one offset")

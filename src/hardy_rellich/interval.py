@@ -12,7 +12,6 @@ Euclidean norm componentwise and inherits strict positivity of the slack.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -22,13 +21,12 @@ from .analytic import AnalyticFunction
 from .constants import birman_constant
 from .errors import TrivialFunctionError
 from .functional import RatioReport, _build_report
-from .grid import GridFunction, LogGrid, differentiate, integrate, norm_sq
+from .grid import GridFunction, LogGrid, differentiate, norm_sq
 
 __all__ = [
     "IntervalProblem",
     "interval_ratio",
     "interval_denominator_pieces",
-    "interval_sharpness_sweep",
     "vector_birman_ratio",
 ]
 
@@ -156,42 +154,6 @@ def interval_denominator_pieces(problem: IntervalProblem, f: AnalyticFunction,
     left_val = float(np.trapezoid(_weighted_integrand(left, f, nodes)[nodes <= mid], lo))
     right_val = float(np.trapezoid(_weighted_integrand(right, f, nodes)[nodes >= mid], hi))
     return full, left_val, right_val
-
-
-def interval_sharpness_sweep(n: int, eps_values: Sequence[float], a: float,
-                             c: float, count: int = 4096) -> list:
-    """One-sided finite-interval probe ratios at sigma = -1/2 + eps.
-
-    The probe is the n-fold antiderivative of (x - a)^sigma on (a, c): a
-    pure power vanishing to order n + sigma at a, with no cutoff tail on a
-    finite interval.  Both integrals are near-singular at the boundary, so
-    they are evaluated on a log-spaced grid in t = x - a (with the
-    power-law stub); their ratio decreases to the sharp constant as
-    eps drops to 0.
-    """
-    if not 0 <= a < c:
-        raise ValueError("need 0 <= a < c")
-    reports = []
-    constant = float(birman_constant(n).c)
-    span = c - a
-    grid = LogGrid(span * 1e-12, span, count)
-    for eps in eps_values:
-        if not eps > 0:
-            raise ValueError(f"offsets must be positive, got {eps}")
-        sigma = -0.5 + eps
-        prod = 1.0
-        for j in range(1, n + 1):
-            prod *= j + sigma
-        with warnings.catch_warnings():
-            # the power integrand is finite at t = c - a by construction;
-            # only the t = 0 end needs the stub, so the decay heuristic is moot
-            warnings.simplefilter("ignore")
-            numerator = integrate(GridFunction(grid, grid.x ** (2 * sigma))).value
-            denominator = integrate(
-                GridFunction(grid, grid.x ** (2 * sigma) / prod**2)).value
-        reports.append(_build_report(n, numerator, denominator, constant,
-                                     sigma=sigma, a=a, c=c, side="left"))
-    return reports
 
 
 VectorInput = Union[GridFunction, Sequence[AnalyticFunction]]

@@ -12,17 +12,21 @@ closures only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz
 coefficients, and equivalently as the operator polynomial
 prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor.
 
-Norm estimation power-iterates a purely linear trapezoid discretization
-whose adjoint is the transpose with respect to the quadrature weights (the
-unweighted transpose converges to the wrong value on log grids).
+Norm estimation power-iterates purely linear discretizations.  After the
+unitary substitution phi = x^(1/2) v, both T_n and the power-weight pairs
+are convolutions in u = ln x with a sum of exponentials e^(-(j+1/2) tau),
+so one log-grid engine discretizes them all: a real FFT for the periodic
+("wrap") boundary and rescaled cumulative trapezoid sums for the hard
+window ("cut").  Its adjoint is the transpose with respect to the
+quadrature weights (the unweighted transpose converges to the wrong value
+on log grids).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +36,6 @@ from .errors import ConvergenceError
 from .grid import GridFunction, LogGrid, cumulative_integral
 
 __all__ = [
-    "CesaroOperator",
     "WeightedPairSpec",
     "ResolventPoint",
     "apply_cesaro",
@@ -267,13 +270,6 @@ def weighted_pair_apply(spec: WeightedPairSpec, side: str, f: GridFunction) -> G
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights_u(grid: LogGrid) -> np.ndarray:
-    """Quadrature weights of int f dx = int f(e^u) e^u du on the log grid."""
-    q = np.full(len(grid), grid.h)
-    q[0] = q[-1] = grid.h / 2.0
-    return q * grid.x
-
-
 def _cumtrap_u(g: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(len(g), dtype=g.dtype)
     panels = 0.5 * h * (g[:-1] + g[1:])
@@ -289,175 +285,149 @@ def _cumtrap_u_transpose(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _revtrap_u(g: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros(len(g), dtype=g.dtype)
-    panels = 0.5 * h * (g[:-1] + g[1:])
-    out[:-1] = np.cumsum(panels[::-1])[::-1]
-    return out
+class _LogConvolution:
+    """Causal convolution in u = ln x with kernel kappa(tau) = sum_j a_j e^(-r_j tau).
 
-
-def _revtrap_u_transpose(v: np.ndarray, h: float) -> np.ndarray:
-    prefix = np.zeros(len(v), dtype=v.dtype)
-    prefix[1:] = np.cumsum(v)[:-1]
-    out = h * prefix + 0.5 * h * v
-    out[-1] = 0.5 * h * prefix[-1]
-    return out
-
-
-class DiscreteCesaro:
-    """Linear discretization of T_n on a log grid for norm estimation.
-
-    In u = ln x with the unitary substitution phi = x^(1/2) f, T_n becomes
-    convolution with the nonnegative kernel
-
-        kappa_n(tau) = e^(-tau/2) (1 - e^(-tau))^(n-1) / (n-1)!,  tau >= 0.
-
-    The default boundary treatment wraps the convolution periodically in u
-    (the standard log-grid discretization of a scale-invariant operator):
-    a hard cut at the window edges depresses the discrete norm by 2-3% on
-    the default window, far more than the O(h^2) quadrature bias of the
-    wrap.  ``boundary="cut"`` keeps the hard-window trapezoid variant for
-    comparison.  The adjoint is the transpose with respect to the
-    quadrature weights of the plain L^2(dx) inner product.
+    With the unitary substitution phi = x^(1/2) v the operator acts on phi
+    as (K phi)(u) = int_{u' <= u} kappa(u - u') phi(u') du', and the L^2(dx)
+    inner product becomes sum t_i phi_i psi_i with weights t in u.
+    ``boundary="wrap"`` closes the window periodically (t = h), so K is
+    circulant and one real FFT applies it; the multiplier samples ``kappa``
+    at the grid spacing with half weight at tau = 0, where the causal kernel
+    jumps.  ``boundary="cut"`` keeps the hard window (t trapezoid): each of
+    the ``terms`` (a_j, r_j) is a rescaled cumulative trapezoid sum
+    e^(-r s) cumtrap(e^(r s) phi), with s centred on the window so both
+    factors stay in floating-point range.  ``kappa`` and ``terms`` describe
+    the same kernel; the wrap samples come from ``kappa`` so that a kernel
+    whose exponential sum cancels can be sampled in a stable closed form.
+    ``reverse`` mirrors the grid, making the kernel anti-causal; t is
+    mirror-symmetric, so the mirror is exact for both boundaries.
+    adjoint_apply is the transpose in the quad_weights inner product.
     """
 
-    def __init__(self, n: int, grid: LogGrid, boundary: str = "wrap"):
-        _check_index(n)
+    def __init__(self, grid: LogGrid, kappa: Callable, terms, boundary: str,
+                 reverse: bool = False):
         if not isinstance(grid, LogGrid):
             raise ValueError("norm estimation is set up on log grids")
         if boundary not in ("wrap", "cut"):
             raise ValueError(f"boundary must be 'wrap' or 'cut', got {boundary!r}")
-        self.n = n
         self.grid = grid
         self.boundary = boundary
-        fact = math.factorial(n - 1)
-        self._coeffs = [math.comb(n - 1, j) * (-1.0) ** j / fact for j in range(n)]
         N, h = len(grid), grid.h
+        # scalings into and out of the kernel, in the causal frame
+        self._flip = slice(None, None, -1 if reverse else 1)
+        root = np.sqrt(grid.x)[self._flip]
         if boundary == "wrap":
-            tau = h * np.arange(N)
-            kernel = np.exp(-0.5 * tau) * (-np.expm1(-tau)) ** (n - 1) / fact
-            weights = np.full(N, h)
-            weights[0] = 0.5 * h  # jump of the causal kernel at tau = 0
-            self._eig = np.fft.fft(kernel * weights)
-            self._sqrtx = np.sqrt(grid.x)
+            kernel = h * kappa(h * np.arange(N))
+            kernel[0] *= 0.5
+            self._multiplier = np.fft.rfft(kernel)
             self.quad_weights = h * grid.x
-        else:
-            self.quad_weights = _trapezoid_weights_u(grid)
+            self._forward = self._backward = [(root, 1.0 / root)]
+            return
+        t = np.full(N, h)
+        t[0] = t[-1] = 0.5 * h
+        self.quad_weights = t * grid.x
+        s = h * (np.arange(N) - 0.5 * (N - 1))
+        self._forward = [(root * np.exp(r * s), a * np.exp(-r * s) / root)
+                         for a, r in terms]
+        self._backward = [(t * root * np.exp(-r * s), a * np.exp(r * s) / (t * root))
+                          for a, r in terms]
+
+    def _kernel(self, phi: np.ndarray, adjoint: bool) -> np.ndarray:
+        if self.boundary == "wrap":
+            mult = np.conj(self._multiplier) if adjoint else self._multiplier
+            return np.fft.irfft(np.fft.rfft(phi) * mult, n=len(phi))
+        return (_cumtrap_u_transpose if adjoint else _cumtrap_u)(phi, self.grid.h)
+
+    def _apply(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        if np.iscomplexobj(v):
+            return self._apply(v.real, adjoint) + 1j * self._apply(v.imag, adjoint)
+        v = v[self._flip]
+        scalings = self._backward if adjoint else self._forward
+        return sum(post * self._kernel(pre * v, adjoint) for pre, post in scalings)[self._flip]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        x, h = self.grid.x, self.grid.h
-        if self.boundary == "wrap":
-            phi = v * self._sqrtx
-            out = np.fft.ifft(np.fft.fft(phi) * self._eig)
-            if not np.iscomplexobj(v):
-                out = out.real
-            return out / self._sqrtx
-        out = np.zeros(len(x), dtype=np.result_type(v, float))
-        for j, c in enumerate(self._coeffs):
-            moment = _cumtrap_u(v * x ** (j + 1.0), h)  # du measure: t^j f * t
-            out += c * x ** (-1.0 - j) * moment
-        return out
+        return self._apply(v, adjoint=False)
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        x, h, q = self.grid.x, self.grid.h, self.quad_weights
-        if self.boundary == "wrap":
-            phi = v * self._sqrtx
-            out = np.fft.ifft(np.fft.fft(phi) * np.conj(self._eig))
-            if not np.iscomplexobj(v):
-                out = out.real
-            return out / self._sqrtx
-        vq = v * q
-        out = np.zeros(len(x), dtype=np.result_type(v, float))
-        for j, c in enumerate(self._coeffs):
-            out += c * x ** (j + 1.0) * _cumtrap_u_transpose(vq * x ** (-1.0 - j), h)
-        return out / q
+        return self._apply(v, adjoint=True)
 
 
-class DiscreteWeightedPair:
+class DiscreteCesaro(_LogConvolution):
+    """Linear discretization of T_n on a log grid for norm estimation.
+
+    After the unitary substitution phi = x^(1/2) f, T_n is causal
+    convolution in u = ln x with the nonnegative kernel
+
+        kappa_n(tau) = e^(-tau/2) (1 - e^(-tau))^(n-1) / (n-1)!
+                     = sum_j C(n-1, j) (-1)^j e^(-(j+1/2) tau) / (n-1)!,
+
+    applied by the shared log-grid convolution engine.  The wrap multiplier
+    samples the product form, which stays accurate for every n; the
+    alternating sum, which the cut boundary needs term by term, cancels
+    near tau = 0 as n grows.  The default boundary wraps periodically in u
+    (the standard log-grid discretization of a scale-invariant operator):
+    a hard cut at the window edges depresses the discrete norm by 2-3% on
+    the default window, far more than the O(h^2) quadrature bias of the
+    wrap.  ``boundary="cut"`` keeps the hard-window trapezoid variant for
+    comparison.
+    """
+
+    def __init__(self, n: int, grid: LogGrid, boundary: str = "wrap"):
+        _check_index(n)
+        fact = math.factorial(n - 1)
+        terms = [(math.comb(n - 1, j) * (-1.0) ** j / fact, j + 0.5) for j in range(n)]
+
+        def kappa(tau):
+            return np.exp(-0.5 * tau) * (-np.expm1(-tau)) ** (n - 1) / fact
+
+        super().__init__(grid, kappa, terms, boundary)
+        self.n = n
+
+
+class DiscreteWeightedPair(_LogConvolution):
     """Linear discretization of one side of a built-in power-weight pair.
 
     For phi = x^j, psi = x^(-j-1), w = 1 the pair becomes, after the
-    unitary substitution, convolution with e^(-(j+1/2)|tau|) restricted to
-    tau >= 0 (side B, causal) or tau <= 0 (side A, anti-causal).  As with
-    DiscreteCesaro the default boundary wraps periodically in u; the "cut"
-    variant keeps the hard window.  quad_weights carry the (here trivial)
-    w-weighted inner product, so adjoint_apply is the L^2(w dx) adjoint and
-    power iteration estimates the L^2(w dx) norm 2K = 2/(2j+1).
+    unitary substitution, convolution with e^(-(j+1/2) tau) on the shared
+    log-grid engine: causal for side B, its mirror image for side A.
+    ``power`` is j; the spec must be that pair (its phi, psi and w are
+    checked on the grid, and K = 1/(2j+1)), since only the power pair is a
+    convolution.  Boundaries are as for DiscreteCesaro; with w = 1 the
+    quad_weights are those of L^2(dx), and power iteration estimates the
+    norm 2K = 2/(2j+1).
     """
 
     def __init__(self, spec: WeightedPairSpec, grid: LogGrid, side: str = "A",
                  power: int = 0, boundary: str = "wrap"):
-        if side.upper() not in ("A", "B"):
-            raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-        if boundary not in ("wrap", "cut"):
-            raise ValueError(f"boundary must be 'wrap' or 'cut', got {boundary!r}")
-        self.spec = spec
-        self.grid = grid
         self.side = side.upper()
-        self.boundary = boundary
-        x = grid.x
-        self._phi = np.asarray(spec.phi(x), dtype=float)
-        self._psi = np.asarray(spec.psi(x), dtype=float)
-        self._w = np.asarray(spec.w(x), dtype=float)
-        N, h = len(grid), grid.h
-        if boundary == "wrap":
-            rate = power + 0.5
-            tau = h * np.arange(N)
-            if self.side == "B":
-                kernel = np.exp(-rate * tau)      # causal
-            else:
-                kernel = np.exp(rate * (tau - N * h))  # anti-causal, wrapped
-                kernel[0] = 1.0                   # tau = 0 endpoint
-            weights = np.full(N, h)
-            weights[0] = 0.5 * h
-            self._eig = np.fft.fft(kernel * weights)
-            self._sqrtx = np.sqrt(x)
-            self.quad_weights = h * x * self._w
-        else:
-            self.quad_weights = _trapezoid_weights_u(grid) * self._w
-
-    def _convolve(self, v: np.ndarray, eig: np.ndarray) -> np.ndarray:
-        phi = v * self._sqrtx
-        out = np.fft.ifft(np.fft.fft(phi) * eig)
-        if not np.iscomplexobj(v):
-            out = out.real
-        return out / self._sqrtx
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.boundary == "wrap":
-            return self._convolve(v, self._eig)
-        h, x = self.grid.h, self.grid.x
-        if self.side == "A":
-            return self._phi * _revtrap_u(self._psi * v * self._w * x, h)
-        return self._psi * _cumtrap_u(self._phi * v * self._w * x, h)
-
-    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.boundary == "wrap":
-            return self._convolve(v, np.conj(self._eig))
-        h, x, q = self.grid.h, self.grid.x, self.quad_weights
-        vq = v * q
-        if self.side == "A":
-            out = self._psi * self._w * x * _revtrap_u_transpose(self._phi * vq, h)
-        else:
-            out = self._phi * self._w * x * _cumtrap_u_transpose(self._psi * vq, h)
-        return out / q
+        if self.side not in ("A", "B"):
+            raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+        x = np.asarray(grid.x, dtype=float)
+        expected = {"phi": x**power, "psi": x ** (-power - 1.0), "w": np.ones_like(x)}
+        for name, want in expected.items():
+            got = np.asarray(getattr(spec, name)(x), dtype=float)
+            if not np.allclose(got, want, rtol=1e-10, atol=0.0):
+                raise ValueError(
+                    f"the pair's {name} is not that of power_weight_pair({power})")
+        if spec.K != 1.0 / (2 * power + 1):
+            raise ValueError(
+                f"power {power} does not match the pair's K = {spec.K} (need 1/(2j+1))")
+        rate = power + 0.5
+        super().__init__(grid, lambda tau: np.exp(-rate * tau), [(1.0, rate)], boundary,
+                         reverse=self.side == "A")
+        self.spec = spec
 
 
-@dataclass(frozen=True)
-class CesaroOperator:
-    """T_n bound to a grid: callable application plus its linear discretization."""
-
-    n: int
-    grid: LogGrid
-
-    def __post_init__(self):
-        _check_index(self.n)
-
-    def __call__(self, f: GridFunction) -> GridFunction:
-        return apply_cesaro(self.n, f)
-
-    def discretize(self) -> DiscreteCesaro:
-        return DiscreteCesaro(self.n, self.grid)
+def _q_norm(q: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(sum q |v|^2), rescaled where the squares would underflow."""
+    norm = math.sqrt(float(np.sum(q * np.abs(v) ** 2)))
+    if norm >= 1e-100:
+        return norm
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return 0.0
+    return peak * math.sqrt(float(np.sum(q * np.abs(v / peak) ** 2)))
 
 
 def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
@@ -473,16 +443,16 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
     q = op.quad_weights
     rng = np.random.default_rng(seed)
     v = rng.random(len(grid)) + 0.5
-    v /= math.sqrt(float(np.sum(q * v * v)))
+    v /= _q_norm(q, v)
     previous = math.inf
     for _ in range(max_iter):
         image = op.apply(v)
-        estimate = math.sqrt(max(float(np.sum(q * np.abs(image) ** 2)), 0.0))
+        estimate = _q_norm(q, image)
         if abs(estimate - previous) <= tol * max(estimate, 1e-300):
             return estimate
         previous = estimate
         v = op.adjoint_apply(image)
-        norm = math.sqrt(float(np.sum(q * np.abs(v) ** 2)))
+        norm = _q_norm(q, v)
         if norm == 0.0:
             return 0.0
         v = v / norm

@@ -9,7 +9,7 @@ from hardy_rellich import operators as ops
 from hardy_rellich.analytic import LogGaussian, gamma_class, monomial
 from hardy_rellich.constants import cesaro_norm
 from hardy_rellich.errors import ConvergenceError, SingularityError
-from hardy_rellich.functional import ProbeSpec, probe_eval
+from hardy_rellich.functional import ProbeFunction, ProbeSpec
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
 
 
@@ -108,7 +108,7 @@ class TestApplyCesaro:
         reconstructed = out.values * grid.x ** float(n)
         mask = grid.x <= spec.a * 0.999
         np.testing.assert_allclose(reconstructed[mask],
-                                   probe_eval(spec, grid.x[mask]),
+                                   ProbeFunction(spec).deriv(0)(grid.x[mask]),
                                    rtol=1e-8)
 
 
@@ -285,7 +285,9 @@ class TestWeightedPair:
             grid, lambda x: x * np.exp(-0.5 * (np.log(x) - 1.0) ** 2))
         Af = ops.weighted_pair_apply(spec, "A", bump)
         Bg = ops.weighted_pair_apply(spec, "B", g2)
-        q = ops._trapezoid_weights_u(grid) * spec.w(grid.x)
+        q = np.full(len(grid), grid.h)
+        q[0] = q[-1] = grid.h / 2.0
+        q *= grid.x * spec.w(grid.x)
         lhs = float(np.sum(q * Af.values * g2.values))
         rhs = float(np.sum(q * bump.values * Bg.values))
         scale = (norm_sq(bump) * norm_sq(g2)) ** 0.5
@@ -344,3 +346,111 @@ class TestNormEstimation:
         a = ops.estimate_operator_norm(op, grid, seed=7)
         b = ops.estimate_operator_norm(op, grid, seed=7)
         assert a == b
+
+
+def _kappa(family, index, tau):
+    if family == "cesaro":
+        return np.exp(-tau / 2) * (-np.expm1(-tau)) ** (index - 1) / math.factorial(index - 1)
+    return np.exp(-(index + 0.5) * tau)
+
+
+def _reference_phi(family, index, side, boundary, lg):
+    """Discretization in phi = x^(1/2) v coordinates, entry by entry."""
+    N, h = len(lg), lg.h
+    i, k = np.indices((N, N))
+    if boundary == "wrap":
+        m = (i - k) % N
+        dense = np.where(m == 0, h / 2, h) * _kappa(family, index, m * h)
+    else:
+        t = np.where((k == 0) | (k == i), h / 2, h)
+        dense = np.where((k <= i) & (i > 0), t * _kappa(family, index, np.abs(i - k) * h), 0.0)
+    return dense[::-1, ::-1] if side == "A" else dense
+
+
+def _discrete(family, index, side, boundary, lg):
+    if family == "cesaro":
+        return ops.DiscreteCesaro(index, lg, boundary)
+    return ops.DiscreteWeightedPair(ops.power_weight_pair(index), lg, side, power=index,
+                                    boundary=boundary)
+
+
+def _dense_phi(op, lg):
+    """(apply, adjoint_apply, u-weights) as matrices in phi coordinates."""
+    root = np.sqrt(lg.x)
+    basis = np.eye(len(lg)) / root
+    forward = np.stack([op.apply(col) for col in basis.T], axis=1) * root[:, None]
+    backward = np.stack([op.adjoint_apply(col) for col in basis.T], axis=1) * root[:, None]
+    return forward, backward, op.quad_weights / lg.x
+
+
+DISCRETE_CASES = [("cesaro", n, "B") for n in range(1, 5)] + [
+    ("pair", j, side) for j in range(3) for side in "AB"]
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "cut"])
+@pytest.mark.parametrize("family,index,side", DISCRETE_CASES)
+class TestDiscretizationReference:
+    grid64 = LogGrid.default(64)
+
+    def test_matches_definition(self, family, index, side, boundary):
+        lg = self.grid64
+        forward, _, _ = _dense_phi(_discrete(family, index, side, boundary, lg), lg)
+        reference = _reference_phi(family, index, side, boundary, lg)
+        assert np.max(np.abs(forward - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_adjoint_is_weighted_transpose(self, family, index, side, boundary):
+        lg = self.grid64
+        forward, backward, weights = _dense_phi(_discrete(family, index, side, boundary, lg), lg)
+        t = np.full(len(lg), lg.h)
+        if boundary == "cut":
+            t[0] = t[-1] = lg.h / 2
+        np.testing.assert_allclose(weights, t, rtol=1e-14)
+        transpose = forward.T * t[None, :] / t[:, None]
+        assert np.max(np.abs(backward - transpose)) <= 1e-12 * np.max(np.abs(transpose))
+
+    def test_norm_matches_dense(self, family, index, side, boundary):
+        lg = self.grid64
+        op = _discrete(family, index, side, boundary, lg)
+        forward, _, t = _dense_phi(op, lg)
+        dense = np.linalg.norm(np.sqrt(t)[:, None] * forward / np.sqrt(t)[None, :], 2)
+        estimate = ops.estimate_operator_norm(op, lg, tol=1e-14)
+        assert estimate == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "cut"])
+def test_pair_power_must_match_spec(grid, boundary):
+    # the kernel rate comes from `power`, so a spec for another j is refused
+    with pytest.raises(ValueError):
+        ops.DiscreteWeightedPair(ops.power_weight_pair(1), grid, "A", boundary=boundary)
+    op = ops.DiscreteWeightedPair(ops.power_weight_pair(1), grid, "A", power=1,
+                                  boundary=boundary)
+    assert ops.estimate_operator_norm(op, grid) == pytest.approx(2.0 / 3.0, rel=0.01)
+
+
+def test_high_power_cut_pair_stays_in_range(grid):
+    # the cut scalings e^(+-(j+1/2) s) reach e^(+-278) on the default window
+    op = ops.DiscreteWeightedPair(ops.power_weight_pair(40), grid, "A", power=40,
+                                  boundary="cut")
+    assert ops.estimate_operator_norm(op, grid) == pytest.approx(2.0 / 81.0, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [45, 60, 80])
+def test_cesaro_wrap_stays_accurate_for_large_n(grid, n):
+    # the alternating exponential sum for kappa_n cancels near tau = 0; the
+    # wrap kernel must not lose digits to it as n grows
+    op = ops.DiscreteCesaro(n, grid)
+    # phi = 1 is an eigenvector of the circulant, with the zero-frequency multiplier
+    eigen = op.apply(grid.x**-0.5) * np.sqrt(grid.x)
+    np.testing.assert_allclose(eigen, float(cesaro_norm(n)), rtol=3e-5)
+    assert ops.estimate_operator_norm(op, grid) == pytest.approx(float(cesaro_norm(n)), rel=3e-5)
+
+
+def test_pair_spec_must_be_the_power_pair(grid):
+    # K = 1/(2j+1) alone does not make a spec the power pair
+    spec = ops.WeightedPairSpec(phi=lambda x: np.exp(-x), psi=lambda x: 1.0 / x,
+                                w=lambda x: np.ones_like(x), interval=(0.0, math.inf),
+                                K_of_x=lambda x: np.ones_like(x), K=1.0)
+    for boundary in ("wrap", "cut"):
+        for side in "AB":
+            with pytest.raises(ValueError):
+                ops.DiscreteWeightedPair(spec, grid, side, boundary=boundary)
