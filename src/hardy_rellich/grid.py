@@ -5,10 +5,13 @@ weights and the Mellin transform are both natural in u = ln x.  Plain
 integration is composite trapezoid in u (spectrally accurate for smooth
 integrands that decay at the window ends) plus an explicit power-law model
 for the unresolved (0, x_min) stub.  Cumulative integration, which feeds
-the averaging operators, instead uses per-panel power-law fits with a
-log-curvature correction: that rule integrates monomials exactly and is
-fourth-order on smooth-in-log data, which plain trapezoid panels cannot
-match at realistic grid sizes.
+the averaging operators, picks one of three panel rules per panel: a
+power-law fit with a log-curvature correction where ln(v x) is straight
+to rounding (exact for monomials, also used beside sampled jumps), a
+cubic rule in the grid's uniform coordinate everywhere else (fourth order
+also where the integrand changes sign, where the power fit is only second
+order), and plain trapezoid where neither applies (exact zeros,
+non-finite values).
 """
 
 from __future__ import annotations
@@ -265,65 +268,106 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
     return float(np.real(res.value))
 
 
-def _exp_panel_phi(z):
-    """(e^z - 1)/z, stable near z = 0, elementwise for complex z."""
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = (np.exp(zs) - 1.0) / np.where(small, 1.0, zs)
-    series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
-    return np.where(small, series, direct)
+# A power-law panel whose curvature correction is at most this is straight
+# to rounding, so the fit keeps pure and complex monomials exact to ~1e-12.
+_STRAIGHT = 1e-8
+# A step this many times larger than both neighbouring steps is a sampled
+# jump: no cubic through four nodes across it resembles the data.
+_JUMP = 8.0
 
 
-def _panel_masses(x, u, v):
-    """Per-panel integrals of v dx by power-law fit with curvature correction.
+def _power_fit(u, w):
+    """Per-panel integrals of w du for w = c e^(gamma u), curvature-corrected.
 
-    Exact for v = c x^gamma (any gamma, including complex exponents with a
-    slowly varying phase); falls back to plain trapezoid wherever the fit is
-    invalid (zeros, sign flips, wild exponents).  The correction term kills
-    the leading O(h^3)-per-panel error proportional to the curvature of
-    ln(v x) in u, making the rule fourth-order on smooth-in-log data.
+    Returns the masses, where the fit is valid (nonzero samples, no sign
+    flip or half-turn of phase, tame exponent), and the correction before
+    its |corr| < 0.5 clamp, which the caller reads as curvature of ln w.
+    Invalid panels divide by zero; the caller silences those warnings.
     """
-    dx = np.diff(x)
     du = np.diff(u)
-    trap = 0.5 * dx * (v[:-1] + v[1:])
-
-    w = v * x  # integrand in the u measure
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w[:-1] != 0, w[1:] / np.where(w[:-1] != 0, w[:-1], 1.0), 0.0)
+    ratio = w[1:] / w[:-1]
     ok = (w[:-1] != 0) & (w[1:] != 0) & np.isfinite(ratio)
-    if np.iscomplexobj(v):
-        ok &= np.abs(np.angle(np.where(ok, ratio, 1.0))) < 0.5 * np.pi
+    ratio = np.where(ok, ratio, 1.0)
+    # z is the slope of ln w times du, per panel
+    if np.iscomplexobj(w):
+        phase = np.angle(ratio)
+        ok &= np.abs(phase) < 0.5 * np.pi
+        z = np.log(np.abs(ratio)) + 1j * phase  # several times faster than complex log
     else:
-        ok &= np.where(ok, ratio, 1.0) > 0
-    z = np.log(np.where(ok, ratio, 1.0))  # slope of ln w times du, per panel
+        ok &= ratio > 0
+        z = np.log(np.where(ok, ratio, 1.0))
     ok &= np.abs(z) < 50.0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = w[:-1] * du * _exp_panel_phi(z)
+    # the panel integral w0 du (e^z - 1)/z, with e^z = ratio, by its
+    # series where z is near 0 (which includes every invalid panel)
+    small = np.abs(z) < 1e-4
+    series = 1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))
+    power = w[:-1] * du * np.where(small, series, (ratio - 1.0) / np.where(small, 1.0, z))
     ok &= np.isfinite(power)
 
-    # curvature of ln w in u from neighbouring panel slopes
-    npanels = len(du)
+    # curvature of ln w in u at the interior nodes from neighbouring panel
+    # slopes, averaged over the valid nodes at each panel's two ends; a
+    # panel with none (an end panel next to a sign flip) gets 0/0 = nan,
+    # which is never read as straight and never applied
     slope = z / du
-    corr = np.zeros(npanels, dtype=slope.dtype)
-    if npanels >= 2:
-        node_curv = (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1]))
-        node_ok = ok[1:] & ok[:-1]
-        left_k = np.zeros(npanels, dtype=slope.dtype)
-        left_n = np.zeros(npanels)
-        right_k = np.zeros(npanels, dtype=slope.dtype)
-        right_n = np.zeros(npanels)
-        left_k[1:] = np.where(node_ok, node_curv, 0.0)
-        left_n[1:] = node_ok
-        right_k[:-1] = np.where(node_ok, node_curv, 0.0)
-        right_n[:-1] = node_ok
-        counts = np.maximum(left_n + right_n, 1.0)
-        corr = (left_k + right_k) / counts * du**2 / 12.0
-        corr = np.where(np.abs(corr) < 0.5, corr, 0.0)
-    fitted = power * (1.0 - corr)
+    node_ok = ok[1:] & ok[:-1]
+    curv = np.where(node_ok, (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1])), 0.0)
+    sums = np.concatenate(([0.0], curv)) + np.concatenate((curv, [0.0]))
+    counts = np.concatenate(([0], node_ok)) + np.concatenate((node_ok, [0]))
+    corr = sums / counts * du**2 / 12.0
+    fitted = power * (1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0))
+    return fitted, ok, np.abs(corr)
 
-    return np.where(ok, fitted, trap)
+
+def _cubic_panels(q, h):
+    """Panel integrals of the cubic through each panel's four nearest nodes."""
+    out = np.empty(len(q) - 1, dtype=q.dtype)
+    out[1:-1] = 13.0 * (q[1:-2] + q[2:-1]) - (q[:-3] + q[3:])
+    out[0] = 9.0 * q[0] + 19.0 * q[1] - 5.0 * q[2] + q[3]
+    out[-1] = q[-4] - 5.0 * q[-3] + 19.0 * q[-2] + 9.0 * q[-1]
+    return out * (h / 24.0)
+
+
+def _panel_masses(grid: Grid, v) -> np.ndarray:
+    """Per-panel integrals of v dx, fourth order across sign changes.
+
+    Three rules, chosen per panel:
+
+    * power-law fit c x^gamma with a log-curvature correction where ln(v x)
+      is straight to rounding (|corr| <= _STRAIGHT): exact for pure,
+      complex and truncated monomials.  Also used, where valid, on any
+      panel whose four-node stencil touches a jump (a step _JUMP times
+      both neighbouring steps), since no cubic fits across one;
+    * the cubic panel rule h/24 (-q_{i-1} + 13 q_i + 13 q_{i+1} - q_{i+2}),
+      one-sided (9, 19, -5, 1)/24 on the end panels, everywhere else,
+      including panels where the integrand changes sign (on its own the
+      power fit is only second order there).  It runs in the grid's
+      uniform coordinate: q = v x in u on a LogGrid, q = v in x on a
+      LinearGrid;
+    * plain trapezoid where neither is valid: the power fit fails and the
+      stencil touches a jump, an exact zero or a non-finite value.
+    """
+    x = grid.x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if isinstance(grid, LogGrid):
+            u = grid.u
+            q = w = v * x
+        else:
+            u = np.log(x)  # -inf at x = 0, where the power fit is invalid
+            q, w = v, v * x
+        fitted, ok, corr = _power_fit(u, w)
+        fallback = np.where(ok, fitted, 0.5 * np.diff(x) * (v[:-1] + v[1:]))
+
+        step = np.abs(np.diff(q))
+        neighbour = np.zeros_like(step)
+        neighbour[1:] = step[:-1]
+        neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
+        bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | (q[:-1] == 0) | (q[1:] == 0)
+    # a panel's stencil spans the panel and its two neighbours (the end
+    # panels reuse the nearest interior stencil)
+    touched = bad[:-2] | bad[1:-1] | bad[2:]
+    touched = np.concatenate((touched[:1], touched, touched[-1:]))
+    use_fit = touched | (ok & (corr <= _STRAIGHT))
+    return np.where(use_fit, fallback, _cubic_panels(q, grid.h))
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -338,16 +382,8 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     _require_finite(f.values)
     x = f.grid.x
     v = f.values
-    if isinstance(f.grid, LogGrid):
-        stub = _power_stub(x, v, strict=True)
-        panels = _panel_masses(x, f.grid.u, v)
-    elif x[0] > 0:
-        stub = 0.0
-        panels = _panel_masses(x, np.log(x), v)
-    else:
-        stub = 0.0
-        dx = np.diff(x)
-        panels = 0.5 * dx * (v[:-1] + v[1:])
+    stub = _power_stub(x, v, strict=True) if isinstance(f.grid, LogGrid) else 0.0
+    panels = _panel_masses(f.grid, v)
     dtype = complex if (np.iscomplexobj(panels) or np.iscomplexobj(v)) else float
     out = np.empty(len(x), dtype=dtype)
     out[0] = stub

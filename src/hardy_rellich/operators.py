@@ -7,7 +7,11 @@ single-kernel (repeated-integration) form
     (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt
 
 into n binomial moments int_0^x t^j f(t) dt, one cumulative integral each;
-the literal nested form is kept as an oracle.  Inverses act on analytic
+the literal nested form is kept as an oracle.  The moments, the analytic
+family T_{1,z} behind the resolvent and the A side of the weighted pairs
+all take their accuracy from the grid's cumulative panel rule, which is
+fourth order also where the integrand changes sign; that matters here,
+since (x^n f)^(n) has n sign changes.  Inverses act on analytic
 closures only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz
 coefficients, and equivalently as the operator polynomial
 prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor.
@@ -33,7 +37,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .constants import leibniz_coeffs
 from .errors import ConvergenceError
-from .grid import GridFunction, LogGrid, cumulative_integral
+from .grid import GridFunction, LogGrid, _panel_masses, cumulative_integral
 
 __all__ = [
     "WeightedPairSpec",
@@ -237,12 +241,8 @@ def power_weight_pair(j: int) -> WeightedPairSpec:
 
 def _suffix_panels(f: GridFunction) -> np.ndarray:
     """integral_{x_i}^{x_max} of f dx, by the same panel rule as cumulative."""
-    from .grid import _panel_masses  # shared panel machinery
-
-    x = f.grid.x
-    u = f.grid.u if isinstance(f.grid, LogGrid) else np.log(x)
-    panels = _panel_masses(x, u, f.values)
-    out = np.zeros(len(x), dtype=panels.dtype)
+    panels = _panel_masses(f.grid, f.values)
+    out = np.zeros(len(f.grid), dtype=panels.dtype)
     out[:-1] = np.cumsum(panels[::-1])[::-1]
     return out
 

@@ -183,6 +183,42 @@ class TestCumulativeIntegral:
         F = cumulative_integral(GridFunction.from_callable(grid, lambda x: 2 * x))
         np.testing.assert_allclose(F.values, grid.x**2 - 1.0, atol=1e-10)
 
+    def test_zero_before_support(self, default_grid):
+        # f vanishes on (0, 1] and rises with a kink: no stencil reaching
+        # across the edge may leak mass to the left of it
+        x = default_grid.x
+        F = cumulative_integral(GridFunction(default_grid,
+                                             np.maximum(0.0, (x - 1.0) * (2.0 - x))))
+        assert np.all(F.values[x <= 1.0] == 0.0)
+
+    def test_fourth_order_across_sign_change(self):
+        # (2.5 - x) x^1.5 e^-x changes sign at x = 2.5, where a power-law
+        # fit is only second order; its antiderivative is x^2.5 e^-x
+        def err(count):
+            grid = LogGrid.default(count)
+            x = grid.x
+            F = cumulative_integral(GridFunction(grid, (2.5 - x) * x**1.5 * np.exp(-x)))
+            return np.max(np.abs(F.values - x**2.5 * np.exp(-x)))
+
+        errors = [err(2**k) for k in (10, 11, 12)]
+        # fourth order: 16 per doubling
+        assert 12.0 <= errors[0] / errors[1] <= 24.0
+        assert 12.0 <= errors[1] / errors[2] <= 24.0
+        assert errors[2] <= 2e-9
+
+    @pytest.mark.parametrize("a", [0.5, 0.0])
+    def test_linear_grid_fourth_order(self, a):
+        # cos 3x changes sign three times on [a, 4]; the rule runs in x
+        def err(count):
+            grid = LinearGrid(a, 4.0, count)
+            F = cumulative_integral(GridFunction.from_callable(grid, lambda x: np.cos(3 * x)))
+            return np.max(np.abs(F.values - (np.sin(3 * grid.x) - math.sin(3 * a)) / 3))
+
+        errors = [err(count) for count in (257, 513, 1025)]
+        # fourth order: 16 per doubling
+        assert 12.0 <= errors[0] / errors[1] <= 24.0
+        assert 12.0 <= errors[1] / errors[2] <= 24.0
+
 
 class TestDifferentiate:
     def test_identity_derivative(self, default_grid):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardy_rellich import operators as ops
-from hardy_rellich.analytic import LogGaussian, gamma_class, monomial
+from hardy_rellich.analytic import LogGaussian, gamma_class, monomial, polynomial_times_exp
 from hardy_rellich.constants import cesaro_norm
 from hardy_rellich.errors import ConvergenceError, SingularityError
 from hardy_rellich.functional import ProbeFunction, ProbeSpec
@@ -235,6 +235,33 @@ class TestAnalyticFamily:
             ops.apply_T1z(0.4, g)  # integrand ~ x^{-1.2} at the origin
 
 
+class TestRoundTripsAtReferenceSize:
+    # the default 4096-node grid; every input changes sign after the
+    # inverse, (x^n f)^(n) having n sign changes
+    FUNCTIONS = [
+        (gamma_class(1.5, 1.0), lambda x: x**1.5 * np.exp(-x)),
+        (polynomial_times_exp([0.0, 0.5, -0.8, 0.3], 1.0),
+         lambda x: (0.5 * x - 0.8 * x**2 + 0.3 * x**3) * np.exp(-x)),
+    ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", range(2))
+    def test_cesaro_of_inverse(self, grid, n, k):
+        f, exact = self.FUNCTIONS[k]
+        sampled = GridFunction.from_callable(grid, ops.apply_inverse_cesaro(n, f))
+        back = ops.apply_cesaro(n, sampled)
+        expected = exact(grid.x)
+        assert np.max(np.abs(back.values - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("z", [3.0, -1.0, 1.0 + 2.0j])
+    @pytest.mark.parametrize("k", range(2))
+    def test_resolvent_residual(self, grid, z, k):
+        f = GridFunction.from_callable(grid, self.FUNCTIONS[k][0].deriv(0))
+        g = ops.resolvent_T1(z, f)
+        residual = ops.apply_cesaro(1, g).values - z * g.values - f.values
+        assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(f.values))
+
+
 class TestResolvent:
     def test_point_validation(self):
         with pytest.raises(ValueError):
@@ -277,6 +304,21 @@ class TestWeightedPair:
     def test_bad_side(self, grid, bump):
         with pytest.raises(ValueError):
             ops.weighted_pair_apply(ops.power_weight_pair(0), "C", bump)
+
+    def test_a_side_fourth_order_across_sign_change(self):
+        # for j = 0, (A f)(x) = int_x^inf f(t)/t dt; here f(t)/t is the
+        # derivative of t^2.5 e^-t, which changes sign at t = 2.5
+        def err(count):
+            lg = LogGrid.default(count)
+            x = lg.x
+            f = GridFunction(lg, (2.5 - x) * x**2.5 * np.exp(-x))
+            out = ops.weighted_pair_apply(ops.power_weight_pair(0), "A", f)
+            return np.max(np.abs(out.values + x**2.5 * np.exp(-x)))
+
+        errors = [err(2**k) for k in (10, 11, 12)]
+        # fourth order: 16 per doubling
+        assert 12.0 <= errors[0] / errors[1] <= 24.0
+        assert 12.0 <= errors[1] / errors[2] <= 24.0
 
     def test_adjoint_property_quadrature(self, grid, bump):
         # <A f, g>_w = <f, B g>_w on the discrete weighted inner product
