@@ -357,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sharpness)
 
     p = sub.add_parser("norm",
-                       help="operator norm by power iteration on the "
-                            "discretized averaging operator or weighted pair")
+                       help="operator norm by Golub-Kahan-Lanczos "
+                            "bidiagonalization of the discretized averaging "
+                            "operator or weighted pair")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--operator", choices=("cesaro", "pair-a", "pair-b"),
                    default="cesaro")
@@ -368,8 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="periodic wrap in ln x (default) or hard window cut")
     _add_window(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="stop when the estimate moves by at most this "
+                        "(relative) in one step")
+    p.add_argument("--max-iter", type=int, default=10000,
+                   help="most bidiagonalization steps, each one operator "
+                        "application and one adjoint application; restarts "
+                        "replay their cycle on top")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_norm)
 

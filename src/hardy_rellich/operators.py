@@ -16,14 +16,15 @@ closures only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz
 coefficients, and equivalently as the operator polynomial
 prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor.
 
-Norm estimation power-iterates purely linear discretizations.  After the
-unitary substitution phi = x^(1/2) v, both T_n and the power-weight pairs
-are convolutions in u = ln x with a sum of exponentials e^(-(j+1/2) tau),
-so one log-grid engine discretizes them all: a real FFT for the periodic
-("wrap") boundary and rescaled cumulative trapezoid sums for the hard
-window ("cut").  Its adjoint is the transpose with respect to the
-quadrature weights (the unweighted transpose converges to the wrong value
-on log grids).
+Norm estimation bidiagonalizes purely linear discretizations
+(Golub-Kahan-Lanczos).  After the unitary substitution phi = x^(1/2) v,
+both T_n and the power-weight pairs are convolutions in u = ln x with a
+sum of exponentials e^(-(j+1/2) tau), so one log-grid engine discretizes
+them all, integrating the kernel exactly against the piecewise-linear
+interpolant of phi: a real FFT for the periodic ("wrap") boundary and
+rescaled cumulative panel sums for the hard window ("cut").  Its adjoint
+is the transpose with respect to the quadrature weights (the unweighted
+transpose converges to the wrong value on log grids).
 """
 
 from __future__ import annotations
@@ -270,19 +271,49 @@ def weighted_pair_apply(spec: WeightedPairSpec, side: str, f: GridFunction) -> G
 # ---------------------------------------------------------------------------
 
 
-def _cumtrap_u(g: np.ndarray, h: float) -> np.ndarray:
+def _cumtrap_u(g: np.ndarray, left: float, right: float) -> np.ndarray:
     out = np.zeros(len(g), dtype=g.dtype)
-    panels = 0.5 * h * (g[:-1] + g[1:])
-    out[1:] = np.cumsum(panels)
+    out[1:] = np.cumsum(left * g[:-1] + right * g[1:])
     return out
 
 
-def _cumtrap_u_transpose(v: np.ndarray, h: float) -> np.ndarray:
+def _cumtrap_u_transpose(v: np.ndarray, left: float, right: float) -> np.ndarray:
     suffix = np.zeros(len(v), dtype=v.dtype)
     suffix[:-1] = np.cumsum(v[::-1])[::-1][1:]
-    out = h * suffix + 0.5 * h * v
-    out[0] = 0.5 * h * suffix[0]
+    out = (left + right) * suffix + right * v
+    out[0] = left * suffix[0]
     return out
+
+
+def _exact_panel(rate: float, h: float) -> tuple:
+    """Panel weights of e^(-rate tau) against the linear interpolant, rescaled.
+
+    int_0^h e^(-rate (h - s)) phi(s) ds for linear phi is
+    e^(-rho) left phi(0) + right phi(h), rho = rate h; with the rescaled
+    samples e^(rate s) phi the factor e^(-rho) is already applied.  Both
+    weights tend to the trapezoid h/2 as rho -> 0.
+    """
+    rho = rate * h
+    return (math.expm1(rho) - rho) / (rho * rate), (1.0 + math.expm1(-rho) / rho) / rate
+
+
+# 8-point Gauss-Legendre on [0, 1], from the nonnegative half of the rule on
+# [-1, 1].  Exact for degree 15: the hat integrals are exact to rounding from
+# 64 nodes up at the rates in use (4 points leave 1e-7 there).  Written out,
+# since importing numpy.polynomial costs more than the rule is worth.
+_GAUSS_HALF = np.array([0.18343464249564980494, 0.52553240991632898582,
+                        0.79666647741362673959, 0.96028985649753623168])
+_GAUSS_HALF_WEIGHTS = np.array([0.36268378337836198297, 0.31370664587788728734,
+                                0.22238103445337447054, 0.10122853629037625915])
+_GAUSS_NODES = 0.5 + 0.5 * np.concatenate([-_GAUSS_HALF[::-1], _GAUSS_HALF])
+_GAUSS_WEIGHTS = 0.5 * np.concatenate([_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS])
+
+
+def _hat_integrals(kappa: Callable, N: int, h: float) -> np.ndarray:
+    """w_k = int_0^(N h) kappa(tau) Lambda_k(tau) dtau for the hats on the circle."""
+    sigma = _GAUSS_NODES
+    panels = kappa(h * (np.arange(N)[:, None] + sigma)) * (h * _GAUSS_WEIGHTS)
+    return panels @ (1.0 - sigma) + np.roll(panels @ sigma, 1)
 
 
 class _LogConvolution:
@@ -290,16 +321,20 @@ class _LogConvolution:
 
     With the unitary substitution phi = x^(1/2) v the operator acts on phi
     as (K phi)(u) = int_{u' <= u} kappa(u - u') phi(u') du', and the L^2(dx)
-    inner product becomes sum t_i phi_i psi_i with weights t in u.
+    inner product becomes sum t_i phi_i psi_i with weights t in u.  The
+    kernel is integrated exactly against the piecewise-linear interpolant
+    of phi, so the discretization's only bias is that of the interpolant
+    and of the window, the same for every rate r.
     ``boundary="wrap"`` closes the window periodically (t = h), so K is
-    circulant and one real FFT applies it; the multiplier samples ``kappa``
-    at the grid spacing with half weight at tau = 0, where the causal kernel
-    jumps.  ``boundary="cut"`` keeps the hard window (t trapezoid): each of
-    the ``terms`` (a_j, r_j) is a rescaled cumulative trapezoid sum
-    e^(-r s) cumtrap(e^(r s) phi), with s centred on the window so both
-    factors stay in floating-point range.  ``kappa`` and ``terms`` describe
-    the same kernel; the wrap samples come from ``kappa`` so that a kernel
-    whose exponential sum cancels can be sampled in a stable closed form.
+    circulant and one real FFT applies it; its multiplier holds the
+    integrals of ``kappa`` against the hat functions on the circle (8-point
+    Gauss-Legendre per panel).  ``boundary="cut"`` keeps the hard window
+    (t trapezoid): each of the ``terms`` (a_j, r_j) is a rescaled cumulative
+    panel sum e^(-r s) cumsum(e^(r s) phi), with the exact panel weights of
+    e^(-r tau) and s centred on the window so both factors stay in
+    floating-point range.  ``kappa`` and ``terms`` describe the same kernel;
+    the wrap integrates ``kappa`` so that a kernel whose exponential sum
+    cancels can be evaluated in a stable closed form.
     ``reverse`` mirrors the grid, making the kernel anti-causal; t is
     mirror-symmetric, so the mirror is exact for both boundaries.
     adjoint_apply is the transpose in the quad_weights inner product.
@@ -314,37 +349,36 @@ class _LogConvolution:
         self.grid = grid
         self.boundary = boundary
         N, h = len(grid), grid.h
-        # scalings into and out of the kernel, in the causal frame
+        # (pre, post, panel weights) per term, in the causal frame
         self._flip = slice(None, None, -1 if reverse else 1)
         root = np.sqrt(grid.x)[self._flip]
         if boundary == "wrap":
-            kernel = h * kappa(h * np.arange(N))
-            kernel[0] *= 0.5
-            self._multiplier = np.fft.rfft(kernel)
+            self._multiplier = np.fft.rfft(_hat_integrals(kappa, N, h))
             self.quad_weights = h * grid.x
-            self._forward = self._backward = [(root, 1.0 / root)]
+            self._forward = self._backward = [(root, 1.0 / root, None)]
             return
         t = np.full(N, h)
         t[0] = t[-1] = 0.5 * h
         self.quad_weights = t * grid.x
         s = h * (np.arange(N) - 0.5 * (N - 1))
-        self._forward = [(root * np.exp(r * s), a * np.exp(-r * s) / root)
+        self._forward = [(root * np.exp(r * s), a * np.exp(-r * s) / root, _exact_panel(r, h))
                          for a, r in terms]
-        self._backward = [(t * root * np.exp(-r * s), a * np.exp(r * s) / (t * root))
-                          for a, r in terms]
+        self._backward = [(t * root * np.exp(-r * s), a * np.exp(r * s) / (t * root),
+                           _exact_panel(r, h)) for a, r in terms]
 
-    def _kernel(self, phi: np.ndarray, adjoint: bool) -> np.ndarray:
+    def _kernel(self, phi: np.ndarray, adjoint: bool, panel) -> np.ndarray:
         if self.boundary == "wrap":
             mult = np.conj(self._multiplier) if adjoint else self._multiplier
             return np.fft.irfft(np.fft.rfft(phi) * mult, n=len(phi))
-        return (_cumtrap_u_transpose if adjoint else _cumtrap_u)(phi, self.grid.h)
+        return (_cumtrap_u_transpose if adjoint else _cumtrap_u)(phi, *panel)
 
     def _apply(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
         if np.iscomplexobj(v):
             return self._apply(v.real, adjoint) + 1j * self._apply(v.imag, adjoint)
         v = v[self._flip]
         scalings = self._backward if adjoint else self._forward
-        return sum(post * self._kernel(pre * v, adjoint) for pre, post in scalings)[self._flip]
+        return sum(post * self._kernel(pre * v, adjoint, panel)
+                   for pre, post, panel in scalings)[self._flip]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._apply(v, adjoint=False)
@@ -363,14 +397,14 @@ class DiscreteCesaro(_LogConvolution):
                      = sum_j C(n-1, j) (-1)^j e^(-(j+1/2) tau) / (n-1)!,
 
     applied by the shared log-grid convolution engine.  The wrap multiplier
-    samples the product form, which stays accurate for every n; the
+    integrates the product form, which stays accurate for every n; the
     alternating sum, which the cut boundary needs term by term, cancels
     near tau = 0 as n grows.  The default boundary wraps periodically in u
     (the standard log-grid discretization of a scale-invariant operator):
     a hard cut at the window edges depresses the discrete norm by 2-3% on
-    the default window, far more than the O(h^2) quadrature bias of the
-    wrap.  ``boundary="cut"`` keeps the hard-window trapezoid variant for
-    comparison.
+    the default window, far more than the wrap's bias, which is the kernel
+    mass beyond the window (about 1e-6 relative on the default window).
+    ``boundary="cut"`` keeps the hard window for comparison.
     """
 
     def __init__(self, n: int, grid: LogGrid, boundary: str = "wrap"):
@@ -394,8 +428,8 @@ class DiscreteWeightedPair(_LogConvolution):
     ``power`` is j; the spec must be that pair (its phi, psi and w are
     checked on the grid, and K = 1/(2j+1)), since only the power pair is a
     convolution.  Boundaries are as for DiscreteCesaro; with w = 1 the
-    quad_weights are those of L^2(dx), and power iteration estimates the
-    norm 2K = 2/(2j+1).
+    quad_weights are those of L^2(dx), and estimate_operator_norm
+    approximates the norm 2K = 2/(2j+1).
     """
 
     def __init__(self, spec: WeightedPairSpec, grid: LogGrid, side: str = "A",
@@ -430,32 +464,87 @@ def _q_norm(q: np.ndarray, v: np.ndarray) -> float:
     return peak * math.sqrt(float(np.sum(q * np.abs(v / peak) ** 2)))
 
 
+# Golub-Kahan steps per cycle before a restart: the per-step SVD of the
+# k x k bidiagonal costs O(k^3), so k is bounded; 64 leaves room above the
+# 39 steps the cut pair j = 2 takes at tol 1e-8 on 1024 nodes.
+_RESTART = 64
+
+
+def _golub_kahan(op, q: np.ndarray, v: np.ndarray):
+    """Yield (v_k, alpha_k, beta_(k-1)) of op V = U B from the q-unit vector v.
+
+    B is upper bidiagonal, alpha on the diagonal and beta above it, and V, U
+    are q-orthonormal.  Each item costs one apply, and each after the first
+    one adjoint_apply too.  The recurrence is deterministic, so a second run
+    from the same v yields the same vectors.  It ends where the Krylov space
+    is invariant (alpha or beta is zero).
+    """
+    u, beta = np.zeros_like(v), 0.0
+    while True:
+        image = op.apply(v) - beta * u
+        alpha = _q_norm(q, image)
+        yield v, alpha, beta
+        if alpha == 0.0:
+            return
+        u = image / alpha
+        w = op.adjoint_apply(u) - alpha * v
+        beta = _q_norm(q, w)
+        if beta == 0.0:
+            return
+        v = w / beta
+
+
+def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
+    return np.diag(alphas) + np.diag(betas[1:], 1)
+
+
 def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
                            tol: float = 1e-6, seed: int = 1729) -> float:
-    """Largest singular value of a discretized operator by power iteration.
+    """Largest singular value of a discretized operator by Golub-Kahan-Lanczos.
 
-    Iterates v <- op* op v from a seeded positive start vector; the Rayleigh
-    estimate is ||op v||_q / ||v||_q in the operator's quadrature inner
-    product.  Convergence means the estimate moved by less than tol
-    (relative) between sweeps; running out of iterations raises
-    ConvergenceError with the last estimate attached.
+    Bidiagonalizes op in its quadrature inner product from a seeded positive
+    start vector; the estimate is the top singular value of the k x k
+    bidiagonal, which rises toward ||op|| with k.  Convergence means the
+    estimate moved by at most tol (relative) in one step.  Every _RESTART
+    steps the bidiagonalization restarts from the top Ritz vector, which is
+    rebuilt by replaying the cycle, so memory stays a few grid vectors.
+    max_iter bounds the steps, each one apply and one adjoint_apply (the
+    replays come on top); running out raises ConvergenceError with the last
+    estimate attached.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     q = op.quad_weights
     rng = np.random.default_rng(seed)
-    v = rng.random(len(grid)) + 0.5
-    v /= _q_norm(q, v)
-    previous = math.inf
-    for _ in range(max_iter):
-        image = op.apply(v)
-        estimate = _q_norm(q, image)
-        if abs(estimate - previous) <= tol * max(estimate, 1e-300):
-            return estimate
-        previous = estimate
-        v = op.adjoint_apply(image)
-        norm = _q_norm(q, v)
-        if norm == 0.0:
-            return 0.0
-        v = v / norm
-    raise ConvergenceError(
-        f"no convergence to tol {tol} within {max_iter} iterations",
-        last_estimate=previous)
+    start = rng.random(len(grid)) + 0.5
+    steps, estimate = 0, math.nan
+    while True:
+        start = start / _q_norm(q, start)
+        alphas, betas, previous = [], [], math.inf
+        for _, alpha, beta in _golub_kahan(op, q, start):
+            steps += 1
+            if not math.isfinite(alpha + beta):
+                raise ConvergenceError(
+                    f"no convergence: the operator gave non-finite values at step {steps}",
+                    last_estimate=estimate)
+            alphas.append(alpha)
+            betas.append(beta)
+            estimate = float(np.linalg.svd(_bidiagonal(alphas, betas), compute_uv=False)[0])
+            if abs(estimate - previous) <= tol * estimate:
+                return estimate
+            if steps >= max_iter:
+                raise ConvergenceError(
+                    f"no convergence to tol {tol} within {max_iter} iterations",
+                    last_estimate=estimate)
+            previous = estimate
+            if len(alphas) == _RESTART:
+                break
+        else:
+            return estimate  # invariant Krylov space: exact on it
+        coeffs = np.linalg.svd(_bidiagonal(alphas, betas))[2][0]
+        ritz = np.zeros_like(start)
+        for c, (v, _, _) in zip(coeffs, _golub_kahan(op, q, start)):
+            ritz += c * v
+        start = ritz

@@ -61,3 +61,10 @@ def test_sharpness_threads_option_is_gone(capsys):
         cli.main(["sharpness", "--n", "2", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--max-iter", "0"], ["--tol", "nan"], ["--tol=-1e-6"]])
+def test_norm_argument_errors_exit_2(capsys, option):
+    code, out, err = _run(capsys, ["norm", "--points", "256"] + option)
+    assert code == cli.EXIT_VALIDATION == 2
+    assert out == "" and "error:" in err

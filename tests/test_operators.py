@@ -1,6 +1,8 @@
 """Averaging operators, inverses, the analytic family, pairs, and norms."""
 
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hardy_rellich.analytic import LogGaussian, gamma_class, monomial, polynomia
 from hardy_rellich.constants import cesaro_norm
 from hardy_rellich.errors import ConvergenceError, SingularityError
 from hardy_rellich.functional import ProbeFunction, ProbeSpec
-from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
+from hardy_rellich.grid import DEFAULT_WINDOW, GridFunction, LogGrid, norm_sq
 
 
 @pytest.fixture(scope="module")
@@ -396,16 +398,32 @@ def _kappa(family, index, tau):
     return np.exp(-(index + 0.5) * tau)
 
 
+def _hat_panels(family, index, N, h):
+    """Per panel d, [d h, (d+1) h]: kappa against the hat falling from 1 at
+    d h, and against the hat rising to 1 at (d+1) h (12-point Gauss-Legendre)."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    x, w = 0.5 * (x + 1.0), 0.5 * h * w
+    values = _kappa(family, index, h * (np.arange(N)[:, None] + x)) * w
+    return values @ (1.0 - x), values @ x
+
+
 def _reference_phi(family, index, side, boundary, lg):
-    """Discretization in phi = x^(1/2) v coordinates, entry by entry."""
+    """Discretization in phi = x^(1/2) v coordinates, entry by entry.
+
+    Entry (i, k) integrates the kernel at u_i - s against the hat of node k
+    (the piecewise-linear interpolant of phi), over the circle for wrap and
+    over s in [u_0, u_i] for cut.
+    """
     N, h = len(lg), lg.h
+    falling, rising = _hat_panels(family, index, N, h)
     i, k = np.indices((N, N))
     if boundary == "wrap":
         m = (i - k) % N
-        dense = np.where(m == 0, h / 2, h) * _kappa(family, index, m * h)
+        dense = falling[m] + rising[(m - 1) % N]
     else:
-        t = np.where((k == 0) | (k == i), h / 2, h)
-        dense = np.where((k <= i) & (i > 0), t * _kappa(family, index, np.abs(i - k) * h), 0.0)
+        d = i - k
+        dense = (np.where((k >= 1) & (d >= 0), falling[d % N], 0.0)
+                 + np.where(d >= 1, rising[(d - 1) % N], 0.0))
     return dense[::-1, ::-1] if side == "A" else dense
 
 
@@ -496,3 +514,121 @@ def test_pair_spec_must_be_the_power_pair(grid):
         for side in "AB":
             with pytest.raises(ValueError):
                 ops.DiscreteWeightedPair(spec, grid, side, boundary=boundary)
+
+
+def _window_norm(rate, length):
+    """Norm of phi -> int_0^u e^(-rate (u-s)) phi(s) ds on L^2(0, length).
+
+    1/sqrt(omega^2 + rate^2), with omega the root in (pi/2L, pi/L) of
+    omega cos(omega L) + rate sin(omega L), found by bisection.
+    """
+    lo, hi = math.pi / (2.0 * length), math.pi / length
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mid * math.cos(mid * length) + rate * math.sin(mid * length) > 0:
+            lo = mid
+        else:
+            hi = mid
+    omega = 0.5 * (lo + hi)
+    return 1.0 / math.sqrt(omega * omega + rate * rate)
+
+
+CUT_FIRST_RUNG = [("cesaro", 1, "B")] + [("pair", j, side) for j in range(3) for side in "AB"]
+
+
+@pytest.mark.parametrize("window", [(1e-4, 1e4), DEFAULT_WINDOW])
+@pytest.mark.parametrize("family,index,side", CUT_FIRST_RUNG)
+def test_cut_norm_at_1024_nodes(window, family, index, side):
+    # exact panel weights leave a bias of ~7.5e-7 whatever the rate; the
+    # trapezoid weights left (rh)^2/12, 3.8e-4 for j = 2
+    lg = LogGrid(*window, 1024)
+    estimate = ops.estimate_operator_norm(_discrete(family, index, side, "cut", lg), lg, tol=1e-8)
+    exact = _window_norm(index + 0.5 if family == "pair" else 0.5, lg.u[-1] - lg.u[0])
+    assert abs(estimate - exact) <= 1e-6 * exact
+
+
+@pytest.mark.parametrize("family,index,side,bound",
+                         [("pair", j, side, 2e-6) for j in range(3) for side in "AB"]
+                         + [("cesaro", n, "B", 3e-6) for n in range(1, 5)])
+def test_wrap_norm_at_1024_nodes(family, index, side, bound):
+    lg = LogGrid.default(1024)
+    estimate = ops.estimate_operator_norm(_discrete(family, index, side, "wrap", lg), lg,
+                                          tol=1e-7)
+    exact = 2.0 / (2 * index + 1) if family == "pair" else float(cesaro_norm(index))
+    assert abs(estimate - exact) <= bound * exact
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_cut_pair_norm(side):
+    lg = LogGrid.default(1024)
+    forward, _, t = _dense_phi(_discrete("pair", 2, side, "cut", lg), lg)
+    return float(np.linalg.norm(np.sqrt(t)[:, None] * forward / np.sqrt(t)[None, :], 2))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("side", "AB")
+def test_stopping_rule_is_honest(side, tol):
+    # the estimate stops within 10 tol of the discretization's own norm
+    # (power iteration stopped 84 tol short here)
+    lg = LogGrid.default(1024)
+    estimate = ops.estimate_operator_norm(_discrete("pair", 2, side, "cut", lg), lg, tol=tol)
+    dense = _dense_cut_pair_norm(side)
+    assert abs(estimate - dense) <= 10 * tol * dense
+
+
+class _Diagonal:
+    """Multiplication by d in any inner product, counting applies."""
+
+    def __init__(self, d, lg):
+        self.d = d
+        self.quad_weights = lg.h * lg.x
+        self.applies = 0
+
+    def apply(self, v):
+        self.applies += 1
+        return self.d * v
+
+    def adjoint_apply(self, v):
+        return self.d * v
+
+
+def test_cost_stays_bounded_without_convergence():
+    # d = 1 - (i/N)^2 clusters the top singular values (gap 1/N^2) beyond
+    # what 3000 steps resolve to tol 1e-10; without restarts the bidiagonal
+    # SVDs alone would take minutes
+    lg = LogGrid.default(1024)
+    op = _Diagonal(1.0 - (np.arange(1024) / 1024.0) ** 2, lg)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as err:
+        ops.estimate_operator_norm(op, lg, max_iter=3000, tol=1e-10)
+    assert time.perf_counter() - start < 10.0
+    assert op.applies >= 3000
+    assert math.isfinite(err.value.last_estimate) and 0.9999 < err.value.last_estimate <= 1.0
+
+
+def test_restarts_converge_to_the_top_value():
+    # equispaced singular values need several restart cycles
+    lg = LogGrid.default(1024)
+    op = _Diagonal(1.0 - np.arange(1024) / 1024.0, lg)
+    estimate = ops.estimate_operator_norm(op, lg, tol=1e-12)
+    assert op.applies > 2 * ops._RESTART
+    assert abs(estimate - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-6},
+                                    {"tol": math.nan}, {"tol": math.inf}])
+def test_norm_arguments_are_validated(grid, kwargs):
+    with pytest.raises(ValueError):
+        ops.estimate_operator_norm(ops.DiscreteCesaro(1, grid), grid, **kwargs)
+
+
+def test_overflowing_discretization_fails_fast(grid):
+    # e^((j+1/2) s) overflows for j = 60 on the default window; the estimate
+    # stops at the first non-finite value instead of running out of steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = ops.DiscreteWeightedPair(ops.power_weight_pair(60), grid, "A", power=60,
+                                      boundary="cut")
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            ops.estimate_operator_norm(op, grid)
