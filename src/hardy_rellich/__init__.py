@@ -31,7 +31,6 @@ from .errors import (
     SingularityError,
     TrivialFunctionError,
 )
-from .grid import GridFunction, LinearGrid, LogGrid, integrate, norm_sq
 
 __version__ = "0.1.0"
 
@@ -51,10 +50,5 @@ __all__ = [
     "PoleError",
     "SingularityError",
     "TrivialFunctionError",
-    "GridFunction",
-    "LinearGrid",
-    "LogGrid",
-    "integrate",
-    "norm_sq",
     "__version__",
 ]

@@ -136,6 +136,8 @@ class LogGaussian(AnalyticFunction):
     def __init__(self, mu: float = 0.0, s: float = 1.0, power: float = 0.0):
         self.mu = float(mu)
         self.s = float(s)
+        if not (self.s > 0 and math.isfinite(self.s)):
+            raise ValueError(f"the width s must be positive and finite, got {s}")
         self.power = float(power)
         self.vanishing_order = math.inf  # super-polynomial vanishing at 0
         self.decay = "super-exp"

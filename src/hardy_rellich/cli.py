@@ -8,6 +8,9 @@ non-convergence.
 
 The only environment-variable configuration is HARDY_RELLICH_OUTDIR, which
 prefixes relative output paths.
+
+Each command imports the numeric modules it runs inside its own function,
+so building the parser and running ``constants`` never import numpy.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import math
 import os
 import sys
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Optional
 
-import numpy as np
-
-from . import analytic, constants, functional, grid, interval, operators, spectral
-from .errors import ConvergenceError, HardyRellichError
+from . import constants
+from .errors import ConvergenceError, HardyRellichError, TrivialFunctionError
 
 DEFAULT_SEED = 1729
 EXIT_VALIDATION = 2
@@ -62,9 +64,9 @@ def to_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, Fraction):
         return f'"{obj}"'
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, Real):
         return format_float(float(obj))
     if isinstance(obj, complex):
         return f'{{"re": {format_float(obj.real)}, "im": {format_float(obj.imag)}}}'
@@ -116,6 +118,8 @@ def _parse_kv(body: str) -> dict:
 
 def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
     """Build a test function from its registry string."""
+    from . import analytic, functional, grid
+
     name, _, body = spec.partition(":")
     name = name.strip().lower()
     if name == "zero":
@@ -136,6 +140,8 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
     if name == "bridge":
         if bounds is None:
             raise ValueError("'bridge' functions need an interval")
+        import numpy as np
+
         kv = _parse_kv(body)
         degree = int(kv.get("degree", 0))
         a, c = bounds
@@ -158,6 +164,8 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
 
 
 def cmd_constants(args) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     alphas = [float(v) for v in args.alpha.split(",")] if args.alpha else []
     rows = []
     for n in range(1, args.n_max + 1):
@@ -178,9 +186,13 @@ def cmd_constants(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    from . import functional, grid
+
     f = parse_function(args.function, args.n)
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if isinstance(f, list):
+        from . import interval
+
         report = interval.vector_birman_ratio(args.n, f, lg)
     elif isinstance(f, grid.GridFunction):
         report = functional.birman_ratio_sampled(args.n, f, args.alpha or 0.0)
@@ -195,6 +207,8 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    from . import functional
+
     eps = tuple(float(v) for v in args.eps.split(","))
     sweep = functional.sharpness_sweep(args.n, eps, args.cutoff)
     emit({
@@ -210,6 +224,8 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    from . import grid, operators
+
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if args.operator == "cesaro":
         op = operators.DiscreteCesaro(args.n, lg, boundary=args.boundary)
@@ -239,6 +255,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectral
+
     curve = spectral.spectrum_curve(args.n, args.theta_count)
     peak = spectral.curve_max_modulus(curve)
     target = float(constants.cesaro_norm(args.n))
@@ -261,17 +279,24 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_mellin_check(args) -> int:
+    from . import analytic, grid, spectral
+
     if args.points & (args.points - 1):
         raise ValueError(f"--points must be a power of two, got {args.points}")
     f = analytic.LogGaussian(args.center, args.width)
+    lg = grid.LogGrid(args.x_min, args.x_max, args.points)
+    sampled = grid.GridFunction.from_callable(lg, f.deriv(0))
+    mass = grid.norm_sq(sampled)
+    if not mass > 0:
+        raise TrivialFunctionError(
+            f"the bump samples to zero on {args.points} nodes; "
+            "use more --points or a larger --width")
     residual = spectral.verify_diagonalization(
         f, count=args.points, window=(args.x_min, args.x_max))
     doubled = spectral.verify_diagonalization(
         f, count=2 * args.points, window=(args.x_min, args.x_max))
-    lg = grid.LogGrid(args.x_min, args.x_max, args.points)
-    sampled = grid.GridFunction.from_callable(lg, f.deriv(0))
     data = spectral.mellin_forward(sampled)
-    parseval = abs(data.norm() ** 2 - grid.norm_sq(sampled)) / grid.norm_sq(sampled)
+    parseval = abs(data.norm() ** 2 - mass) / mass
     emit({
         "command": "mellin-check",
         "points": args.points,
@@ -286,6 +311,8 @@ def cmd_mellin_check(args) -> int:
 
 
 def cmd_interval(args) -> int:
+    from . import functional, grid, interval
+
     problem = interval.IntervalProblem(args.n, args.a, args.c, args.side)
     f = parse_function(args.function, args.n, bounds=(args.a, args.c))
     if isinstance(f, (list, grid.GridFunction, functional.ProbeSpec)):
@@ -305,10 +332,10 @@ def cmd_interval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_window(p: argparse.ArgumentParser, points: int = grid.DEFAULT_POINTS) -> None:
-    p.add_argument("--x-min", type=float, default=grid.DEFAULT_WINDOW[0],
+def _add_window(p: argparse.ArgumentParser, points: int = constants.DEFAULT_POINTS) -> None:
+    p.add_argument("--x-min", type=float, default=constants.DEFAULT_WINDOW[0],
                    help="lower edge of the log-grid window")
-    p.add_argument("--x-max", type=float, default=grid.DEFAULT_WINDOW[1],
+    p.add_argument("--x-max", type=float, default=constants.DEFAULT_WINDOW[1],
                    help="upper edge of the log-grid window")
     p.add_argument("--points", type=int, default=points,
                    help="number of log-grid nodes")
@@ -397,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="center of the log-Gaussian test bump in ln x")
     p.add_argument("--width", type=float, default=0.003,
                    help="width of the log-Gaussian test bump")
-    p.add_argument("--x-min", type=float, default=grid.DEFAULT_WINDOW[0])
-    p.add_argument("--x-max", type=float, default=grid.DEFAULT_WINDOW[1])
+    p.add_argument("--x-min", type=float, default=constants.DEFAULT_WINDOW[0])
+    p.add_argument("--x-max", type=float, default=constants.DEFAULT_WINDOW[1])
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_mellin_check)
 
@@ -408,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--side", choices=interval.SIDES, default="both")
+    p.add_argument("--side", choices=constants.SIDES, default="both")
     p.add_argument("--function", type=str, default="bridge:degree=0",
                    help=REGISTRY_HELP)
     p.add_argument("--panels", type=int, default=4096)

@@ -43,6 +43,12 @@ __all__ = [
     "eval_r_n",
 ]
 
+# Defaults of the grids and of the command-line parser.  They live here, with
+# no numpy import, so that the parser can be built without importing numpy.
+DEFAULT_WINDOW = (1e-6, 1e6)
+DEFAULT_POINTS = 4096
+SIDES = ("left", "right", "both")
+
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = (2n-1)(2n-3)...3*1, with the empty product equal to 1."""

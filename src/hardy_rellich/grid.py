@@ -25,6 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .constants import DEFAULT_POINTS, DEFAULT_WINDOW
 from .errors import InvalidDataError, SingularityError
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
     "write_csv",
     "read_csv",
 ]
-
-DEFAULT_WINDOW = (1e-6, 1e6)
-DEFAULT_POINTS = 4096
 
 
 class LogGrid:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import birman_constant
+from .constants import SIDES, birman_constant
 from .errors import TrivialFunctionError
 from .functional import RatioReport, _build_report
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
@@ -30,7 +30,6 @@ __all__ = [
     "vector_birman_ratio",
 ]
 
-SIDES = ("left", "right", "both")
 MAX_COMPONENTS = 64
 
 
@@ -58,6 +57,10 @@ def _quad_nodes(problem: IntervalProblem, panels: int, refine_levels: int) -> np
     Three halving levels against each vanishing boundary resolve the
     inverse-power weight without an adaptive mesh.
     """
+    if panels < 2:
+        raise ValueError(f"need at least 2 panels, got {panels}")
+    if refine_levels < 0:
+        raise ValueError(f"refine_levels must be >= 0, got {refine_levels}")
     if panels % 2:
         panels += 1  # keep the midpoint on a node
     nodes = np.linspace(problem.a, problem.c, panels + 1)
@@ -146,7 +149,9 @@ def interval_denominator_pieces(problem: IntervalProblem, f: AnalyticFunction,
         raise ValueError("the splitting identity concerns the distance weight")
     nodes = _quad_nodes(problem, panels, refine_levels)
     full = float(np.trapezoid(_weighted_integrand(problem, f, nodes), nodes))
-    mid = 0.5 * (problem.a + problem.c)
+    # split at the middle node, which linspace may round off (a + c) / 2: a
+    # split beside it would drop the panel between them from both halves
+    mid = nodes[np.argmin(np.abs(nodes - 0.5 * (problem.a + problem.c)))]
     left = IntervalProblem(problem.n, problem.a, problem.c, "left")
     right = IntervalProblem(problem.n, problem.a, problem.c, "right")
     lo = nodes[nodes <= mid]

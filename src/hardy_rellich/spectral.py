@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import eval_r_n
+from .constants import DEFAULT_WINDOW, eval_r_n
 from .errors import InvalidDataError
-from .grid import DEFAULT_WINDOW, GridFunction, LogGrid, norm_sq
+from .grid import GridFunction, LogGrid, norm_sq
 
 __all__ = [
     "MellinData",

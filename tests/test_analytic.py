@@ -1,5 +1,7 @@
 """Derivative-closure consistency for the analytic test functions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,11 @@ class TestLogGaussian:
     def test_order_limit(self):
         with pytest.raises(ValueError):
             LogGaussian().deriv(3)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_width_must_be_positive_and_finite(self, s):
+        with pytest.raises(ValueError):
+            LogGaussian(0.0, s)
 
 
 class TestReflected:

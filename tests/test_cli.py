@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +52,15 @@ def test_non_convergence_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["mellin-check", "--points", "1000"],
+    ["mellin-check", "--points", "8"],
+    ["mellin-check", "--points", "16"],
+    ["mellin-check", "--width", "0"],
+    ["mellin-check", "--width", "-1"],
     ["interval", "--n", "1", "--a", "2", "--c", "1"],
+    ["interval", "--n", "1", "--panels", "0"],
+    ["interval", "--n", "1", "--panels", "-5"],
+    ["constants", "--n-max", "0"],
+    ["constants", "--n-max", "-3"],
 ])
 def test_validation_errors_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -68,3 +80,43 @@ def test_norm_argument_errors_exit_2(capsys, option):
     code, out, err = _run(capsys, ["norm", "--points", "256"] + option)
     assert code == cli.EXIT_VALIDATION == 2
     assert out == "" and "error:" in err
+
+
+# fresh interpreters: the -m entry path, and what each import pulls in
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+RUN_CONSTANTS = """
+import runpy, sys
+sys.argv = ["hardy_rellich.cli", "constants", "--n-max", "3"]
+try:
+    runpy.run_module("hardy_rellich.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _python(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_package_and_parser_import_without_numpy(tmp_path):
+    proc = _python(tmp_path, "-c", "import sys, hardy_rellich, hardy_rellich.cli; "
+                   "hardy_rellich.cli.build_parser(); print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_constants_command_runs_without_numpy(tmp_path):
+    proc = _python(tmp_path, "-c", RUN_CONSTANTS)
+    assert proc.stderr.splitlines()[-1] == "exit 0 False", proc.stderr
+    assert [row["n"] for row in json.loads(proc.stdout)["rows"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_module_entry_matches_in_process_run(capsys, tmp_path, name):
+    code, out, _ = _run(capsys, COMMANDS[name])
+    proc = _python(tmp_path, "-m", "hardy_rellich.cli", *COMMANDS[name])
+    assert code == proc.returncode == 0, proc.stderr
+    assert proc.stdout == out

@@ -1,0 +1,50 @@
+"""The optimality probe: closed forms against exact integrals, and sweeps."""
+
+from fractions import Fraction
+
+import pytest
+
+from hardy_rellich.constants import birman_constant
+from hardy_rellich.functional import ProbeSpec, probe_ratio_closed_form, sharpness_sweep
+
+
+def _exact_probe_parts(n, sigma, a):
+    """(numerator, denominator) of the probe ratio, integrated by sympy.
+
+    F is the n-fold antiderivative of x^sigma on (0, a), from Cauchy's
+    formula for repeated integration, so the tail above a is computed
+    without the package's tail coefficients.
+    """
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t", positive=True)
+    sigma, a = sympy.Rational(sigma), sympy.Rational(a)
+    # expanded into monomials first: sympy integrates those much faster
+    integrand = sympy.expand((x - t) ** (n - 1) / sympy.factorial(n - 1) * t**sigma)
+    below = sympy.integrate(integrand, (t, 0, x))
+    tail = sympy.integrate(integrand, (t, 0, a))
+    numerator = sympy.integrate(x ** (2 * sigma), (x, 0, a))
+    denominator = sympy.integrate(sympy.expand(below**2 / x ** (2 * n)), (x, 0, a)) + sum(
+        sympy.integrate(term, (x, a, sympy.oo))
+        for term in sympy.Add.make_args(sympy.expand(tail**2 / x ** (2 * n))))
+    return float(sympy.N(numerator, 30)), float(sympy.N(denominator, 30))
+
+
+# a^sigma is rational for each pair, which keeps sympy's integrals fast
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sigma,a", [(Fraction(0), 10), (Fraction(1, 3), 8),
+                                     (Fraction(-1, 4), 16), (Fraction(3, 2), Fraction(9, 4))])
+def test_probe_closed_form_matches_exact_integrals(n, sigma, a):
+    got = probe_ratio_closed_form(ProbeSpec(n=n, sigma=float(sigma), a=float(a)))
+    exact = _exact_probe_parts(n, sigma, a)
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sharpness_sweep_descends_toward_the_constant(n):
+    eps = (0.5, 0.25, 0.1, 0.05, 0.01, 0.001)
+    sweep = sharpness_sweep(n, eps)
+    constant = float(birman_constant(n).c)
+    assert sweep.constant == constant
+    ratios = [report.ratio for report in sweep.reports]
+    assert all(ratio > constant for ratio in ratios)
+    assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
