@@ -10,6 +10,12 @@ object itself.  The workhorse class is :class:`PowerExp`, sums
 which are closed under differentiation and cover monomials, polynomials,
 Gamma-class functions x^(k+1/2) e^(-cx), and the random polynomial-times-
 exponential test functions used by the property suites.
+
+A PowerExp closure is evaluated by Horner's rule, one group of powers that
+differ by integers at a time: one ``np.power`` per group and one ``np.exp``
+per call, whatever the number of terms.  Its error bound is that of the
+term-by-term sum (a few ulps times sum |c_i x^p_i| / |f(x)|), and it is
+finite at every x where each term is, on the whole float range.
 """
 
 from __future__ import annotations
@@ -64,6 +70,19 @@ class PowerExp(AnalyticFunction):
 
     Coefficients may be complex; powers may be any reals.  Terms with
     coefficient 0 are dropped, so differentiating x^0 terminates cleanly.
+
+    Closures are evaluated by a plan built once per function: terms whose
+    powers differ by whole numbers form a group, and each group is x^p0
+    times a Horner sum over its integer offsets (gaps between powers take
+    one power of x, not zero-coefficient steps).  A call costs one
+    ``np.power`` per group (none when p0 is a non-negative integer) and one
+    ``np.exp``.  Horner's rule has the backward-error bound of the term sum,
+    so the relative error is a few ulps times sum |c_i x^p_i| / |f(x)|.  The
+    result is finite wherever every term is: where a group's x^p0 times its
+    highest offset could leave the float range, points with |x| > 1 are
+    summed the other way round, as x^p_top times a Horner sum in 1/x.
+    At x = 0 a term x^p with p > 0 is 0 and one with p < 0 is nan (x^0 = 1);
+    at x < 0 the same holds for fractional and negative powers.
     """
 
     def __init__(self, terms: Sequence, rate: float = 0.0):
@@ -78,6 +97,7 @@ class PowerExp(AnalyticFunction):
         self.decay = "exp" if self.rate > 0 else (
             "power" if self.terms else "compact")
         self._deriv_cache = {0: self}
+        self._plan = None  # the Horner groups, built on first evaluation
 
     def _differentiate_once(self) -> "PowerExp":
         new = []
@@ -99,20 +119,22 @@ class PowerExp(AnalyticFunction):
 
     def _evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        complex_coeffs = any(isinstance(c, complex) for _, c in self.terms)
-        out = np.zeros(x.shape, dtype=complex if complex_coeffs else float)
-        for p, c in self.terms:
-            if p == 0:
-                out += c
-            elif p == int(p) and p > 0:
-                out += c * x ** int(p)
-            else:
-                # fractional or negative power: undefined at x = 0, take the limit
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term = c * np.power(x, p)
-                out += np.where(x > 0, term, 0.0 if p > 0 else np.nan)
+        flat = x.reshape(-1)
+        if self._plan is None:
+            self._plan = _horner_plan(self.terms)
+        if not self._plan or not flat.size:
+            dtype = complex if any(isinstance(c, complex) for _, c in self.terms) else float
+            out = np.zeros(x.shape, dtype=dtype)
+            return out if out.shape else out[()]
+        lo, hi = float(flat.min()), float(flat.max())
+        out = None
+        for group in self._plan:
+            value = group.evaluate(flat, lo, hi)
+            out = value if out is None else out + value
         if self.rate != 0.0:
-            out = out * np.exp(-self.rate * x)
+            decay = np.multiply(flat, -self.rate)
+            out *= np.exp(decay, out=decay)
+        out = out.reshape(x.shape)
         return out if out.shape else out[()]
 
     def __add__(self, other: "PowerExp") -> "PowerExp":
@@ -123,6 +145,103 @@ class PowerExp(AnalyticFunction):
 
     def __rmul__(self, scalar) -> "PowerExp":
         return PowerExp([(scalar * c, p) for p, c in self.terms], self.rate)
+
+
+# float64 overflows at 2^1024; a forward Horner sum whose terms stay below
+# 2^_RANGE_BITS in magnitude (and whose x^p0 stays above 2^-_RANGE_BITS)
+# cannot leave the range where the term-by-term sum would not.
+_RANGE_BITS = 960.0
+
+
+class _HornerGroup:
+    """sum_k c_k x^(p0 + k) over integer offsets k >= 0, by Horner's rule."""
+
+    def __init__(self, p0, top, offsets: Sequence[int], coefs: Sequence):
+        self.p0, self.top = p0, top
+        self.coefs = tuple(coefs)                  # by ascending offset
+        self.gaps = tuple(b - a for a, b in zip(offsets, offsets[1:]))
+        # largest |x| at which the forward sum stays in range; a single term
+        # is the term sum itself
+        self.safe = math.inf
+        if len(offsets) > 1:
+            spare = _RANGE_BITS - max(math.log2(sum(abs(c) for c in coefs)), 0.0)
+            self.safe = 2.0 ** (max(spare, 0.0) / max(offsets[-1], -p0))
+
+    def evaluate(self, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        if max(hi, -lo) <= self.safe:
+            return self._forward(x, lo <= 0)
+        big = np.abs(x) > 1
+        small = ~big
+        out = np.empty(x.shape, dtype=complex if isinstance(self.coefs[0], complex) else float)
+        out[small] = self._forward(x[small], lo <= 0)
+        out[big] = self._backward(x[big], lo <= 0)
+        return out
+
+    def _forward(self, x, nonpositive):
+        powers = {1: x}
+        acc = _horner(self.coefs[::-1], self.gaps[::-1], powers)
+        return _times_power(acc, x, self.p0, powers, nonpositive)
+
+    def _backward(self, x, nonpositive):
+        powers = {1: 1.0 / x}
+        acc = _horner(self.coefs, self.gaps, powers)
+        return _times_power(acc, x, self.top, {1: x}, nonpositive)
+
+
+def _horner_plan(terms) -> tuple:
+    """Group (power, coef) terms whose powers differ by integers."""
+    as_complex = any(isinstance(c, complex) for _, c in terms)
+    groups = []                                    # [p0, [(offset, p, coef)]]
+    for p, c in terms:                             # ascending powers
+        c = complex(c) if as_complex else float(c)
+        for p0, members in groups:
+            offset = float(p - p0)
+            # fsum is exact here: it is 0 only when p - p0 was not rounded
+            if offset.is_integer() and math.fsum((p, -p0, -offset)) == 0.0:
+                members.append((int(offset), p, c))
+                break
+        else:
+            groups.append((p, [(0, p, c)]))
+    return tuple(_HornerGroup(p0, members[-1][1], [k for k, _, _ in members],
+                              [c for _, _, c in members])
+                 for p0, members in groups)
+
+
+def _int_power(d: int, powers: dict):
+    """t^d by repeated squaring, memoised in powers (which holds 1: t)."""
+    if d not in powers:
+        half = _int_power(d // 2, powers)
+        powers[d] = half * half * powers[1] if d % 2 else half * half
+    return powers[d]
+
+
+def _horner(coefs, gaps, powers):
+    """((c0 t^g0 + c1) t^g1 + c2) ..., with each t^g taken from powers."""
+    if len(coefs) == 1:
+        return coefs[0]
+    acc = coefs[0] * _int_power(gaps[0], powers)
+    acc += coefs[1]
+    for c, g in zip(coefs[2:], gaps[1:]):
+        acc *= _int_power(g, powers)
+        acc += c
+    return acc
+
+
+def _times_power(acc, x, p, powers, nonpositive):
+    """acc * x^p with the x <= 0 limits of the term-by-term sum."""
+    if p == int(p) and p >= 0:
+        if p == 0:
+            return acc if isinstance(acc, np.ndarray) else np.full(x.shape, acc)
+        scale = _int_power(int(p), powers)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.power(x, p)
+        if nonpositive:
+            scale = np.where(x > 0, scale, 0.0 if p > 0 else np.nan)
+    if isinstance(acc, np.ndarray):
+        acc *= scale
+        return acc
+    return acc * scale
 
 
 class LogGaussian(AnalyticFunction):

@@ -5,8 +5,11 @@ function vanishes at: (x - a) for left-vanishing, (c - x) for
 right-vanishing, and d(x) = min(x - a, c - x) when it vanishes at both.
 The d-weighted integral splits exactly at the midpoint, where d has its
 kink; the quadrature keeps the midpoint on a node so no panel straddles
-the kink.  The vector-valued ratio replaces |f|^2 by the pointwise squared
-Euclidean norm componentwise and inherits strict positivity of the slack.
+the kink.  Each closure is sampled once per node set: f and f^(n) on all
+nodes (and f^(j), 0 < j < n, once for the vanishing check), and the
+removable 0/0 at a vanishing end is read from the f^(n) samples there.
+The vector-valued ratio replaces |f|^2 by the pointwise squared Euclidean
+norm componentwise and inherits strict positivity of the slack.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ def _quad_nodes(problem: IntervalProblem, panels: int, refine_levels: int) -> np
     """Uniform nodes with midpoint included and geometric endpoint clusters.
 
     Three halving levels against each vanishing boundary resolve the
-    inverse-power weight without an adaptive mesh.
+    inverse-power weight without an adaptive mesh.  The cluster nodes go
+    into the first and last panel in order, so the array is the sorted
+    union without a sort.
     """
     if panels < 2:
         raise ValueError(f"need at least 2 panels, got {panels}")
@@ -65,54 +70,94 @@ def _quad_nodes(problem: IntervalProblem, panels: int, refine_levels: int) -> np
         panels += 1  # keep the midpoint on a node
     nodes = np.linspace(problem.a, problem.c, panels + 1)
     h = (problem.c - problem.a) / panels
-    extras = []
+    steps = h / 2.0 ** np.arange(refine_levels, 0, -1)   # h/2^L, ..., h/2
+    left = right = steps[:0]
     if problem.side in ("left", "both"):
-        extras += [problem.a + h / 2**k for k in range(1, refine_levels + 1)]
+        left = _inside(problem.a + steps, nodes[0], nodes[1])
     if problem.side in ("right", "both"):
-        extras += [problem.c - h / 2**k for k in range(1, refine_levels + 1)]
-    if extras:
-        nodes = np.unique(np.concatenate((nodes, extras)))
+        right = _inside(problem.c - steps[::-1], nodes[-2], nodes[-1])
+    if left.size or right.size:
+        nodes = np.concatenate((nodes[:1], left, nodes[1:-1], right, nodes[-1:]))
     return nodes
 
 
+def _inside(extras: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The distinct cluster nodes strictly between two uniform nodes."""
+    extras = np.unique(extras)
+    return extras[(extras > lo) & (extras < hi)]
+
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """|v|^2, with no complex cast for real samples."""
+    return np.abs(values) ** 2 if np.iscomplexobj(values) else values * values
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """max |v|, with no temporary array for real samples."""
+    if np.iscomplexobj(values):
+        return float(np.max(np.abs(values)))
+    return max(float(np.max(values)), -float(np.min(values)))
+
+
+def _trapezoid(values: np.ndarray, widths: np.ndarray) -> float:
+    """Trapezoid sum of node values over panels of the given widths."""
+    return 0.5 * float(np.dot(widths, values[1:]) + np.dot(widths, values[:-1]))
+
+
 def _boundary_consistency(problem: IntervalProblem, f: AnalyticFunction,
-                          nodes: np.ndarray) -> None:
-    """Spot-check that the declared boundary vanishing matches the closures."""
+                          nodes: np.ndarray, fx: np.ndarray) -> None:
+    """Spot-check that the declared boundary vanishing matches the closures.
+
+    fx holds the samples of f on nodes; each derivative j >= 1 below n is
+    sampled once and its ends read from that array.
+    """
     n = problem.n
-    checks = []
+    ends = []
     if problem.side in ("left", "both"):
-        checks.append(problem.a)
+        ends.append((0, problem.a))
     if problem.side in ("right", "both"):
-        checks.append(problem.c)
+        ends.append((-1, problem.c))
     for j in range(n):
-        deriv = f.deriv(j)
-        scale = float(np.max(np.abs(deriv(nodes)))) + 1e-300
-        for point in checks:
-            if abs(complex(np.asarray(deriv(point), dtype=complex).item())) > 1e-6 * scale:
+        values = fx if j == 0 else np.asarray(f.deriv(j)(nodes))
+        scale = _max_abs(values) + 1e-300
+        for end, point in ends:
+            if abs(values[end]) > 1e-6 * scale:
                 raise ValueError(
                     f"function does not vanish to order {n} at x = {point} "
                     f"(derivative {j} is nonzero)")
 
 
-def _weighted_integrand(problem: IntervalProblem, f: AnalyticFunction,
-                        nodes: np.ndarray) -> np.ndarray:
-    """|f|^2 / weight^(2n) with the removable 0/0 at the boundaries filled in."""
+def _weighted_integrand(problem: IntervalProblem, nodes: np.ndarray, fx: np.ndarray,
+                        dn_ends: tuple) -> np.ndarray:
+    """|f|^2 / weight^(2n) with the removable 0/0 at the boundaries filled in.
+
+    fx holds the samples of f on nodes, and dn_ends the values of f^(n) at
+    nodes[0] and nodes[-1]; only the ends where the weight vanishes use them.
+    """
     n, a, c = problem.n, problem.a, problem.c
-    fx = np.asarray(f.deriv(0)(nodes), dtype=complex)
-    if problem.side == "left":
-        weight = nodes - a
-    elif problem.side == "right":
-        weight = c - nodes
-    else:
-        weight = np.minimum(nodes - a, c - nodes)
+    # the weight is positive on nodes[lo:hi] and vanishes outside it
+    lo = 1 if problem.side in ("left", "both") else 0
+    hi = len(nodes) - 1 if problem.side in ("right", "both") else len(nodes)
+    inner = nodes[lo:hi]
     out = np.empty(len(nodes))
-    inner = weight > 0
-    out[inner] = np.abs(fx[inner]) ** 2 / weight[inner] ** (2 * n)
+    weight = out[lo:hi]  # the inner values are built in place
+    if problem.side == "left":
+        np.subtract(inner, a, out=weight)
+    elif problem.side == "right":
+        np.subtract(c, inner, out=weight)
+    else:
+        np.minimum(np.subtract(inner, a, out=weight), c - inner, out=weight)
+    if n > 1:
+        weight **= n
+    # |f|^2 / weight^(2n) = (|f| / weight^n)^2
+    samples = fx[lo:hi]
+    np.divide(np.abs(samples) if np.iscomplexobj(samples) else samples, weight, out=weight)
+    np.square(weight, out=weight)
     # limit at a vanishing boundary: |f^(n)(b)|^2 / (n!)^2
-    top = f.deriv(n)
-    for i in np.nonzero(~inner)[0]:
-        lim = abs(complex(np.asarray(top(nodes[i]), dtype=complex).item())) / math.factorial(n)
-        out[i] = lim**2
+    if lo:
+        out[0] = (abs(dn_ends[0]) / math.factorial(n)) ** 2
+    if hi < len(nodes):
+        out[-1] = (abs(dn_ends[1]) / math.factorial(n)) ** 2
     return out
 
 
@@ -128,10 +173,12 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     nodes = _quad_nodes(problem, panels, refine_levels)
-    _boundary_consistency(problem, f, nodes)
-    dn = np.asarray(f.deriv(n)(nodes), dtype=complex)
-    numerator = float(np.trapezoid(np.abs(dn) ** 2, nodes))
-    denominator = float(np.trapezoid(_weighted_integrand(problem, f, nodes), nodes))
+    fx = np.asarray(f.deriv(0)(nodes))
+    _boundary_consistency(problem, f, nodes, fx)
+    dn = np.asarray(f.deriv(n)(nodes))
+    widths = np.diff(nodes)
+    numerator = _trapezoid(_abs_sq(dn), widths)
+    denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])), widths)
     constant = float(birman_constant(n).c)
     return _build_report(n, numerator, denominator, constant,
                          side=problem.side, a=problem.a, c=problem.c)
@@ -148,16 +195,18 @@ def interval_denominator_pieces(problem: IntervalProblem, f: AnalyticFunction,
     if problem.side != "both":
         raise ValueError("the splitting identity concerns the distance weight")
     nodes = _quad_nodes(problem, panels, refine_levels)
-    full = float(np.trapezoid(_weighted_integrand(problem, f, nodes), nodes))
+    fx = np.asarray(f.deriv(0)(nodes))
+    dn_ends = tuple(np.asarray(f.deriv(problem.n)(nodes[[0, -1]])))
+    widths = np.diff(nodes)
+    full = _trapezoid(_weighted_integrand(problem, nodes, fx, dn_ends), widths)
     # split at the middle node, which linspace may round off (a + c) / 2: a
     # split beside it would drop the panel between them from both halves
-    mid = nodes[np.argmin(np.abs(nodes - 0.5 * (problem.a + problem.c)))]
+    m = int(np.argmin(np.abs(nodes - 0.5 * (problem.a + problem.c))))
     left = IntervalProblem(problem.n, problem.a, problem.c, "left")
     right = IntervalProblem(problem.n, problem.a, problem.c, "right")
-    lo = nodes[nodes <= mid]
-    hi = nodes[nodes >= mid]
-    left_val = float(np.trapezoid(_weighted_integrand(left, f, nodes)[nodes <= mid], lo))
-    right_val = float(np.trapezoid(_weighted_integrand(right, f, nodes)[nodes >= mid], hi))
+    lo, hi = slice(None, m + 1), slice(m, None)
+    left_val = _trapezoid(_weighted_integrand(left, nodes[lo], fx[lo], dn_ends), widths[:m])
+    right_val = _trapezoid(_weighted_integrand(right, nodes[hi], fx[hi], dn_ends), widths[m:])
     return full, left_val, right_val
 
 

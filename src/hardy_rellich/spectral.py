@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .constants import DEFAULT_WINDOW, eval_r_n
-from .errors import InvalidDataError
+from .errors import InvalidDataError, TrivialFunctionError
 from .grid import GridFunction, LogGrid, norm_sq
 
 __all__ = [
@@ -108,23 +108,26 @@ def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,
     Compares the transform of (x f)' = x f' + f against multiplication by
     (-i lambda + 1/2) on the transform of f; the continuum identity is
     exact, so the residual (relative to ||f||) measures pure discretization
-    error and certifies the diagonalization numerically.
+    error and certifies the diagonalization numerically.  A test function
+    that samples to zero has no such residual: TrivialFunctionError.
     """
     if f.order < 1:
         raise ValueError("diagnostic needs one derivative closure")
     grid = LogGrid(window[0], window[1], count)
     x = grid.x
     fx = np.asarray(f.deriv(0)(x))
-    dfx = np.asarray(f.deriv(1)(x))
     sampled = GridFunction(grid, fx)
+    norm_f = math.sqrt(norm_sq(sampled))
+    if norm_f == 0.0:
+        raise TrivialFunctionError(
+            f"the test function samples to zero on {count} nodes; "
+            "a residual relative to its norm is undefined")
+    dfx = np.asarray(f.deriv(1)(x))
     scaled = GridFunction(grid, x * dfx + fx)  # (x f)'
     left = mellin_forward(scaled)
     right = mellin_forward(sampled)
     mismatch = left.values - (-1j * right.lam + 0.5) * right.values
     dlam = right.lam[1] - right.lam[0]
-    norm_f = math.sqrt(norm_sq(sampled))
-    if norm_f == 0.0:
-        return 0.0
     return math.sqrt(float(dlam * np.sum(np.abs(mismatch) ** 2))) / norm_f
 
 

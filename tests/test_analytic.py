@@ -1,6 +1,7 @@
 """Derivative-closure consistency for the analytic test functions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hardy_rellich.analytic import (
     polynomial_times_exp,
     zero_function,
 )
+from hardy_rellich.constants import DEFAULT_WINDOW
 
 
 class TestPowerExp:
@@ -56,6 +58,128 @@ class TestPowerExp:
         z = zero_function()
         assert np.all(z.deriv(0)(np.array([0.1, 1.0])) == 0)
         assert np.all(z.deriv(5)(np.array([0.1, 1.0])) == 0)
+
+
+EPS = np.finfo(float).eps
+POINTS = np.geomspace(1e-6, 1e6, 49)
+
+
+def _mp(value, mpmath):
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    return mpmath.mpc(value)
+
+
+def _mp_sum(terms, rate, x, mpmath):
+    """(sum c x^p e^(-rate x), sum |c| x^p e^(-rate x)) at high precision."""
+    decay = mpmath.exp(-_mp(rate, mpmath).real * x)
+    powers = [mpmath.power(x, _mp(p, mpmath).real) for p, _ in terms]
+    value = sum(_mp(c, mpmath) * xp for (_, c), xp in zip(terms, powers))
+    size = sum(abs(_mp(c, mpmath)) * xp for (_, c), xp in zip(terms, powers))
+    return value * decay, size * decay
+
+
+def _assert_close_to_terms(got, terms, rate, points, rtol):
+    """|got - f| <= rtol * sum |c_k x^p_k| e^(-rate x), the Horner bound."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for value, x in zip(np.atleast_1d(got), points):
+            exact, size = _mp_sum(terms, rate, mpmath.mpf(float(x)), mpmath)
+            error = abs(mpmath.mpc(complex(value)) - exact)
+            assert error <= rtol * size + np.finfo(float).tiny, (x, value, exact)
+
+
+def _gamma_derivative_terms(p: Fraction, rate: int, j: int):
+    """Exact (power, coef) terms of d^j/dx^j [x^p e^(-rate x)] / e^(-rate x)."""
+    terms, falling = [], Fraction(1)
+    for i in range(j + 1):
+        terms.append((p - i, math.comb(j, i) * falling * Fraction(-rate) ** (j - i)))
+        falling *= p - i
+    return [(power, coef) for power, coef in terms if coef != 0]
+
+
+def _term_sum(f: PowerExp, x):
+    """The term-by-term sum, with the x <= 0 limits of fractional powers."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for p, c in f.terms:
+            if p == int(p) and p >= 0:
+                out += c * x ** int(p)
+            else:
+                out += np.where(x > 0, c * np.power(x, p), 0.0 if p > 0 else np.nan)
+        return out * np.exp(-f.rate * x)
+
+
+class TestHornerEvaluation:
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("rate", [1, 2])
+    def test_gamma_class_derivatives_against_exact_sum(self, half, rate):
+        for j in range(26):
+            p = j + (Fraction(1, 2) if half else 1)
+            f = gamma_class(float(p), float(rate))
+            terms = _gamma_derivative_terms(p, rate, j)
+            _assert_close_to_terms(f.deriv(j)(POINTS), terms, rate, POINTS,
+                                   rtol=2 * (j + 2) * EPS)
+
+    def test_one_group_per_fractional_class(self):
+        f = monomial(0.5) + monomial(1.25) + monomial(3.0)
+        for j in range(4):
+            values = f.deriv(j)(POINTS)
+            _assert_close_to_terms(values, f._deriv_cache[j].terms, 0.0, POINTS, rtol=16 * EPS)
+        assert sorted(group.p0 for group in f._plan) == [0.5, 1.25, 3.0]
+        # 0.3 - (0.3 - 1 - 1) rounds to 2 but is not 2: that term stays apart
+        g = PowerExp([(1.0, 0.3), (1.0, 0.3 - 1), (1.0, 0.3 - 1 - 1)])
+        g.deriv(0)(POINTS)
+        assert sorted(len(group.coefs) for group in g._plan) == [1, 2]
+
+    def test_gap_takes_one_step(self):
+        f = monomial(0.5) + monomial(60.5)
+        points = POINTS[POINTS <= 1e5]     # x^60.5 overflows beyond
+        _assert_close_to_terms(f.deriv(0)(points), f.terms, 0.0, points, rtol=16 * EPS)
+        (group,) = f._plan
+        assert group.gaps == (60,)
+
+    def test_complex_coefficients(self):
+        f = PowerExp([(1 + 2j, 1.5), (0.5 - 1j, 3), (2.0, 0.5)], rate=1.0)
+        for j in range(3):
+            values = f.deriv(j)(POINTS)
+            assert values.dtype == complex
+            _assert_close_to_terms(values, f._deriv_cache[j].terms, 1.0, POINTS, rtol=16 * EPS)
+
+    def test_scalar_in_scalar_out(self):
+        for f in (gamma_class(2.5, 1.0), polynomial_times_exp([1.0, 2.0], 1.0),
+                  PowerExp([(1j, 1.5)]), zero_function()):
+            value = f.deriv(1)(1.3)
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+        grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+        assert gamma_class(1.5).deriv(2)(grid).shape == (2, 2)
+
+    def test_limits_at_zero(self):
+        f = gamma_class(2.5, 1.0)
+        assert [f.deriv(j)(0.0) for j in range(3)] == [0.0, 0.0, 0.0]
+        assert np.isnan(f.deriv(3)(0.0))                  # x^(-1/2) term
+        assert polynomial_times_exp([1.0, 2.0, 3.0], 1.0).deriv(0)(0.0) == 1.0
+        np.testing.assert_array_equal(monomial(-1.0).deriv(0)(np.array([0.0, -1.0, 2.0])),
+                                      [np.nan, np.nan, 0.5])
+        np.testing.assert_array_equal(monomial(1.5).deriv(0)(np.array([-1.0, 0.0])), 0.0)
+
+    @pytest.mark.parametrize("make,j", [
+        (lambda: gamma_class(25.5, 1.0), 25),
+        (lambda: gamma_class(1.5, 2.0), 25),
+        (lambda: gamma_class(0.5, 1.0), 60),
+        (lambda: monomial(0.5) + monomial(60.5), 0),
+        (lambda: polynomial_times_exp([1.0] * 40, 1.0), 3),
+        (lambda: PowerExp([(1.0, -40.5), (1.0, 20.5)], 0.5), 2),
+    ])
+    def test_finite_wherever_the_term_sum_is(self, make, j):
+        f = make()
+        lo, hi = DEFAULT_WINDOW
+        x = np.array([lo, 2 * lo, 1.0, hi / 2, hi, 1e-30, 1e30])
+        with np.errstate(all="ignore"):
+            got = f.deriv(j)(x)
+        finite = np.isfinite(_term_sum(f._deriv_cache[j], x))
+        assert np.all(np.isfinite(got)[finite])
 
 
 class TestLogGaussian:

@@ -1,5 +1,6 @@
 """Averaging operators, inverses, the analytic family, pairs, and norms."""
 
+import contextlib
 import functools
 import math
 import time
@@ -28,6 +29,13 @@ def bump(grid):
 
 def _rel_l2(grid, diff, reference):
     return (norm_sq(GridFunction(grid, diff)) / norm_sq(reference)) ** 0.5
+
+
+def _slow_decay_warning(expected=True):
+    """norm_sq's truncation warning, for residuals that decay only like 1/x."""
+    if not expected:
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match="does not decay")
 
 
 def _falling(base, count):
@@ -133,7 +141,9 @@ class TestNestedOracle:
     def test_oracle_equivalence(self, grid, bump, n):
         kernel = ops.apply_cesaro(n, bump)
         nested = ops.apply_cesaro_nested(n, bump)
-        assert _rel_l2(grid, kernel.values - nested.values, bump) <= 1e-6
+        with _slow_decay_warning(n >= 3):
+            rel = _rel_l2(grid, kernel.values - nested.values, bump)
+        assert rel <= 1e-6
 
 
 class TestInverse:
@@ -279,7 +289,9 @@ class TestResolvent:
         g = ops.resolvent_T1(z, f)
         t1g = ops.apply_cesaro(1, GridFunction(grid, g.values))
         residual = t1g.values - z * g.values - f.values
-        assert _rel_l2(grid, residual, f) <= 1e-6
+        with _slow_decay_warning():
+            rel = _rel_l2(grid, residual, f)
+        assert rel <= 1e-6
 
     def test_zero_function(self, grid):
         out = ops.resolvent_T1(3.0, GridFunction(grid, np.zeros(len(grid))))

@@ -5,6 +5,7 @@ import pytest
 
 from hardy_rellich.analytic import LogGaussian
 from hardy_rellich.constants import cesaro_norm
+from hardy_rellich.errors import TrivialFunctionError
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
 from hardy_rellich.spectral import (
     curve_max_modulus,
@@ -48,3 +49,10 @@ def test_diagonalization_residual_shrinks_under_refinement(mu, s):
     residuals = [verify_diagonalization(f, count=2**k) for k in (10, 11, 12)]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 1e-8
+
+
+@pytest.mark.parametrize("count", [16, 64])
+def test_diagonalization_refuses_a_function_that_samples_to_zero(count):
+    # a bump this narrow falls between the nodes of a coarse grid
+    with pytest.raises(TrivialFunctionError):
+        verify_diagonalization(LogGaussian(0.0, 0.003), count=count)
