@@ -31,14 +31,12 @@ __all__ = [
     "ProbeSpec",
     "ProbeFunction",
     "RatioReport",
-    "DecayIndicator",
     "probe_ratio_closed_form",
     "birman_ratio",
     "birman_ratio_sampled",
     "glazman_ratio",
     "sharpness_sweep",
     "SweepResult",
-    "decay_check",
     "random_polynomial_probe",
 ]
 
@@ -278,49 +276,6 @@ def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0) -> Swe
         limit = ordered[0][1].ratio
     return SweepResult(reports=tuple(reports), extrapolated_limit=float(limit),
                        constant=constant)
-
-
-@dataclass(frozen=True)
-class DecayIndicator:
-    """Fitted log-log trend of |f^(j)|^2 / x^(2n-2j-1) toward one boundary.
-
-    ``exponent`` is the least-squares slope s in value ~ x^s; the limit is 0
-    at the origin when s > 0 and at infinity when s < 0.
-    """
-
-    exponent: float
-    vanishes: bool
-
-
-def _trend(f: AnalyticFunction, n: int, j: int, points: np.ndarray,
-           toward_zero: bool) -> DecayIndicator:
-    vals = np.abs(np.asarray(f.deriv(j)(points), dtype=complex)) ** 2 \
-        / points ** (2 * n - 2 * j - 1)
-    mask = vals > 1e-280
-    if mask.sum() < 2:
-        # identically zero near the boundary: the limit is trivially 0
-        return DecayIndicator(exponent=math.inf if toward_zero else -math.inf,
-                              vanishes=True)
-    slope = np.polyfit(np.log(points[mask]), np.log(vals[mask]), 1)[0]
-    # a flat trend (constant magnitude) is a failure, so demand a clear sign
-    vanishes = slope > 1e-6 if toward_zero else slope < -1e-6
-    return DecayIndicator(exponent=float(slope), vanishes=bool(vanishes))
-
-
-def decay_check(f: AnalyticFunction, n: int, j: int,
-                decades: float = 5.0, points: int = 6) -> tuple:
-    """Boundary indicators for |f^(j)(x)|^2 / x^(2n-2j-1) at 0 and infinity.
-
-    Admissible functions have limit 0 at both ends for 0 <= j <= n-1; the
-    check fits trend exponents on geometric samples spanning ``decades``
-    decades away from x = 1 and reports one indicator per boundary.
-    """
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"need 0 <= j <= n-1, got j={j}, n={n}")
-    low = np.logspace(-decades, 0.0, points)
-    high = np.logspace(0.0, decades, points)
-    return (_trend(f, n, j, low, toward_zero=True),
-            _trend(f, n, j, high, toward_zero=False))
 
 
 def random_polynomial_probe(n: int, rng: np.random.Generator,
