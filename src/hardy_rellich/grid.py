@@ -11,7 +11,11 @@ to rounding (exact for monomials, also used beside sampled jumps), a
 cubic rule in the grid's uniform coordinate everywhere else (fourth order
 also where the integrand changes sign, where the power fit is only second
 order), and plain trapezoid where neither applies (exact zeros,
-non-finite values).
+non-finite values).  Choosing the rules is an analysis of v x (its
+log-slopes and curvature, jumps and zeros) apart from the masses it
+yields, so the moments v x^j, whose logs differ from ln(v x) by j u
+only, reuse the analysis of v: the averaging operators' binomial moments
+pay for one analysis, not n.
 """
 
 from __future__ import annotations
@@ -274,46 +278,26 @@ _STRAIGHT = 1e-8
 _JUMP = 8.0
 
 
-def _power_fit(u, w):
-    """Per-panel integrals of w du for w = c e^(gamma u), curvature-corrected.
+def _log_ratio(ratio):
+    """ln of the per-panel sample ratios, real or complex."""
+    if np.iscomplexobj(ratio):
+        # several times faster than the complex log
+        return np.log(np.abs(ratio)) + 1j * np.angle(ratio)
+    return np.log(ratio)
 
-    Returns the masses, where the fit is valid (nonzero samples, no sign
-    flip or half-turn of phase, tame exponent), and the correction before
-    its |corr| < 0.5 clamp, which the caller reads as curvature of ln w.
-    Invalid panels divide by zero; the caller silences those warnings.
+
+def _power_law(w0, ratio, z, du):
+    """Panel integrals of w du for w = w0 e^(z s/du), s in (0, du), with e^z = ratio.
+
+    That is w0 du (e^z - 1)/z, by its series where z is near 0 (0/0 at
+    z = 0 before that: the callers silence the warning).
     """
-    du = np.diff(u)
-    ratio = w[1:] / w[:-1]
-    ok = (w[:-1] != 0) & (w[1:] != 0) & np.isfinite(ratio)
-    ratio = np.where(ok, ratio, 1.0)
-    # z is the slope of ln w times du, per panel
-    if np.iscomplexobj(w):
-        phase = np.angle(ratio)
-        ok &= np.abs(phase) < 0.5 * np.pi
-        z = np.log(np.abs(ratio)) + 1j * phase  # several times faster than complex log
-    else:
-        ok &= ratio > 0
-        z = np.log(np.where(ok, ratio, 1.0))
-    ok &= np.abs(z) < 50.0
-    # the panel integral w0 du (e^z - 1)/z, with e^z = ratio, by its
-    # series where z is near 0 (which includes every invalid panel)
+    out = (ratio - 1.0) / z
     small = np.abs(z) < 1e-4
-    series = 1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))
-    power = w[:-1] * du * np.where(small, series, (ratio - 1.0) / np.where(small, 1.0, z))
-    ok &= np.isfinite(power)
-
-    # curvature of ln w in u at the interior nodes from neighbouring panel
-    # slopes, averaged over the valid nodes at each panel's two ends; a
-    # panel with none (an end panel next to a sign flip) gets 0/0 = nan,
-    # which is never read as straight and never applied
-    slope = z / du
-    node_ok = ok[1:] & ok[:-1]
-    curv = np.where(node_ok, (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1])), 0.0)
-    sums = np.concatenate(([0.0], curv)) + np.concatenate((curv, [0.0]))
-    counts = np.concatenate(([0], node_ok)) + np.concatenate((node_ok, [0]))
-    corr = sums / counts * du**2 / 12.0
-    fitted = power * (1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0))
-    return fitted, ok, np.abs(corr)
+    if small.any():
+        z = z[small]
+        out[small] = 1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))
+    return w0 * du * out
 
 
 def _cubic_panels(q, h):
@@ -325,8 +309,65 @@ def _cubic_panels(q, h):
     return out * (h / 24.0)
 
 
-def _panel_masses(grid: Grid, v) -> np.ndarray:
-    """Per-panel integrals of v dx, fourth order across sign changes.
+def _trapezoid(x0, x1, v0, v1):
+    """Panel integrals of v dx by the trapezoid rule."""
+    return 0.5 * (x1 - x0) * (v0 + v1)
+
+
+def _samples(grid: Grid, v):
+    """(q, w): the cubic rule's samples in the grid's uniform coordinate, and v x."""
+    w = v * grid.x
+    return (w, w) if isinstance(grid, LogGrid) else (v, w)
+
+
+def _power_fit(du, w):
+    """Per-panel integrals of w du for w = c e^(gamma u), before correction.
+
+    Returns the masses, where the fit is valid (nonzero samples, no sign
+    flip or half-turn of phase, tame exponent), and the signed curvature
+    correction corr = (du^2/12) (ln w)'', taken from the neighbouring panel
+    slopes and averaged over the valid nodes at each panel's two ends; a
+    panel with none (an end panel next to a sign flip) gets 0/0 = nan,
+    which is never read as straight and never applied.  Invalid panels
+    divide by zero; the caller silences those warnings.
+    """
+    ratio = w[1:] / w[:-1]
+    ok = (w[:-1] != 0) & (w[1:] != 0) & np.isfinite(ratio)
+    ratio = np.where(ok, ratio, 1.0)
+    # z is the slope of ln w times du, per panel
+    if np.iscomplexobj(ratio):
+        z = _log_ratio(ratio)
+        ok &= np.abs(z.imag) < 0.5 * np.pi
+    else:
+        ok &= ratio > 0
+        z = _log_ratio(np.where(ok, ratio, 1.0))
+    ok &= np.abs(z) < 50.0
+    power = _power_law(w[:-1], ratio, z, du)
+    ok &= np.isfinite(power)
+
+    slope = z / du
+    node_ok = ok[1:] & ok[:-1]
+    curv = np.where(node_ok, (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1])), 0.0)
+    sums = np.concatenate(([0.0], curv)) + np.concatenate((curv, [0.0]))
+    counts = np.concatenate(([0], node_ok)) + np.concatenate((node_ok, [0]))
+    return power, ok, sums / counts * du**2 / 12.0
+
+
+def _touched(q):
+    """Panels whose cubic stencil touches a jump, an exact zero or a non-finite value."""
+    step = np.abs(np.diff(q))
+    neighbour = np.zeros_like(step)
+    neighbour[1:] = step[:-1]
+    neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
+    bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | (q[:-1] == 0) | (q[1:] == 0)
+    # a panel's stencil spans the panel and its two neighbours (the end
+    # panels reuse the nearest interior stencil)
+    touched = bad[:-2] | bad[1:-1] | bad[2:]
+    return np.concatenate((touched[:1], touched, touched[-1:]))
+
+
+def _panel_analysis(grid: Grid, v):
+    """Per-panel integrals of v dx, and the rule each panel took.
 
     Three rules, chosen per panel:
 
@@ -343,29 +384,93 @@ def _panel_masses(grid: Grid, v) -> np.ndarray:
       LinearGrid;
     * plain trapezoid where neither is valid: the power fit fails and the
       stencil touches a jump, an exact zero or a non-finite value.
+
+    Returns (masses, fit, trapezoid, du, damp): the masks of the panels on
+    the power fit and on trapezoid (the cubic rule takes the rest), each
+    panel's width in u, and its correction as the factor 1 - corr, clamped
+    to 1 where |corr| >= 0.5.
     """
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if isinstance(grid, LogGrid):
-            u = grid.u
-            q = w = v * x
-        else:
-            u = np.log(x)  # -inf at x = 0, where the power fit is invalid
-            q, w = v, v * x
-        fitted, ok, corr = _power_fit(u, w)
-        fallback = np.where(ok, fitted, 0.5 * np.diff(x) * (v[:-1] + v[1:]))
+        q, w = _samples(grid, v)
+        # on a LinearGrid u = ln x is -inf at x = 0, where the fit is invalid
+        du = np.diff(grid.u if isinstance(grid, LogGrid) else np.log(x))
+        power, ok, corr = _power_fit(du, w)
+        damp = 1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0)
+        fallback = np.where(ok, power * damp, _trapezoid(x[:-1], x[1:], v[:-1], v[1:]))
+        use_fit = _touched(q) | (ok & (np.abs(corr) <= _STRAIGHT))
+        masses = np.where(use_fit, fallback, _cubic_panels(q, grid.h))
+    return masses, use_fit & ok, use_fit & ~ok, du, damp
 
-        step = np.abs(np.diff(q))
-        neighbour = np.zeros_like(step)
-        neighbour[1:] = step[:-1]
-        neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
-        bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | (q[:-1] == 0) | (q[1:] == 0)
-    # a panel's stencil spans the panel and its two neighbours (the end
-    # panels reuse the nearest interior stencil)
-    touched = bad[:-2] | bad[1:-1] | bad[2:]
-    touched = np.concatenate((touched[:1], touched, touched[-1:]))
-    use_fit = touched | (ok & (corr <= _STRAIGHT))
-    return np.where(use_fit, fallback, _cubic_panels(q, grid.h))
+
+def _panel_masses(grid: Grid, v) -> np.ndarray:
+    """Per-panel integrals of v dx, fourth order across sign changes (see _panel_analysis)."""
+    return _panel_analysis(grid, v)[0]
+
+
+def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid) -> np.ndarray:
+    """Per-panel integrals of v dx = f x^j dx by the rule _panel_analysis chose for f.
+
+    ``fit`` and ``trapezoid`` index the panels of those two rules (the cubic
+    rule takes the rest), ``du`` and ``damp`` are the fit panels' widths in u
+    and correction factors.  Only the fitted exponent is v's own.  A fit
+    panel where v x underflowed to zero, and f x did not, takes trapezoid.
+    """
+    x = grid.x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q, w = _samples(grid, v)
+        out = _cubic_panels(q, grid.h)
+        w0 = w[fit]
+        ratio = w[fit + 1] / w0
+        z = _log_ratio(ratio)
+        fitted = _power_law(w0, ratio, z, du) * damp
+        lost = ~(np.isfinite(z) & np.isfinite(fitted))
+        if lost.any():
+            trapezoid = np.concatenate((trapezoid, fit[lost]))
+            fit, fitted = fit[~lost], fitted[~lost]
+        out[fit] = fitted
+        t = trapezoid
+        out[t] = _trapezoid(x[t], x[t + 1], v[t], v[t + 1])
+    return out
+
+
+def _cumulative(grid: Grid, v, panels) -> np.ndarray:
+    """Samples of the running integral: the (0, x_min) stub plus the panel sums."""
+    x = grid.x
+    stub = _power_stub(x, v, strict=True) if isinstance(grid, LogGrid) else 0.0
+    dtype = complex if (np.iscomplexobj(panels) or np.iscomplexobj(v)) else float
+    out = np.empty(len(x), dtype=dtype)
+    out[0] = stub
+    out[1:] = stub + np.cumsum(panels)
+    return out
+
+
+def _cumulative_moments(f: GridFunction):
+    """Yield the samples of int_0^x t^j f(t) dt for j = 0, 1, 2, ...
+
+    Each is cumulative_integral of f x^j, whose panel rule is decided once,
+    from f: ln(f x^(j+1)) = ln(f x) + j u, so the straightness test and the
+    curvature correction of every moment are those of f, and so are its
+    sampled jumps and exact zeros.  Moment j only samples f x^j, runs the
+    cubic rule, refits the exponent on the fit panels and fits its stub;
+    its samples come as the running product f x ... x.  Moment 0 is
+    cumulative_integral(f) itself.  On a LinearGrid from 0, x^j adds a zero
+    at x = 0 that a rule decided for f x^j would read as data, falling back
+    to lower-order rules beside it; the rule of f keeps the cubic there.
+    """
+    if f.is_vector:
+        raise InvalidDataError("cumulative_integral expects scalar values")
+    _require_finite(f.values)
+    grid, v = f.grid, f.values
+    masses, fit, trapezoid, du, damp = _panel_analysis(grid, v)
+    yield _cumulative(grid, v, masses)
+    del masses  # the later moments need only the rule
+    fit, trapezoid = np.flatnonzero(fit), np.flatnonzero(trapezoid)
+    du, damp = du[fit], damp[fit]
+    while True:
+        v = v * grid.x
+        _require_finite(v)
+        yield _cumulative(grid, v, _moment_masses(grid, v, fit, du, damp, trapezoid))
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -375,18 +480,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     model; a fitted local exponent <= -1 raises SingularityError.  On a
     LinearGrid integration starts at the left endpoint.
     """
-    if f.is_vector:
-        raise InvalidDataError("cumulative_integral expects scalar values")
-    _require_finite(f.values)
-    x = f.grid.x
-    v = f.values
-    stub = _power_stub(x, v, strict=True) if isinstance(f.grid, LogGrid) else 0.0
-    panels = _panel_masses(f.grid, v)
-    dtype = complex if (np.iscomplexobj(panels) or np.iscomplexobj(v)) else float
-    out = np.empty(len(x), dtype=dtype)
-    out[0] = stub
-    out[1:] = stub + np.cumsum(panels)
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, next(_cumulative_moments(f)))
 
 
 def differentiate(f: GridFunction, order: int = 1) -> GridFunction:

@@ -11,9 +11,10 @@ import pytest
 from hardy_rellich import operators as ops
 from hardy_rellich.analytic import LogGaussian, gamma_class, monomial, polynomial_times_exp
 from hardy_rellich.constants import cesaro_norm
-from hardy_rellich.errors import ConvergenceError, SingularityError
+from hardy_rellich.errors import ConvergenceError, InvalidDataError, SingularityError
 from hardy_rellich.functional import ProbeFunction, ProbeSpec
-from hardy_rellich.grid import DEFAULT_WINDOW, GridFunction, LogGrid, norm_sq
+from hardy_rellich.grid import (DEFAULT_WINDOW, GridFunction, LinearGrid, LogGrid,
+                                cumulative_integral, norm_sq)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,106 @@ class TestNestedOracle:
         with _slow_decay_warning(n >= 3):
             rel = _rel_l2(grid, kernel.values - nested.values, bump)
         assert rel <= 1e-6
+
+
+def _per_moment_cesaro(n, f):
+    """apply_cesaro with a full cumulative_integral, and panel analysis, per moment.
+
+    The moment samples f x^j and the powers x^(-1-j) are the running products
+    apply_cesaro forms, so the two routes differ only in sharing the analysis.
+    """
+    x = f.grid.x
+    recip = 1.0 / x
+    values, power, acc = f.values, recip, 0.0
+    for j in range(n):
+        moment = cumulative_integral(GridFunction(f.grid, values)).values
+        acc = acc + math.comb(n - 1, j) * (-1.0) ** j / math.factorial(n - 1) * power * moment
+        values, power = values * x, power * recip
+    return acc
+
+
+def _max_rel(values, reference):
+    return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
+
+
+def _truncated_power_image(n, sigma, x):
+    """T_n of x^sigma 1{x >= 1} at x, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    if x < 1.0:
+        return 0.0
+    with mpmath.workdps(50):
+        X, s = mpmath.mpf(x), mpmath.mpf(sigma)
+        total = sum(mpmath.binomial(n - 1, j) * (-1) ** j * X ** (n - 1 - j)
+                    * (X ** (s + j + 1) - 1) / (s + j + 1) for j in range(n))
+        return float(total / mpmath.factorial(n - 1) / X**n)
+
+
+def _exp_inverse_image(n, x):
+    """T_n of e^(-1/x) at x: int_0^x t^j e^(-1/t) dt = Gamma(-j-1, 1/x)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        X = mpmath.mpf(x)
+        total = sum(mpmath.binomial(n - 1, j) * (-1) ** j * X ** (-1 - j)
+                    * mpmath.gammainc(-j - 1, 1 / X) for j in range(n))
+        return float(total / mpmath.factorial(n - 1))
+
+
+class TestSharedMomentAnalysis:
+    # apply_cesaro decides the panel rule once, from f, for all n moments;
+    # ln(f x^(j+1)) = ln(f x) + j u makes that exact, so it must match the
+    # route that analyses every moment afresh
+    @pytest.mark.parametrize("N", [256, 1024, 4096])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_smooth_inputs_match_the_per_moment_route(self, n, N):
+        lg = LogGrid.default(N)
+        for f, _ in TestRoundTripsAtReferenceSize.FUNCTIONS:
+            inverse = ops.apply_inverse_cesaro(n, f)(lg.x)
+            for scale in (1.0, 0.6 - 0.8j):
+                sampled = GridFunction(lg, scale * inverse)
+                reference = _per_moment_cesaro(n, sampled)
+                assert _max_rel(ops.apply_cesaro(n, sampled).values, reference) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("case", ["jump", "jump-steep", "underflow"])
+    def test_jumps_and_zeros_lose_no_accuracy(self, n, case):
+        # a sampled jump at x = 1 (mid-panel on the even grid), and e^(-1/x),
+        # which is exactly zero below x ~ 1/745 and whose higher moments
+        # underflow on panels where f x does not
+        lg = LogGrid.default(1024)
+        x = lg.x
+        if case == "underflow":
+            values, exact = np.exp(-1.0 / x), functools.partial(_exp_inverse_image, n)
+        else:
+            sigma = -0.3 if case == "jump" else -1.5
+            values = np.where(x >= 1.0, x**sigma, 0.0)
+            exact = functools.partial(_truncated_power_image, n, sigma)
+        f = GridFunction(lg, values)
+        nodes = np.arange(0, len(lg), 8)
+        reference = np.array([exact(float(x[i])) for i in nodes])
+        shared = _max_rel(ops.apply_cesaro(n, f).values[nodes], reference)
+        per_moment = _max_rel(_per_moment_cesaro(n, f)[nodes], reference)
+        assert shared <= per_moment + 1e-13
+
+    def test_linear_grid_from_zero(self):
+        # x^j vanishes at x = 0 where f does not; analysing each moment
+        # afresh read that zero as data and left T_3 of e^-x at 8e-2 error
+        lg = LinearGrid(0.0, 2.0, 1025)
+        f = GridFunction(lg, np.exp(-lg.x))
+        x = lg.x[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):  # T_n at x = 0 is 0/0 here
+            t2, t3 = (ops.apply_cesaro(n, f).values[1:] for n in (2, 3))
+        assert np.max(np.abs(t2 - (x - 1.0 + np.exp(-x)) / x**2)) <= 1e-8
+        assert np.max(np.abs(t3 - (0.5 * x**2 - x + 1.0 - np.exp(-x)) / x**3)) <= 1e-5
+
+    def test_typed_errors(self, grid):
+        with pytest.raises(SingularityError):
+            ops.apply_cesaro(3, GridFunction(grid, grid.x**-1.2))  # moment-0 stub diverges
+        with pytest.raises(InvalidDataError):
+            ops.apply_cesaro(2, GridFunction(grid, np.stack([grid.x, grid.x], axis=1)))
+        values = np.exp(-grid.x)
+        values[100] = np.nan
+        with pytest.raises(InvalidDataError):
+            ops.apply_cesaro(2, GridFunction(grid, values))
 
 
 class TestInverse:
@@ -596,6 +697,34 @@ def test_exact_panel_weights_are_the_hat_integrals(rate, N):
     np.testing.assert_allclose(right * decay, falling, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(left * decay * math.exp(-rate * lg.h), rising,
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.5, 10.5, 50.5])
+@pytest.mark.parametrize("rho", np.logspace(-9.0, 0.0, 10))
+def test_exact_panel_weights_keep_their_digits(rate, rho):
+    # the closed forms cancel like eps/rho: 7.8e-12 relative at rate 1/2 on 2^20 nodes
+    mpmath = pytest.importorskip("mpmath")
+    h = rho / rate
+    left, right = ops._exact_panel(rate, h)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rate)
+        p = r * mpmath.mpf(h)
+        exact = ((mpmath.expm1(p) - p) / (p * r), (1 + mpmath.expm1(-p) / p) / r)
+        errors = [abs(mpmath.mpf(got) / want - 1) for got, want in zip((left, right), exact)]
+    assert max(errors) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cut_norms_rise_below_b_n_on_growing_windows(n):
+    # no nontrivial equality case, in operator form: the norm of T_n cut to
+    # (1/R, R) rises toward b_n with R and never reaches it
+    estimates = []
+    for k in (2, 4, 6, 8):
+        lg = LogGrid(10.0**-k, 10.0**k, 4096)
+        estimates.append(ops.estimate_operator_norm(ops.DiscreteCesaro(n, lg, "cut"), lg,
+                                                    tol=1e-8))
+    assert np.all(np.diff(estimates) > 0)
+    assert estimates[-1] < float(cesaro_norm(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 40])
