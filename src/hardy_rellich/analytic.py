@@ -9,7 +9,11 @@ object itself.  The workhorse class is :class:`PowerExp`, sums
 
 which are closed under differentiation and cover monomials, polynomials,
 Gamma-class functions x^(k+1/2) e^(-cx), and the random polynomial-times-
-exponential test functions used by the property suites.
+exponential test functions used by the property suites.  The j-th
+derivative of a PowerExp is built in one step, by the Leibniz closed form,
+not by j differentiations, and is cached per order; order 0 is the
+function itself and is not stored, so a PowerExp holds no reference to
+itself and is freed as soon as it is dropped, without the cyclic collector.
 
 A PowerExp closure is evaluated by Horner's rule, one group of powers that
 differ by integers at a time: one ``np.power`` per group and one ``np.exp``
@@ -71,6 +75,11 @@ class PowerExp(AnalyticFunction):
     Coefficients may be complex; powers may be any reals.  Terms with
     coefficient 0 are dropped, so differentiating x^0 terminates cleanly.
 
+    ``deriv(j)`` builds the j-th derivative in one Leibniz step,
+    sum_k C(j,k) p(p-1)...(p-k+1) (-rate)^(j-k) x^(p-k) per term, with equal
+    powers merged, and caches it per order in a dict that never holds the
+    function itself (order 0 is ``self``).
+
     Closures are evaluated by a plan built once per function: terms whose
     powers differ by whole numbers form a group, and each group is x^p0
     times a Horner sum over its integer offsets (gaps between powers take
@@ -96,26 +105,21 @@ class PowerExp(AnalyticFunction):
         self.vanishing_order = min((p for p, _ in self.terms), default=math.inf)
         self.decay = "exp" if self.rate > 0 else (
             "power" if self.terms else "compact")
-        self._deriv_cache = {0: self}
+        self._derivs = {}  # order j >= 1 -> PowerExp; order 0 is self, not stored
         self._plan = None  # the Horner groups, built on first evaluation
 
-    def _differentiate_once(self) -> "PowerExp":
-        new = []
-        for p, c in self.terms:
-            if p != 0:
-                new.append((c * p, p - 1))
-            if self.rate != 0.0:
-                new.append((-c * self.rate, p))
-        return PowerExp(new, self.rate)
-
-    def deriv(self, j: int) -> Callable:
+    def _derivative(self, j: int) -> "PowerExp":
+        """The j-th derivative as a PowerExp, built in one Leibniz step and cached."""
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        top = max(self._deriv_cache)
-        while top < j:
-            self._deriv_cache[top + 1] = self._deriv_cache[top]._differentiate_once()
-            top += 1
-        return self._deriv_cache[j]._evaluate
+        if j == 0:
+            return self
+        if j not in self._derivs:
+            self._derivs[j] = PowerExp(_leibniz_terms(self.terms, self.rate, j), self.rate)
+        return self._derivs[j]
+
+    def deriv(self, j: int) -> Callable:
+        return self._derivative(j)._evaluate
 
     def _evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,6 +149,34 @@ class PowerExp(AnalyticFunction):
 
     def __rmul__(self, scalar) -> "PowerExp":
         return PowerExp([(scalar * c, p) for p, c in self.terms], self.rate)
+
+
+def _leibniz_terms(terms, rate: float, j: int) -> list:
+    """(coef, power) terms of the j-th derivative of sum c x^p e^(-rate x), over e^(-rate x).
+
+    Leibniz: (x^p e^(-r x))^(j) = sum_k C(j,k) p(p-1)...(p-k+1) (-r)^(j-k)
+    x^(p-k) e^(-r x).  The falling factorial of a whole power reaches an
+    exact 0 once k > p, so polynomials terminate; at rate 0 only k = j is
+    left.  Binomials are exact below 2^53 and every power p - k is rounded
+    once; a coefficient past the float range is inf, not an exception.
+    """
+    decay = [1.0]                                  # (-rate)^m
+    for _ in range(j):
+        decay.append(decay[-1] * -rate)
+    weights, binom = [], 1.0                       # C(j,k) (-rate)^(j-k), k = 0..j
+    for k in range(j + 1):
+        weights.append(binom * decay[j - k])
+        binom = binom * (j - k) / (k + 1)
+    out = []
+    for p, c in terms:
+        falling = 1.0                              # p(p-1)...(p-k+1)
+        for k, weight in enumerate(weights):
+            if weight:                             # 0 for k < j at rate 0
+                out.append((c * (weight * falling), p - k))
+            falling *= p - k
+            if falling == 0:
+                break
+    return out
 
 
 # float64 overflows at 2^1024; a forward Horner sum whose terms stay below

@@ -4,7 +4,12 @@ Log-uniform grids are the default on the half line: the inverse-power
 weights and the Mellin transform are both natural in u = ln x.  Plain
 integration is composite trapezoid in u (spectrally accurate for smooth
 integrands that decay at the window ends) plus an explicit power-law model
-for the unresolved (0, x_min) stub.  Cumulative integration, which feeds
+for the unresolved (0, x_min) stub; ``integrate`` and ``norm_sq`` share
+that one rule.  A weighted squared norm takes the weight before squaring,
+(|f| x^(p/2))^2, so |f|^2 x^p stays in the float range wherever the product
+does: the inverse-power weights x^(-2n) of the Birman denominators reach
+n = 51 on the default window, where |f|^2 alone would underflow and x^(-2n)
+alone overflow from n = 26.  Cumulative integration, which feeds
 the averaging operators, picks one of three panel rules per panel: a
 power-law fit with a log-curvature correction where ln(v x) is straight
 to rounding (exact for monomials, also used beside sampled jumps), a
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,8 +63,9 @@ class LogGrid:
         self.x_min = float(x_min)
         self.x_max = float(x_max)
         self.count = int(count)
-        self.u = np.linspace(math.log(x_min), math.log(x_max), count)
-        self.h = self.u[1] - self.u[0]
+        lo, hi = math.log(x_min), math.log(x_max)
+        self.u = np.linspace(lo, hi, count)
+        self.h = (hi - lo) / (count - 1)   # u[1] - u[0] would lose digits
         self.x = np.exp(self.u)
         self.u.flags.writeable = False
         self.x.flags.writeable = False
@@ -86,7 +93,7 @@ class LinearGrid:
         self.b = float(b)
         self.count = int(count)
         self.x = np.linspace(a, b, count)
-        self.h = self.x[1] - self.x[0]
+        self.h = (self.b - self.a) / (count - 1)
         self.x.flags.writeable = False
 
     def __len__(self):
@@ -146,9 +153,9 @@ class QuadratureResult:
     error_estimate: float
 
 
-def _require_finite(values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise InvalidDataError("grid samples contain non-finite values")
+def _require_finite(values, message: str = "grid samples contain non-finite values") -> None:
+    if not np.isfinite(values).all():
+        raise InvalidDataError(message)
 
 
 def _fit_exponent(xa: float, xb: float, wa, wb):
@@ -190,7 +197,7 @@ def _power_stub(x, w, strict: bool) -> complex:
         if strict:
             raise SingularityError(
                 f"integrand behaves like x^{re_gamma:.3f} near 0: not integrable")
-        warnings.warn("stub model diverges; using flat fallback", stacklevel=3)
+        warnings.warn("stub model diverges; using flat fallback", stacklevel=4)
         return w0 * x0
     if re_gamma > 400.0:
         return 0.0
@@ -204,7 +211,22 @@ def _decay_warning(weighted) -> None:
     if peak > 0 and (abs(weighted[-1]) > 1e-8 * peak or abs(weighted[0]) > 1e-3 * peak):
         warnings.warn(
             "integrand does not decay at the window ends; "
-            "truncation error may dominate", stacklevel=3)
+            "truncation error may dominate", stacklevel=4)
+
+
+def _log_trapezoid(grid: LogGrid, weighted):
+    """(full, stub, g) for the integral of weighted dx over a LogGrid's window and below.
+
+    g = weighted x is the integrand in u; the nodes are uniform in u, so
+    full = h (sum g - (g_0 + g_last)/2).  The (0, x_min) stub is the fitted
+    power-law model of weighted.  Non-finite g raises InvalidDataError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = weighted * grid.x                   # du measure
+    _require_finite(g)
+    _decay_warning(g)
+    full = grid.h * (np.sum(g) - 0.5 * (g[0] + g[-1]))
+    return full, _power_stub(grid.x, weighted, strict=False), g
 
 
 def _halved(nodes, g):
@@ -231,12 +253,8 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
     if isinstance(f.grid, LogGrid):
         with np.errstate(over="ignore"):
             weighted = f.values * x**p          # integrand in the x measure
-            g = weighted * x                    # du measure: f(e^u) e^{u(p+1)}
-        _require_finite(g)
-        _decay_warning(g)
-        full = np.trapezoid(g, f.grid.u)
+        full, stub, g = _log_trapezoid(f.grid, weighted)
         half = _halved(f.grid.u, g)
-        stub = _power_stub(x, weighted, strict=False)
         value = full + stub
     else:
         if x[0] == 0.0 and p != 0.0:
@@ -260,8 +278,27 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
 def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
     """Weighted squared norm: integral of ||f(x)||^2 x^p dx.
 
-    Vector values contribute their pointwise squared Euclidean norm.
+    Vector values contribute their pointwise squared Euclidean norm.  On a
+    LogGrid the weight goes in before squaring: the integrand is
+    (|f| x^(p/2))^2, summed over components, so it stays in the float
+    range wherever ||f||^2 x^p itself does, also where |f|^2 underflows or
+    x^p overflows on its own.  Only x^(p/2) must be finite: on the default
+    window (x_min = 1e-6) that is p >= -102, the Birman denominators up to
+    n = 51.  The rule is integrate's trapezoid sum in u plus the power-law
+    stub, without its error estimate.  Other grids go through integrate.
     """
+    grid, p = f.grid, float(weight_power)
+    if isinstance(grid, LogGrid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = np.abs(f.values)
+            if p != 0.0:
+                scale = grid.x ** (0.5 * p)
+                root *= scale[:, None] if f.is_vector else scale
+            weighted = root * root
+            if f.is_vector:
+                weighted = weighted.sum(axis=1)
+        full, stub, _ = _log_trapezoid(grid, weighted)
+        return float(np.real(full + stub))
     _require_finite(f.values)
     sq = np.abs(f.values) ** 2
     if f.is_vector:
@@ -385,10 +422,10 @@ def _panel_analysis(grid: Grid, v):
     * plain trapezoid where neither is valid: the power fit fails and the
       stencil touches a jump, an exact zero or a non-finite value.
 
-    Returns (masses, fit, trapezoid, du, damp): the masks of the panels on
-    the power fit and on trapezoid (the cubic rule takes the rest), each
-    panel's width in u, and its correction as the factor 1 - corr, clamped
-    to 1 where |corr| >= 0.5.
+    Returns (masses, fit, trapezoid, du, damp, w): the masks of the panels
+    on the power fit and on trapezoid (the cubic rule takes the rest), each
+    panel's width in u, its correction as the factor 1 - corr, clamped to 1
+    where |corr| >= 0.5, and the samples w = v x the rules read.
     """
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -400,7 +437,7 @@ def _panel_analysis(grid: Grid, v):
         fallback = np.where(ok, power * damp, _trapezoid(x[:-1], x[1:], v[:-1], v[1:]))
         use_fit = _touched(q) | (ok & (np.abs(corr) <= _STRAIGHT))
         masses = np.where(use_fit, fallback, _cubic_panels(q, grid.h))
-    return masses, use_fit & ok, use_fit & ~ok, du, damp
+    return masses, use_fit & ok, use_fit & ~ok, du, damp, w
 
 
 def _panel_masses(grid: Grid, v) -> np.ndarray:
@@ -408,13 +445,14 @@ def _panel_masses(grid: Grid, v) -> np.ndarray:
     return _panel_analysis(grid, v)[0]
 
 
-def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid) -> np.ndarray:
+def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid):
     """Per-panel integrals of v dx = f x^j dx by the rule _panel_analysis chose for f.
 
     ``fit`` and ``trapezoid`` index the panels of those two rules (the cubic
     rule takes the rest), ``du`` and ``damp`` are the fit panels' widths in u
     and correction factors.  Only the fitted exponent is v's own.  A fit
     panel where v x underflowed to zero, and f x did not, takes trapezoid.
+    Returns the masses and the samples w = v x the rules read.
     """
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -431,7 +469,7 @@ def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid) -> np.ndarray:
         out[fit] = fitted
         t = trapezoid
         out[t] = _trapezoid(x[t], x[t + 1], v[t], v[t + 1])
-    return out
+    return out, w
 
 
 def _cumulative(grid: Grid, v, panels) -> np.ndarray:
@@ -442,6 +480,9 @@ def _cumulative(grid: Grid, v, panels) -> np.ndarray:
     out = np.empty(len(x), dtype=dtype)
     out[0] = stub
     out[1:] = stub + np.cumsum(panels)
+    # a non-finite stub or partial sum stays non-finite to the end
+    if not cmath.isfinite(out[-1]):
+        raise InvalidDataError("running integral leaves the float range")
     return out
 
 
@@ -454,23 +495,28 @@ def _cumulative_moments(f: GridFunction):
     sampled jumps and exact zeros.  Moment j only samples f x^j, runs the
     cubic rule, refits the exponent on the fit panels and fits its stub;
     its samples come as the running product f x ... x.  Moment 0 is
-    cumulative_integral(f) itself.  On a LinearGrid from 0, x^j adds a zero
-    at x = 0 that a rule decided for f x^j would read as data, falling back
-    to lower-order rules beside it; the rule of f keeps the cubic there.
+    cumulative_integral(f) itself.  A moment whose samples times x (which
+    its panel rules read, and which are the next moment's samples) or whose
+    running integral leave the float range raises InvalidDataError.  On a
+    LinearGrid from 0, x^j adds a zero at x = 0 that a rule decided for
+    f x^j would read as data, falling back to lower-order rules beside it;
+    the rule of f keeps the cubic there.
     """
     if f.is_vector:
         raise InvalidDataError("cumulative_integral expects scalar values")
     _require_finite(f.values)
     grid, v = f.grid, f.values
-    masses, fit, trapezoid, du, damp = _panel_analysis(grid, v)
+    masses, fit, trapezoid, du, damp, w = _panel_analysis(grid, v)
+    _require_finite(w, "f x leaves the float range")
     yield _cumulative(grid, v, masses)
     del masses  # the later moments need only the rule
     fit, trapezoid = np.flatnonzero(fit), np.flatnonzero(trapezoid)
     du, damp = du[fit], damp[fit]
-    while True:
-        v = v * grid.x
-        _require_finite(v)
-        yield _cumulative(grid, v, _moment_masses(grid, v, fit, du, damp, trapezoid))
+    for j in itertools.count(2):
+        v = w
+        masses, w = _moment_masses(grid, v, fit, du, damp, trapezoid)
+        _require_finite(w, f"f x^{j} leaves the float range")
+        yield _cumulative(grid, v, masses)
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:

@@ -77,16 +77,21 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     powers x^(-1-j) are running products.  The chain A_{n-1} ... A_0
     would equal the nested oracle to rounding, which loses digits on the
     round trips: T_5 of (x^5 f)^(5) at 4096 nodes reads 3.5e-8 relative
-    against 4e-13 here.
+    against 4e-13 here.  At a node x = 0 (a LinearGrid from 0) T_n f takes
+    its limit f(0)/n!.
     """
     _check_index(n)
-    recip = 1.0 / f.grid.x
+    x = f.grid.x
+    origin = x[0] == 0.0                           # only the first node can be 0
+    recip = np.divide(1.0, x, out=np.zeros_like(x), where=x > 0) if origin else 1.0 / x
     power, acc = recip, 0.0
     fact = math.factorial(n - 1)
     for j, moment in zip(range(n), _cumulative_moments(f)):
         coeff = math.comb(n - 1, j) * (-1.0) ** j / fact
         acc = acc + coeff * power * moment
         power = power * recip
+    if origin:
+        acc[0] = f.values[0] / math.factorial(n)
     return GridFunction(f.grid, acc)
 
 

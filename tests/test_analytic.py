@@ -1,6 +1,8 @@
 """Derivative-closure consistency for the analytic test functions."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +41,8 @@ class TestPowerExp:
 
     def test_poly_exp_derivative_stays_in_class(self):
         f = polynomial_times_exp([0.0, 0.0, 1.0], rate=2.0)  # x^2 e^{-2x}
-        d = f._deriv_cache
         _ = f.deriv(3)
+        d = {j: f._derivative(j) for j in range(4)}
         assert all(isinstance(v, PowerExp) for v in d.values())
 
     def test_vanishing_order(self):
@@ -126,7 +128,7 @@ class TestHornerEvaluation:
         f = monomial(0.5) + monomial(1.25) + monomial(3.0)
         for j in range(4):
             values = f.deriv(j)(POINTS)
-            _assert_close_to_terms(values, f._deriv_cache[j].terms, 0.0, POINTS, rtol=16 * EPS)
+            _assert_close_to_terms(values, f._derivative(j).terms, 0.0, POINTS, rtol=16 * EPS)
         assert sorted(group.p0 for group in f._plan) == [0.5, 1.25, 3.0]
         # 0.3 - (0.3 - 1 - 1) rounds to 2 but is not 2: that term stays apart
         g = PowerExp([(1.0, 0.3), (1.0, 0.3 - 1), (1.0, 0.3 - 1 - 1)])
@@ -145,7 +147,7 @@ class TestHornerEvaluation:
         for j in range(3):
             values = f.deriv(j)(POINTS)
             assert values.dtype == complex
-            _assert_close_to_terms(values, f._deriv_cache[j].terms, 1.0, POINTS, rtol=16 * EPS)
+            _assert_close_to_terms(values, f._derivative(j).terms, 1.0, POINTS, rtol=16 * EPS)
 
     def test_scalar_in_scalar_out(self):
         for f in (gamma_class(2.5, 1.0), polynomial_times_exp([1.0, 2.0], 1.0),
@@ -178,8 +180,82 @@ class TestHornerEvaluation:
         x = np.array([lo, 2 * lo, 1.0, hi / 2, hi, 1e-30, 1e30])
         with np.errstate(all="ignore"):
             got = f.deriv(j)(x)
-        finite = np.isfinite(_term_sum(f._deriv_cache[j], x))
+        finite = np.isfinite(_term_sum(f._derivative(j), x))
         assert np.all(np.isfinite(got)[finite])
+
+
+def _exact_leibniz(terms, rate, j):
+    """{power: (coef, size)} of the j-th derivative over e^(-rate x), exactly.
+
+    Each (power, coef) term contributes C(j,k) p(p-1)...(p-k+1) (-rate)^(j-k)
+    c to the power p - k; size sums the moduli of the contributions, the
+    scale of the rounding error of any float evaluation of the sum.
+    """
+    rate = Fraction(rate)
+    out = {}
+    for p, c in terms:
+        p, c = Fraction(p), complex(c)
+        c_re, c_im = Fraction(c.real), Fraction(c.imag)
+        falling = Fraction(1)
+        for k in range(j + 1):
+            scale = math.comb(j, k) * falling * (-rate) ** (j - k)
+            re, im, size = out.get(p - k, (0, 0, 0))
+            out[p - k] = (re + scale * c_re, im + scale * c_im, size + abs(scale) * abs(c))
+            falling *= p - k
+    return {p: (complex(float(re), float(im)), float(size))
+            for p, (re, im, size) in out.items()}
+
+
+class TestLeibnizDerivatives:
+    """deriv(j) in one Leibniz step against exact rational sums, j <= 60."""
+
+    @pytest.mark.parametrize("f", [
+        polynomial_times_exp([1.0, -2.0, 0.5, 3.0], rate=1.5),   # whole powers
+        polynomial_times_exp([1.0, -2.0, 0.5, 3.0], rate=0.0),   # ... at rate 0
+        monomial(2.5) + monomial(-0.75),                         # fractional, rate 0
+        PowerExp([(1 + 2j, 1.5), (0.5 - 1j, 3), (2.0, 0.5)], rate=1.0),
+        PowerExp([(1.0, 0.5), (-0.5, 1.25), (2.0, 3.0), (0.25, 2.5)], rate=0.75),
+    ], ids=["whole", "whole-rate0", "rate0", "complex", "mixed-groups"])
+    def test_terms_match_exact_sums(self, f):
+        for j in range(61):
+            exact = _exact_leibniz(f.terms, f.rate, j)
+            got = dict(f._derivative(j).terms)
+            assert set(got) <= set(exact)
+            for power, (coef, size) in exact.items():
+                error = abs(complex(got.get(power, 0.0)) - coef)
+                assert error <= (j + 8) * EPS * size, (j, power)
+
+    def test_whole_powers_terminate(self):
+        f = polynomial_times_exp([1.0, -2.0, 0.5, 3.0], rate=0.0)
+        assert f._derivative(3).terms == ((0, 18.0),)
+        assert all(f._derivative(j).terms == () for j in (4, 5, 60))
+        g = polynomial_times_exp([1.0, -2.0, 0.5, 3.0], rate=1.5)
+        assert all(len(g._derivative(j).terms) == 4 for j in (1, 30, 60))
+        assert monomial(0.0)._derivative(1).terms == ()
+
+    def test_rate_zero_keeps_one_term_per_power(self):
+        f = monomial(2.5)
+        assert f._derivative(3).terms == ((-0.5, 2.5 * 1.5 * 0.5),)
+
+    def test_derivatives_are_cached_per_order(self):
+        f = gamma_class(3.5, 2.0)
+        assert f._derivative(0) is f
+        assert f._derivative(7) is f._derivative(7)
+        assert f.deriv(7).__self__ is f._derivative(7)
+
+    def test_dropped_function_needs_no_cyclic_collector(self):
+        f = polynomial_times_exp([0.0, 1.0, 2.0], rate=1.0)
+        for j in range(5):
+            f.deriv(j)(POINTS)
+        ref = weakref.ref(f)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del f
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestLogGaussian:

@@ -43,6 +43,14 @@ def test_output_is_byte_identical(capsys, name):
     assert json.loads(first[1])["command"] == name
 
 
+def test_ratio_for_n_26_runs(capsys):
+    # x^(-52) overflows at x_min = 1e-6; norm_sq takes it before squaring
+    code, out, err = _run(capsys, ["ratio", "--n", "26", "--function", "gamma:p=27"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["ratio"] == pytest.approx(4.835622412747675e53,  # exact
+                                                               rel=1e-10)
+
+
 def test_non_convergence_exits_3(capsys):
     code, out, err = _run(capsys, ["norm", "--points", "256", "--max-iter", "1",
                                    "--tol", "1e-16"])

@@ -1,11 +1,15 @@
 """The optimality probe: closed forms against exact integrals, and sweeps."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from hardy_rellich.analytic import gamma_class
 from hardy_rellich.constants import birman_constant
-from hardy_rellich.functional import ProbeSpec, probe_ratio_closed_form, sharpness_sweep
+from hardy_rellich.functional import (ProbeSpec, birman_ratio, probe_ratio_closed_form,
+                                      sharpness_sweep)
+from hardy_rellich.grid import LogGrid
 
 
 def _exact_probe_parts(n, sigma, a):
@@ -48,3 +52,27 @@ def test_sharpness_sweep_descends_toward_the_constant(n):
     ratios = [report.ratio for report in sweep.reports]
     assert all(ratio > constant for ratio in ratios)
     assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
+
+
+def _exact_gamma_ratio(n, p):
+    """Birman ratio of x^p e^-x for a whole power p, as a Fraction.
+
+    f^(n) = e^-x sum_k a_k x^(p-k) with a_k = C(n,k) p!/(p-k)! (-1)^(n-k), and
+    int_0^inf x^s e^(-2x) dx = s!/2^(s+1).
+    """
+    def moment(s):
+        return Fraction(math.factorial(s), 2 ** (s + 1))
+
+    a = [math.comb(n, k) * math.perm(p, k) * (-1) ** (n - k) for k in range(n + 1)]
+    numerator = sum(a[k] * a[m] * moment(2 * p - k - m)
+                    for k in range(n + 1) for m in range(n + 1))
+    return numerator / moment(2 * p - 2 * n)
+
+
+# the weight x^(-2n) alone overflows at x_min = 1e-6 from n = 26; taken
+# before squaring it does not.  The error left is the cancellation in the
+# closure of f^(n): 3.9e-11 at n = 26 and 1.8e-10 at n = 30
+@pytest.mark.parametrize("n,rel", [(26, 1e-10), (30, 1e-9)])
+def test_birman_ratio_for_large_n(n, rel):
+    report = birman_ratio(n, gamma_class(n + 1.0), LogGrid.default(256))
+    assert report.ratio == pytest.approx(float(_exact_gamma_ratio(n, n + 1)), rel=rel)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestGridConstruction:
             LogGrid(-1.0, 1.0, 64)
         with pytest.raises(ValueError):
             LinearGrid(2.0, 1.0, 64)
+
+    @pytest.mark.parametrize("count", [2**k for k in range(3, 21)])
+    def test_spacing_within_an_ulp_of_the_window(self, count):
+        # x[1] - x[0] cancels: 1.9e-12 relative at 65536 nodes
+        log_grid = LogGrid(1e-6, 1e6, count)
+        exact = (Fraction(log_grid.u[-1]) - Fraction(log_grid.u[0])) / (count - 1)
+        assert abs(Fraction(log_grid.h) - exact) <= math.ulp(log_grid.h)
+        linear = LinearGrid(0.25, 3.0, count)
+        exact = (Fraction(linear.x[-1]) - Fraction(linear.x[0])) / (count - 1)
+        assert abs(Fraction(linear.h) - exact) <= math.ulp(linear.h)
 
     def test_values_frozen(self, default_grid):
         f = GridFunction.from_callable(default_grid, lambda x: np.exp(-x))
@@ -136,6 +147,36 @@ class TestNormSq:
         f = GridFunction.from_callable(default_grid, lambda x: x**1.5 * np.exp(-x))
         assert abs(norm_sq(f, -2.0) - 0.25) <= 1e-10
 
+    @pytest.mark.parametrize("n", [26, 40, 51])
+    def test_weight_goes_in_before_squaring(self, n):
+        # x^(n+1) e^-x against x^(-2n): |f|^2 underflows and x^(-2n)
+        # overflows at x_min = 1e-6, their product does neither; the norm is
+        # Gamma(3)/2^3 = 1/4
+        grid = LogGrid.default(1024)
+        f = GridFunction(grid, np.exp((n + 1) * grid.u - grid.x))
+        assert norm_sq(f, -2.0 * n) == pytest.approx(0.25, rel=1e-13)
+        vector = GridFunction(grid, np.stack([f.values, 1j * f.values], axis=1))
+        assert norm_sq(vector, -2.0 * n) == pytest.approx(0.5, rel=1e-13)
+
+    def test_weight_out_of_range_raises(self):
+        # x^(-2n/2) itself overflows at x_min = 1e-6 from n = 52
+        grid = LogGrid.default(1024)
+        f = GridFunction(grid, np.exp(53 * grid.u - grid.x))
+        with pytest.raises(InvalidDataError):
+            norm_sq(f, -104.0)
+
+    def test_matches_integrate_of_the_square(self, default_grid):
+        x = default_grid.x
+        f = GridFunction(default_grid, (1.0 - 0.5j * x) * x**1.5 * np.exp(-x))
+        square = GridFunction(default_grid, np.abs(f.values) ** 2)
+        assert norm_sq(f, -1.0) == pytest.approx(integrate(square, -1.0).value, rel=1e-14)
+
+    def test_non_finite_samples_raise(self, default_grid):
+        values = np.exp(-default_grid.x)
+        values[7] = np.nan
+        with pytest.raises(InvalidDataError):
+            norm_sq(GridFunction(default_grid, values))
+
     def test_vector_additivity(self, default_grid):
         g = np.exp(-0.5 * np.log(default_grid.x) ** 2)
         scalar = norm_sq(GridFunction(default_grid, g))
@@ -170,6 +211,22 @@ class TestCumulativeIntegral:
     def test_divergent_raises(self, default_grid):
         with pytest.raises(SingularityError):
             cumulative_integral(GridFunction(default_grid, default_grid.x**-1.2))
+
+    @pytest.mark.parametrize("value", [1e303, -1e303])
+    def test_overflowing_samples_times_x_raise(self, value):
+        # 1e303 x leaves the float range beyond x ~ 1.8e5
+        grid = LogGrid.default(1024)
+        with pytest.raises(InvalidDataError, match="float range"):
+            cumulative_integral(GridFunction(grid, np.full(len(grid), value)))
+
+    def test_overflowing_running_integral_raises(self):
+        # 1e308 x^0.9 e^-x, and that times x, are in range at every node;
+        # the panel sums of its running integral are not
+        grid = LogGrid.default(1024)
+        x = grid.x
+        f = GridFunction(grid, x**0.9 * np.exp(-x) * 1e308)
+        with pytest.raises(InvalidDataError, match="running integral"):
+            cumulative_integral(f)
 
     def test_then_differentiate_recovers(self, default_grid):
         f = GridFunction.from_callable(default_grid,

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ class TestApplyCesaro:
     def test_zero(self, grid):
         out = ops.apply_cesaro(3, GridFunction(grid, np.zeros(len(grid))))
         assert np.all(out.values == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_limit_at_zero_on_a_linear_grid(self, n):
+        # T_n f(0) = f(0)/n!, with no division by x = 0
+        lg = LinearGrid(0.0, 2.0, 65)
+        f = GridFunction.from_callable(lg, lambda x: np.exp(-x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ops.apply_cesaro(n, f)
+        assert out.values[0] == 1.0 / math.factorial(n)
+        assert np.all(np.isfinite(out.values))
+        # T_n e^-x = sum_m (-x)^m / (m + n)!; next to 0 the moments cancel
+        far = lg.x >= 0.5
+        exact = sum((-lg.x[far]) ** m / math.factorial(m + n) for m in range(40))
+        np.testing.assert_allclose(out.values[far], exact, rtol=1e-5)
+
+    def test_moments_out_of_range_raise(self, grid):
+        # the second moment's samples 1e300 x times x leave the float range
+        with pytest.raises(InvalidDataError, match="float range"):
+            ops.apply_cesaro(2, GridFunction(grid, np.full(len(grid), 1e300)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_monomial_eigenrelation(self, grid, n):
