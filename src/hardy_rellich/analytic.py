@@ -33,7 +33,6 @@ __all__ = [
     "AnalyticFunction",
     "PowerExp",
     "LogGaussian",
-    "Reflected",
     "monomial",
     "gamma_class",
     "polynomial_times_exp",
@@ -49,17 +48,9 @@ class AnalyticFunction:
     ----------
     order:
         Highest derivative order available (math.inf when unlimited).
-    vanishing_order:
-        Power of the leading behaviour at 0 (f ~ c x^v); admissibility for
-        the n-th inequality requires v > n - 1/2.
-    decay:
-        Free-form tag describing behaviour at infinity ("exp", "power",
-        "compact"); used for heuristic warnings only.
     """
 
     order = math.inf
-    vanishing_order = 0.0
-    decay = "unknown"
 
     def deriv(self, j: int) -> Callable:
         """Return the j-th derivative as a vectorized callable."""
@@ -102,9 +93,6 @@ class PowerExp(AnalyticFunction):
                 merged[p] = merged.get(p, 0) + c
         self.terms = tuple(sorted((p, c) for p, c in merged.items() if c != 0))
         self.rate = float(rate)
-        self.vanishing_order = min((p for p, _ in self.terms), default=math.inf)
-        self.decay = "exp" if self.rate > 0 else (
-            "power" if self.terms else "compact")
         self._derivs = {}  # order j >= 1 -> PowerExp; order 0 is self, not stored
         self._plan = None  # the Horner groups, built on first evaluation
 
@@ -290,8 +278,6 @@ class LogGaussian(AnalyticFunction):
         if not (self.s > 0 and math.isfinite(self.s)):
             raise ValueError(f"the width s must be positive and finite, got {s}")
         self.power = float(power)
-        self.vanishing_order = math.inf  # super-polynomial vanishing at 0
-        self.decay = "super-exp"
 
     def _value(self, x):
         x = np.asarray(x, dtype=float)
@@ -320,22 +306,6 @@ class LogGaussian(AnalyticFunction):
                 return f * (a * (a - 1) - 1 / self.s**2) / x**2
             return second
         raise ValueError("LogGaussian carries derivative closures up to order 2 only")
-
-
-class Reflected(AnalyticFunction):
-    """g(x) = f(s - x); derivatives pick up alternating signs."""
-
-    def __init__(self, f: AnalyticFunction, s: float):
-        self.f = f
-        self.s = float(s)
-        self.order = f.order
-        self.vanishing_order = 0.0
-        self.decay = "compact"
-
-    def deriv(self, j: int) -> Callable:
-        base = self.f.deriv(j)
-        sign = -1.0 if j % 2 else 1.0
-        return lambda x: sign * base(self.s - np.asarray(x, dtype=float))
 
 
 def monomial(power: float, coefficient=1.0) -> PowerExp:

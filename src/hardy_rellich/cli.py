@@ -174,8 +174,8 @@ def cmd_constants(args) -> int:
             "n": n,
             "c_n": sharp.c,
             "b_n": sharp.b,
-            "c_n_float": float(sharp.c),
-            "b_n_float": float(sharp.b),
+            "c_n_float": constants._float_constant("c_n", n),
+            "b_n_float": constants._float_constant("b_n", n),
         }
         for alpha in alphas:
             row[f"glazman(alpha={format_float(alpha)})"] = \
@@ -190,9 +190,11 @@ def cmd_ratio(args) -> int:
 
     f = parse_function(args.function, args.n)
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
-    if isinstance(f, list):
+    if isinstance(f, list) or (isinstance(f, grid.GridFunction) and f.is_vector):
         from . import interval
 
+        if args.alpha is not None:
+            raise ValueError("--alpha applies to scalar functions only")
         report = interval.vector_birman_ratio(args.n, f, lg)
     elif isinstance(f, grid.GridFunction):
         report = functional.birman_ratio_sampled(args.n, f, args.alpha or 0.0)
@@ -228,8 +230,8 @@ def cmd_norm(args) -> int:
 
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if args.operator == "cesaro":
+        target = constants._float_constant("b_n", args.n)
         op = operators.DiscreteCesaro(args.n, lg, boundary=args.boundary)
-        target = float(constants.cesaro_norm(args.n))
     else:
         spec = operators.power_weight_pair(args.pair_power)
         side = "A" if args.operator == "pair-a" else "B"
@@ -257,9 +259,9 @@ def cmd_norm(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import spectral
 
+    target = constants._float_constant("b_n", args.n)
     curve = spectral.spectrum_curve(args.n, args.theta_count)
     peak = spectral.curve_max_modulus(curve)
-    target = float(constants.cesaro_norm(args.n))
     if args.csv:
         spectral.curve_to_csv(curve, _resolve_path(args.csv))
     if args.svg:

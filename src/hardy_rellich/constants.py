@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import PoleError
 
@@ -110,6 +109,20 @@ def birman_constant(n: int) -> SharpConstant:
     c = Fraction(dfac * dfac, 4**n)
     b = Fraction(2**n, dfac)
     return SharpConstant(n=n, c=c, b=b)
+
+
+# The largest n whose constant is a finite, nonzero float: float(c_n)
+# overflows from n = 99 on, and b_n = 1/sqrt(c_n) underflows to 0 from 179.
+_FLOAT_LIMITS = {"c_n": 98, "b_n": 178}
+
+
+def _float_constant(name: str, n: int) -> float:
+    """float(c_n) or float(b_n); an n past the float range raises ValueError."""
+    if n > _FLOAT_LIMITS[name]:
+        raise ValueError(f"{name} does not fit in a float for n = {n}; "
+                         f"the largest n it fits for is {_FLOAT_LIMITS[name]}")
+    sharp = birman_constant(n)
+    return float(sharp.c if name == "c_n" else sharp.b)
 
 
 def cesaro_norm(n: int) -> Fraction:

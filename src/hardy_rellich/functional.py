@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import AnalyticFunction, PowerExp, polynomial_times_exp
-from .constants import birman_constant, glazman_constant, probe_tail_coeffs
+from .constants import _float_constant, glazman_constant, probe_tail_coeffs
 from .errors import TrivialFunctionError
 from .grid import GridFunction, LogGrid, norm_sq
 
@@ -79,8 +79,6 @@ class ProbeFunction(AnalyticFunction):
     def __init__(self, spec: ProbeSpec):
         self.spec = spec
         self.order = spec.n
-        self.vanishing_order = spec.n + spec.sigma
-        self.decay = "power"  # polynomial tail of degree n-1
         self._tail = probe_tail_coeffs(spec.n, spec.sigma, spec.a)
         self._product = _leading_product(spec.n, spec.sigma)
 
@@ -99,14 +97,11 @@ class ProbeFunction(AnalyticFunction):
             pos = x > 0
             with np.errstate(invalid="ignore"):
                 below[pos] = falling / self._product * x[pos] ** (n + sigma - j)
-            if j == n:
-                # derivative of order n is the truncated monomial itself
-                above = np.zeros_like(x)
-            else:
-                above = np.zeros_like(x)
-                for k in range(j, n):
-                    fact = math.factorial(k) / math.factorial(k - j)
-                    above = above + self._tail[k] * fact * x ** (k - j)
+            # the tail has degree n - 1: its derivative of order n is 0
+            above = np.zeros_like(x)
+            for k in range(j, n):
+                fact = math.factorial(k) / math.factorial(k - j)
+                above = above + self._tail[k] * fact * x ** (k - j)
             out = np.where(x <= a, below, above)
             return out if out.shape else out[()]
 
@@ -192,7 +187,7 @@ def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> 
     functions are integrated on the grid using their derivative closures
     (never finite differences).
     """
-    constant = float(birman_constant(n).c)
+    constant = _float_constant("c_n", n)
     if isinstance(f, ProbeSpec):
         if f.n != n:
             raise ValueError(f"probe was built for n={f.n}, ratio requested for n={n}")
@@ -235,7 +230,7 @@ def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioRe
     warnings.warn(
         f"computing an order-{n} derivative numerically from samples; "
         "expect degraded accuracy", stacklevel=2)
-    constant = float(glazman_constant(n, alpha)) if alpha else float(birman_constant(n).c)
+    constant = float(glazman_constant(n, alpha)) if alpha else _float_constant("c_n", n)
     numerator = norm_sq(differentiate(f, n), alpha)
     denominator = norm_sq(f, alpha - 2.0 * n)
     extra = {"alpha": float(alpha)} if alpha else {}
@@ -262,7 +257,7 @@ def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0) -> Swe
     for eps in eps_values:
         if not eps > 0:
             raise ValueError(f"offsets must be positive, got {eps}")
-    constant = float(birman_constant(n).c)
+    constant = _float_constant("c_n", n)
     reports = []
     for eps in eps_values:
         spec = ProbeSpec(n=n, sigma=-0.5 + eps, a=a)

@@ -125,7 +125,9 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.x)))
+        # unwarned: the calculus raises InvalidDataError on non-finite samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(grid, np.asarray(fn(grid.x)))
 
     @property
     def is_vector(self) -> bool:
@@ -134,17 +136,6 @@ class GridFunction:
     @property
     def m(self) -> int:
         return self.values.shape[1] if self.is_vector else 1
-
-    def map(self, fn: Callable) -> "GridFunction":
-        return GridFunction(self.grid, fn(self.values))
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction) and other.grid is self.grid:
-            return GridFunction(self.grid, self.values + other.values)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        return GridFunction(self.grid, scalar * self.values)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,17 @@
 On (a, c) the weight is the distance to whichever boundary the test
 function vanishes at: (x - a) for left-vanishing, (c - x) for
 right-vanishing, and d(x) = min(x - a, c - x) when it vanishes at both.
-The d-weighted integral splits exactly at the midpoint, where d has its
-kink; the quadrature keeps the midpoint on a node so no panel straddles
-the kink.  Each closure is sampled once per node set: f and f^(n) on all
-nodes (and f^(j), 0 < j < n, once for the vanishing check), and the
-removable 0/0 at a vanishing end is read from the f^(n) samples there.
-The vector-valued ratio replaces |f|^2 by the pointwise squared Euclidean
-norm componentwise and inherits strict positivity of the slack.
+d has its kink at the midpoint, and the quadrature keeps the midpoint on
+a node, so no panel straddles the kink and the d-weighted trapezoid sum
+is exactly the sum of its (x - a)- and (c - x)-weighted halves.  The
+nodes are uniform, with _REFINE_LEVELS halvings clustered against each
+vanishing boundary.  Each closure is sampled once per node set: f and
+f^(n) on all nodes (and f^(j), 0 < j < n, once for the vanishing check),
+and the removable 0/0 at a vanishing end is read from the f^(n) samples
+there.  The vector-valued ratio on the half line replaces |f|^2 by the
+pointwise squared Euclidean norm, summed over components that may be
+analytic closures or sampled data, and inherits strict positivity of the
+slack.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import SIDES, birman_constant
+from .constants import SIDES, _float_constant
 from .errors import TrivialFunctionError
 from .functional import RatioReport, _build_report
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
@@ -29,11 +33,12 @@ from .grid import GridFunction, LogGrid, differentiate, norm_sq
 __all__ = [
     "IntervalProblem",
     "interval_ratio",
-    "interval_denominator_pieces",
     "vector_birman_ratio",
 ]
 
 MAX_COMPONENTS = 64
+# halvings of the uniform step clustered against each vanishing boundary
+_REFINE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -54,23 +59,21 @@ class IntervalProblem:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
 
 
-def _quad_nodes(problem: IntervalProblem, panels: int, refine_levels: int) -> np.ndarray:
+def _quad_nodes(problem: IntervalProblem, panels: int) -> np.ndarray:
     """Uniform nodes with midpoint included and geometric endpoint clusters.
 
-    Three halving levels against each vanishing boundary resolve the
+    _REFINE_LEVELS halvings against each vanishing boundary resolve the
     inverse-power weight without an adaptive mesh.  The cluster nodes go
     into the first and last panel in order, so the array is the sorted
     union without a sort.
     """
     if panels < 2:
         raise ValueError(f"need at least 2 panels, got {panels}")
-    if refine_levels < 0:
-        raise ValueError(f"refine_levels must be >= 0, got {refine_levels}")
     if panels % 2:
         panels += 1  # keep the midpoint on a node
     nodes = np.linspace(problem.a, problem.c, panels + 1)
     h = (problem.c - problem.a) / panels
-    steps = h / 2.0 ** np.arange(refine_levels, 0, -1)   # h/2^L, ..., h/2
+    steps = h / 2.0 ** np.arange(_REFINE_LEVELS, 0, -1)   # h/2^L, ..., h/2
     left = right = steps[:0]
     if problem.side in ("left", "both"):
         left = _inside(problem.a + steps, nodes[0], nodes[1])
@@ -162,7 +165,7 @@ def _weighted_integrand(problem: IntervalProblem, nodes: np.ndarray, fx: np.ndar
 
 
 def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
-                   panels: int = 4096, refine_levels: int = 3) -> RatioReport:
+                   panels: int = 4096) -> RatioReport:
     """Finite-interval ratio of derivative energy to distance-weighted mass.
 
     Strictly exceeds the sharp constant for admissible nonzero functions; a
@@ -172,79 +175,55 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
     n = problem.n
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
-    nodes = _quad_nodes(problem, panels, refine_levels)
+    constant = _float_constant("c_n", n)
+    nodes = _quad_nodes(problem, panels)
     fx = np.asarray(f.deriv(0)(nodes))
     _boundary_consistency(problem, f, nodes, fx)
     dn = np.asarray(f.deriv(n)(nodes))
     widths = np.diff(nodes)
     numerator = _trapezoid(_abs_sq(dn), widths)
     denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])), widths)
-    constant = float(birman_constant(n).c)
     return _build_report(n, numerator, denominator, constant,
                          side=problem.side, a=problem.a, c=problem.c)
 
 
-def interval_denominator_pieces(problem: IntervalProblem, f: AnalyticFunction,
-                                panels: int = 4096, refine_levels: int = 3) -> tuple:
-    """(full d-weighted, left-half (x-a)-weighted, right-half (c-x)-weighted).
-
-    The d-weighted integral over (a, c) equals the sum of the two half
-    integrals exactly, because d has its kink at the midpoint; all three
-    are computed through separate passes so the identity is a real check.
-    """
-    if problem.side != "both":
-        raise ValueError("the splitting identity concerns the distance weight")
-    nodes = _quad_nodes(problem, panels, refine_levels)
-    fx = np.asarray(f.deriv(0)(nodes))
-    dn_ends = tuple(np.asarray(f.deriv(problem.n)(nodes[[0, -1]])))
-    widths = np.diff(nodes)
-    full = _trapezoid(_weighted_integrand(problem, nodes, fx, dn_ends), widths)
-    # split at the middle node, which linspace may round off (a + c) / 2: a
-    # split beside it would drop the panel between them from both halves
-    m = int(np.argmin(np.abs(nodes - 0.5 * (problem.a + problem.c))))
-    left = IntervalProblem(problem.n, problem.a, problem.c, "left")
-    right = IntervalProblem(problem.n, problem.a, problem.c, "right")
-    lo, hi = slice(None, m + 1), slice(m, None)
-    left_val = _trapezoid(_weighted_integrand(left, nodes[lo], fx[lo], dn_ends), widths[:m])
-    right_val = _trapezoid(_weighted_integrand(right, nodes[hi], fx[hi], dn_ends), widths[m:])
-    return full, left_val, right_val
-
-
-VectorInput = Union[GridFunction, Sequence[AnalyticFunction]]
+VectorInput = Union[GridFunction, Sequence[Union[AnalyticFunction, GridFunction]]]
 
 
 def vector_birman_ratio(n: int, f: VectorInput,
                         grid: Optional[LogGrid] = None) -> RatioReport:
     """Half-line ratio for vector values: componentwise squared norms summed.
 
-    Accepts a tuple of analytic component closures (preferred) or a
-    vector-valued GridFunction, in which case the n-th derivative falls
-    back to finite differences with degraded accuracy.
+    Takes analytic component closures (preferred), sampled components, a
+    vector-valued GridFunction, or any mix.  An analytic component is
+    sampled on ``grid``; a sampled one keeps its own grid, and its n-th
+    derivative falls back to finite differences with degraded accuracy.
     """
-    constant = float(birman_constant(n).c)
-    if isinstance(f, GridFunction):
-        values = f.values if f.is_vector else f.values[:, None]
-        if values.shape[1] > MAX_COMPONENTS:
-            raise ValueError(f"at most {MAX_COMPONENTS} components supported")
-        numerator = 0.0
-        denominator = 0.0
-        for col in range(values.shape[1]):
-            comp = GridFunction(f.grid, values[:, col])
-            numerator += norm_sq(differentiate(comp, n))
-            denominator += norm_sq(comp, -2.0 * n)
-        return _build_report(n, numerator, denominator, constant,
-                             m=values.shape[1])
-    components = list(f)
+    constant = _float_constant("c_n", n)
+    components = []
+    for comp in [f] if isinstance(f, GridFunction) else f:
+        if isinstance(comp, GridFunction):  # one component per column
+            columns = comp.values.reshape(len(comp.grid), -1).T
+            components += [GridFunction(comp.grid, col) for col in columns]
+        elif isinstance(comp, AnalyticFunction):
+            components.append(comp)
+        else:
+            raise ValueError("vector components must be analytic functions or sampled data, "
+                             f"got {type(comp).__name__}")
     if not components:
         raise TrivialFunctionError("empty component list")
     if len(components) > MAX_COMPONENTS:
         raise ValueError(f"at most {MAX_COMPONENTS} components supported")
     grid = grid or LogGrid.default()
-    numerator = 0.0
-    denominator = 0.0
+    numerator = denominator = 0.0
     for comp in components:
-        if comp.order < n:
+        if isinstance(comp, GridFunction):
+            top, values = differentiate(comp, n), comp
+        elif comp.order < n:
             raise ValueError(f"every component needs {n} derivative closures")
-        numerator += norm_sq(GridFunction.from_callable(grid, comp.deriv(n)))
-        denominator += norm_sq(GridFunction.from_callable(grid, comp.deriv(0)), -2.0 * n)
+        else:
+            top = GridFunction.from_callable(grid, comp.deriv(n))
+            values = GridFunction.from_callable(grid, comp.deriv(0))
+        numerator += norm_sq(top)
+        denominator += norm_sq(values, -2.0 * n)
     return _build_report(n, numerator, denominator, constant, m=len(components))

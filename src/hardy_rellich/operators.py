@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import leibniz_coeffs
+from .constants import _check_index, leibniz_coeffs
 from .errors import ConvergenceError
 from .grid import (GridFunction, LogGrid, _cumulative_moments, _panel_masses,
                    cumulative_integral)
@@ -49,7 +49,6 @@ __all__ = [
     "apply_cesaro_nested",
     "apply_inverse_cesaro",
     "compose_p_n_of_inverse_T1",
-    "t1_inverse",
     "apply_T1z",
     "resolvent_T1",
     "power_weight_pair",
@@ -61,11 +60,6 @@ __all__ = [
 ]
 
 RESOLVENT_MARGIN = 0.05
-
-
-def _check_index(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"operator index must be a positive integer, got {n!r}")
 
 
 def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
@@ -137,8 +131,6 @@ class _ShiftedT1Inverse(AnalyticFunction):
         self.g = g
         self.k = k
         self.order = g.order - 1
-        self.vanishing_order = max(g.vanishing_order - 1, 0.0)
-        self.decay = g.decay
 
     def deriv(self, j: int) -> Callable:
         if j > self.order:
@@ -147,11 +139,6 @@ class _ShiftedT1Inverse(AnalyticFunction):
         upper = self.g.deriv(j + 1)
         shift = j + 1 + self.k
         return lambda x: np.asarray(x, dtype=float) * upper(x) + shift * lower(x)
-
-
-def t1_inverse(g: AnalyticFunction) -> AnalyticFunction:
-    """T_1^{-1} g = (x g)' as an analytic function (one closure consumed)."""
-    return _ShiftedT1Inverse(g, 0)
 
 
 def compose_p_n_of_inverse_T1(n: int, f: AnalyticFunction) -> Callable:
@@ -219,7 +206,7 @@ def resolvent_T1(z, f: GridFunction) -> GridFunction:
 
 @dataclass(frozen=True)
 class WeightedPairSpec:
-    """A weighted dual pair (phi, psi, w) on an interval with its K function.
+    """A weighted dual pair (phi, psi, w) on an interval (a, b) with its constant K.
 
     (A f)(x) = phi(x) * int_x^b psi f w dt   and
     (B f)(x) = psi(x) * int_a^x phi f w dt
@@ -233,8 +220,6 @@ class WeightedPairSpec:
     phi: Callable
     psi: Callable
     w: Callable
-    interval: tuple
-    K_of_x: Callable
     K: float
 
 
@@ -245,14 +230,11 @@ def power_weight_pair(j: int) -> WeightedPairSpec:
     """
     if j < 0:
         raise ValueError("power index must be nonnegative")
-    kval = 1.0 / (2 * j + 1)
     return WeightedPairSpec(
         phi=lambda x, _j=j: x**_j if _j else np.ones_like(x),
         psi=lambda x, _j=j: x ** (-_j - 1.0),
         w=lambda x: np.ones_like(x),
-        interval=(0.0, math.inf),
-        K_of_x=lambda x, _k=kval: np.full_like(np.asarray(x, dtype=float), _k),
-        K=kval,
+        K=1.0 / (2 * j + 1),
     )
 
 

@@ -11,7 +11,6 @@ import pytest
 from hardy_rellich.analytic import (
     LogGaussian,
     PowerExp,
-    Reflected,
     consistency_check,
     gamma_class,
     monomial,
@@ -44,11 +43,6 @@ class TestPowerExp:
         _ = f.deriv(3)
         d = {j: f._derivative(j) for j in range(4)}
         assert all(isinstance(v, PowerExp) for v in d.values())
-
-    def test_vanishing_order(self):
-        assert polynomial_times_exp([0, 0, 0, 1.0], rate=1.0).vanishing_order == 3
-        assert monomial(2.5).vanishing_order == 2.5
-        assert zero_function().vanishing_order == np.inf
 
     def test_addition_and_scaling(self):
         f = monomial(2.0) + monomial(3.0)
@@ -278,16 +272,6 @@ class TestLogGaussian:
     def test_width_must_be_positive_and_finite(self, s):
         with pytest.raises(ValueError):
             LogGaussian(0.0, s)
-
-
-class TestReflected:
-    def test_alternating_signs(self):
-        f = polynomial_times_exp([0.0, 1.0, 1.0], rate=0.0)  # x + x^2
-        g = Reflected(f, 1.0)  # (1-x) + (1-x)^2
-        x = np.array([0.2, 0.8])
-        np.testing.assert_allclose(g.deriv(0)(x), (1 - x) + (1 - x) ** 2)
-        np.testing.assert_allclose(g.deriv(1)(x), -(1 + 2 * (1 - x)))
-        np.testing.assert_allclose(g.deriv(2)(x), 2.0)
 
 
 class TestConsistencyCheck:

@@ -2,11 +2,13 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardy_rellich import cli
@@ -128,3 +130,75 @@ def test_module_entry_matches_in_process_run(capsys, tmp_path, name):
     proc = _python(tmp_path, "-m", "hardy_rellich.cli", *COMMANDS[name])
     assert code == proc.returncode == 0, proc.stderr
     assert proc.stdout == out
+
+
+# vector-valued functions: sampled, analytic, and mixed
+
+def _write_pair(path):
+    """Samples of x^2.5 e^(-x) and x^3 e^(-2x) as a two-component CSV."""
+    from hardy_rellich import grid
+
+    lg = grid.LogGrid(1e-4, 60.0, 2048)
+    values = [lg.x**2.5 * np.exp(-lg.x), lg.x**3 * np.exp(-2.0 * lg.x)]
+    grid.write_csv(grid.GridFunction(lg, np.stack(values, axis=1)), path)
+    grid.write_csv(grid.GridFunction(lg, values[0]), path.parent / "one.csv")
+
+
+def test_ratio_of_a_two_component_csv(capsys, tmp_path):
+    path = tmp_path / "pair.csv"
+    _write_pair(path)
+    code, out, err = _run(capsys, ["ratio", "--n", "1", "--function", f"csv:{path}"])
+    assert code == 0, err
+    exact = json.loads(_run(capsys, ["ratio", "--n", "1", "--x-min", "1e-4", "--x-max", "60",
+                                     "--points", "2048", "--function",
+                                     "vec:gamma:p=2.5|polyexp:coeffs=0:0:0:1,rate=2"])[1])
+    report = json.loads(out)["report"]
+    assert report["m"] == 2
+    assert report["ratio"] == pytest.approx(exact["report"]["ratio"], rel=1e-4)
+
+
+def test_ratio_of_a_vector_with_a_sampled_component(capsys, tmp_path):
+    _write_pair(tmp_path / "pair.csv")
+    code, out, err = _run(capsys, ["ratio", "--n", "1", "--function",
+                                   f"vec:csv:{tmp_path / 'one.csv'}|gamma"])
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["m"] == 2 and report["slack"] > 0
+
+
+def test_ratio_refuses_alpha_for_vectors(capsys):
+    code, out, err = _run(capsys, ["ratio", "--n", "1", "--alpha", "1",
+                                   "--function", "vec:gamma|gamma:p=2.5"])
+    assert code == cli.EXIT_VALIDATION
+    assert out == "" and "--alpha" in err
+
+
+def test_non_finite_samples_give_one_error_line(tmp_path):
+    # x^53 overflows at x = 1e6 where e^(-x) is 0: the samples are nan there
+    proc = _python(tmp_path, "-m", "hardy_rellich.cli", "ratio", "--n", "52",
+                   "--function", "gamma:p=53", "--points", "256")
+    assert proc.returncode == cli.EXIT_VALIDATION and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: grid samples contain non-finite values"]
+
+
+# the largest n whose constant fits in a float: 98 for c_n, 178 for b_n
+
+@pytest.mark.parametrize("argv,limit", [
+    (["constants", "--n-max", "99"], 98),
+    (["ratio", "--n", "99", "--function", "gamma"], 98),
+    (["sharpness", "--n", "99"], 98),
+    (["interval", "--n", "99"], 98),
+    (["norm", "--n", "179", "--points", "256"], 178),
+    (["spectrum", "--n", "179"], 178),
+])
+def test_n_past_the_float_range_exits_2(capsys, argv, limit):
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_VALIDATION
+    assert out == "" and err.startswith("error:") and f"is {limit}" in err
+
+
+def test_constants_reach_the_float_limit(capsys):
+    code, out, _ = _run(capsys, ["constants", "--n-max", "98"])
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert last["n"] == 98 and math.isfinite(last["c_n_float"]) and last["b_n_float"] > 0

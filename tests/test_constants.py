@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hardy_rellich.constants import (
+    _FLOAT_LIMITS,
     SharpConstant,
+    _float_constant,
     birman_constant,
     cesaro_norm,
     double_factorial_odd,
@@ -220,3 +222,14 @@ class TestSpectralPolynomials:
     def test_denominator_coefficients(self):
         # prod_{k=1..2} (1 + k z) = 1 + 3z + 2z^2
         assert spectral_polynomials(3).r_den == (1, 3, 2)
+
+
+def test_float_limits_are_the_last_n_that_fit():
+    for name, limit in _FLOAT_LIMITS.items():
+        assert _float_constant(name, limit) > 0 and math.isfinite(_float_constant(name, limit))
+        with pytest.raises(ValueError, match=f"is {limit}"):
+            _float_constant(name, limit + 1)
+    # past the limits the exact constants leave the float range
+    with pytest.raises(OverflowError):
+        float(birman_constant(_FLOAT_LIMITS["c_n"] + 1).c)
+    assert float(birman_constant(_FLOAT_LIMITS["b_n"] + 1).b) == 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from hardy_rellich.analytic import gamma_class
 from hardy_rellich.constants import birman_constant
+from hardy_rellich.errors import InvalidDataError
 from hardy_rellich.functional import (ProbeSpec, birman_ratio, probe_ratio_closed_form,
                                       sharpness_sweep)
 from hardy_rellich.grid import LogGrid
@@ -76,3 +77,17 @@ def _exact_gamma_ratio(n, p):
 def test_birman_ratio_for_large_n(n, rel):
     report = birman_ratio(n, gamma_class(n + 1.0), LogGrid.default(256))
     assert report.ratio == pytest.approx(float(_exact_gamma_ratio(n, n + 1)), rel=rel)
+
+
+def test_non_finite_samples_raise_the_typed_error():
+    # x^53 overflows at x = 1e6 where e^(-x) is 0; sampling must not warn
+    # (RuntimeWarning is an error under the test suite's filter)
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        birman_ratio(52, gamma_class(53), LogGrid.default(256))
+
+
+@pytest.mark.parametrize("call", [lambda: birman_ratio(99, gamma_class(99.5)),
+                                  lambda: sharpness_sweep(99, [0.5])])
+def test_n_past_the_float_range_of_c_n_is_refused(call):
+    with pytest.raises(ValueError, match="largest n it fits for is 98"):
+        call()

@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from hardy_rellich.analytic import monomial
+from hardy_rellich.analytic import gamma_class, monomial, polynomial_times_exp
 from hardy_rellich.cli import parse_function
 from hardy_rellich.constants import SIDES
+from hardy_rellich.errors import TrivialFunctionError
+from hardy_rellich.functional import ProbeSpec
+from hardy_rellich.grid import GridFunction, LogGrid
 from hardy_rellich.interval import (
+    _REFINE_LEVELS,
     IntervalProblem,
     _quad_nodes,
-    interval_denominator_pieces,
+    _trapezoid,
+    _weighted_integrand,
     interval_ratio,
+    vector_birman_ratio,
 )
 
 # on (0.1, 0.7) linspace puts the middle node 5.6e-17 above (a + c) / 2
@@ -27,10 +33,23 @@ def _bridge(n, a, c, degree):
 @pytest.mark.parametrize("a,c", INTERVALS)
 @pytest.mark.parametrize("panels", [256, 1000])
 def test_denominator_splits_at_the_midpoint(n, a, c, panels):
+    # the d-weighted sum over interval_ratio's nodes equals its (x - a)- and
+    # (c - x)-weighted halves, split at the middle node, which linspace may
+    # round off (a + c) / 2: a split beside it would drop a panel from both
     for degree in (0, 2):
         problem = IntervalProblem(n, a, c, "both")
-        full, left, right = interval_denominator_pieces(problem, _bridge(n, a, c, degree),
-                                                        panels=panels)
+        f = _bridge(n, a, c, degree)
+        nodes = _quad_nodes(problem, panels)
+        fx = np.asarray(f.deriv(0)(nodes))
+        dn_ends = tuple(np.asarray(f.deriv(n)(nodes[[0, -1]])))
+        widths = np.diff(nodes)
+        full = _trapezoid(_weighted_integrand(problem, nodes, fx, dn_ends), widths)
+        m = int(np.argmin(np.abs(nodes - 0.5 * (a + c))))
+        lo, hi = slice(None, m + 1), slice(m, None)
+        left = _trapezoid(_weighted_integrand(IntervalProblem(n, a, c, "left"), nodes[lo],
+                                              fx[lo], dn_ends), widths[:m])
+        right = _trapezoid(_weighted_integrand(IntervalProblem(n, a, c, "right"), nodes[hi],
+                                               fx[hi], dn_ends), widths[m:])
         assert full == pytest.approx(left + right, rel=1e-12)
 
 
@@ -43,15 +62,12 @@ def test_bridge_ratio_exceeds_the_constant(n, a, c, side):
         assert report.slack > 0 and report.ratio > report.constant
 
 
-@pytest.mark.parametrize("kwargs", [{"panels": 1}, {"panels": 0}, {"panels": -5},
-                                    {"refine_levels": -1}])
+@pytest.mark.parametrize("kwargs", [{"panels": 1}, {"panels": 0}, {"panels": -5}])
 def test_quadrature_arguments_are_validated(kwargs):
     problem = IntervalProblem(1, 0.0, 1.0, "both")
     f = _bridge(1, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         interval_ratio(problem, f, **kwargs)
-    with pytest.raises(ValueError):
-        interval_denominator_pieces(problem, f, **kwargs)
 
 
 def _sorted_unique_nodes(problem, panels, refine_levels):
@@ -72,16 +88,15 @@ def _sorted_unique_nodes(problem, panels, refine_levels):
 @pytest.mark.parametrize("panels", [2, 7, 64, 1001, 4096])
 def test_nodes_are_the_sorted_union(side, a, c, panels):
     problem = IntervalProblem(1, a, c, side)
-    for refine_levels in range(4):
-        nodes = _quad_nodes(problem, panels, refine_levels)
-        expected = _sorted_unique_nodes(problem, panels, refine_levels)
-        assert nodes.tobytes() == expected.tobytes()
+    nodes = _quad_nodes(problem, panels)
+    expected = _sorted_unique_nodes(problem, panels, _REFINE_LEVELS)
+    assert nodes.tobytes() == expected.tobytes()
 
 
 def _ratio_by_term_sums(problem, f, panels):
     """The ratio with every closure sampled per use and |f|^2 by complex cast."""
     n, a, c = problem.n, problem.a, problem.c
-    nodes = _quad_nodes(problem, panels, 3)
+    nodes = _quad_nodes(problem, panels)
     dn = np.asarray(f.deriv(n)(nodes), dtype=complex)
     numerator = np.trapezoid(np.abs(dn) ** 2, nodes)
     fx = np.asarray(f.deriv(0)(nodes), dtype=complex)
@@ -122,3 +137,33 @@ def test_ratio_refuses_a_function_that_does_not_vanish(side):
     # vanishing to order 1 only fails the derivative-1 check
     with pytest.raises(ValueError, match="derivative 1"):
         interval_ratio(problem, _bridge(1, 0.5, 1.5, 0))
+
+
+def _sampled_pair(count=2048):
+    """gamma_class(2.5) and x^3 e^(-2x) on a log grid, as one vector GridFunction."""
+    comps = [gamma_class(2.5), polynomial_times_exp([0, 0, 0, 1.0], rate=2.0)]
+    grid = LogGrid(1e-4, 60.0, count)
+    values = np.stack([np.asarray(c.deriv(0)(grid.x)) for c in comps], axis=1)
+    return comps, GridFunction(grid, values)
+
+
+def test_vector_ratio_takes_sampled_and_analytic_components():
+    comps, sampled = _sampled_pair()
+    exact = vector_birman_ratio(1, comps, sampled.grid)
+    whole = vector_birman_ratio(1, sampled)
+    first = GridFunction(sampled.grid, sampled.values[:, 0])
+    mixed = vector_birman_ratio(1, [first, comps[1]], sampled.grid)
+    assert whole.m == mixed.m == exact.m == 2
+    # finite differences of second order on 2048 nodes
+    assert whole.ratio == pytest.approx(exact.ratio, rel=1e-4)
+    assert mixed.ratio == pytest.approx(exact.ratio, rel=1e-4)
+    # a vector GridFunction is its columns, each a sampled component
+    columns = [GridFunction(sampled.grid, sampled.values[:, k]) for k in range(2)]
+    assert vector_birman_ratio(1, columns) == whole
+
+
+def test_vector_ratio_refuses_other_components():
+    with pytest.raises(ValueError, match="vector components"):
+        vector_birman_ratio(1, [gamma_class(2.5), ProbeSpec(n=1, sigma=0.0)])
+    with pytest.raises(TrivialFunctionError):
+        vector_birman_ratio(1, [])

@@ -58,7 +58,6 @@ def _probe_image(spec):
 
     class ProbeImage(AnalyticFunction):
         order = n
-        vanishing_order = sigma
 
         def deriv(self, j):
             def evaluate(x):
@@ -644,8 +643,7 @@ def test_cesaro_wrap_stays_accurate_for_large_n(grid, n):
 def test_pair_spec_must_be_the_power_pair(grid):
     # K = 1/(2j+1) alone does not make a spec the power pair
     spec = ops.WeightedPairSpec(phi=lambda x: np.exp(-x), psi=lambda x: 1.0 / x,
-                                w=lambda x: np.ones_like(x), interval=(0.0, math.inf),
-                                K_of_x=lambda x: np.ones_like(x), K=1.0)
+                                w=lambda x: np.ones_like(x), K=1.0)
     for boundary in ("wrap", "cut"):
         for side in "AB":
             with pytest.raises(ValueError):

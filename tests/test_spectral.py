@@ -8,6 +8,7 @@ from hardy_rellich.constants import cesaro_norm
 from hardy_rellich.errors import TrivialFunctionError
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
 from hardy_rellich.spectral import (
+    _curve_point,
     curve_max_modulus,
     mellin_forward,
     mellin_inverse,
@@ -18,10 +19,29 @@ from hardy_rellich.spectral import (
 BUMPS = [(0.0, 0.05), (1.5, 0.2), (-2.0, 0.3), (0.0, 1.0)]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_curve_peak_is_the_operator_norm(n):
-    peak = curve_max_modulus(spectrum_curve(n, 8192))
-    assert peak == pytest.approx(float(cesaro_norm(n)), rel=1e-12)
+    # exact: 2^n and (2n-1)!! are exact doubles for n <= 12
+    for theta_count in (16, 64, 256, 1024, 8192):
+        assert curve_max_modulus(spectrum_curve(n, theta_count)) == float(cesaro_norm(n))
+
+
+# theta near 0, uniform and geometric, and near 2 pi from below; within
+# about 1e-8 of 0 the modulus falls short of the peak by less than an ulp,
+# and rounding may land on either side
+_NEAR_ZERO = np.concatenate((
+    np.linspace(-1e-2, 1e-2, 2001), np.linspace(-0.5, 0.5, 1001),
+    np.outer([-1.0, 1.0], 10.0 ** -np.arange(1, 7)).ravel(),
+    2 * np.pi - np.linspace(0.0, 1e-3, 101)))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_curve_peaks_at_theta_zero(n):
+    # curve_max_modulus takes the sampled maximum without refinement: it
+    # relies on theta = 0, a node of every curve, being the peak
+    mods = np.abs(spectrum_curve(n, 16).points)
+    assert int(np.argmax(mods)) == 0
+    assert np.max(np.abs(_curve_point(n, _NEAR_ZERO))) <= mods[0]
 
 
 def _sampled(mu, s, count=1024):
