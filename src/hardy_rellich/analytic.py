@@ -17,14 +17,18 @@ itself and is freed as soon as it is dropped, without the cyclic collector.
 
 A PowerExp closure is evaluated by Horner's rule, one group of powers that
 differ by integers at a time: one ``np.power`` per group and one ``np.exp``
-per call, whatever the number of terms.  Its error bound is that of the
-term-by-term sum (a few ulps times sum |c_i x^p_i| / |f(x)|), and it is
-finite at every x where each term is, on the whole float range.
+per call, whatever the number of terms.  A derivative's groups come from
+its parent's, by the Leibniz step on integer offsets, with no search.  Its
+error bound is that of the term-by-term sum (a few ulps times
+sum |c_i x^p_i| / |f(x)|), and it is finite at every x where each term is,
+on the whole float range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,7 +78,14 @@ class PowerExp(AnalyticFunction):
     Closures are evaluated by a plan built once per function: terms whose
     powers differ by whole numbers form a group, and each group is x^p0
     times a Horner sum over its integer offsets (gaps between powers take
-    one power of x, not zero-coefficient steps).  A call costs one
+    one power of x, not zero-coefficient steps).  A function searches its
+    terms for the groups once; a derivative takes its groups from the
+    parent's, since differentiating shifts a group's powers by whole
+    numbers, so the Leibniz step runs on each group's integer offsets.
+    Where a shifted power p0 - k rounds (p0 = 0.3, say), the shifted
+    powers need not differ from each other by exact whole numbers any more,
+    and the derivative searches its own terms, as the parent did.  Both
+    routes give the same groups.  A call costs one
     ``np.power`` per group (none when p0 is a non-negative integer) and one
     ``np.exp``.  Horner's rule has the backward-error bound of the term sum,
     so the relative error is a few ulps times sum |c_i x^p_i| / |f(x)|.  The
@@ -94,7 +105,23 @@ class PowerExp(AnalyticFunction):
         self.terms = tuple(sorted((p, c) for p, c in merged.items() if c != 0))
         self.rate = float(rate)
         self._derivs = {}  # order j >= 1 -> PowerExp; order 0 is self, not stored
-        self._plan = None  # the Horner groups, built on first evaluation
+        self._plan = None  # the Horner groups, built on first use
+
+    @classmethod
+    def _from_plan(cls, plan: tuple, rate: float) -> "PowerExp":
+        """The PowerExp whose Horner groups are ``plan`` (merged, nonzero terms)."""
+        out = cls.__new__(cls)
+        terms = [term for group in plan for term in zip(group.powers, group.given)]
+        if len(plan) > 1:                          # groups interleave
+            terms.sort()
+        out.terms = tuple(terms)
+        out.rate, out._derivs, out._plan = rate, {}, plan
+        return out
+
+    def _horner(self) -> tuple:
+        if self._plan is None:
+            self._plan = _horner_plan(self.terms)
+        return self._plan
 
     def _derivative(self, j: int) -> "PowerExp":
         """The j-th derivative as a PowerExp, built in one Leibniz step and cached."""
@@ -103,7 +130,9 @@ class PowerExp(AnalyticFunction):
         if j == 0:
             return self
         if j not in self._derivs:
-            self._derivs[j] = PowerExp(_leibniz_terms(self.terms, self.rate, j), self.rate)
+            plan = _leibniz_plan(self._horner(), self.rate, j)
+            self._derivs[j] = (PowerExp(_leibniz_terms(self.terms, self.rate, j), self.rate)
+                               if plan is None else PowerExp._from_plan(plan, self.rate))
         return self._derivs[j]
 
     def deriv(self, j: int) -> Callable:
@@ -112,15 +141,14 @@ class PowerExp(AnalyticFunction):
     def _evaluate(self, x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
-        if self._plan is None:
-            self._plan = _horner_plan(self.terms)
-        if not self._plan or not flat.size:
+        plan = self._horner()
+        if not plan or not flat.size:
             dtype = complex if any(isinstance(c, complex) for _, c in self.terms) else float
             out = np.zeros(x.shape, dtype=dtype)
             return out if out.shape else out[()]
         lo, hi = float(flat.min()), float(flat.max())
         out = None
-        for group in self._plan:
+        for group in plan:
             value = group.evaluate(flat, lo, hi)
             out = value if out is None else out + value
         if self.rate != 0.0:
@@ -139,6 +167,32 @@ class PowerExp(AnalyticFunction):
         return PowerExp([(scalar * c, p) for p, c in self.terms], self.rate)
 
 
+@functools.lru_cache(maxsize=256)
+def _leibniz_weights(rate: float, j: int) -> tuple:
+    """C(j,k) (-rate)^(j-k) for k = 0..j: exact binomials below 2^53, 0 for k < j at rate 0."""
+    decay = [1.0]                                  # (-rate)^m
+    for _ in range(j):
+        decay.append(decay[-1] * -rate)
+    weights, binom = [], 1.0
+    for k in range(j + 1):
+        weights.append(binom * decay[j - k])
+        binom = binom * (j - k) / (k + 1)
+    return tuple(weights)
+
+
+def _leibniz_step(p, c, weights):
+    """(k, coef) of the nonzero terms c C(j,k) p(p-1)...(p-k+1) (-rate)^(j-k) x^(p-k)."""
+    falling = 1.0                                  # p(p-1)...(p-k+1)
+    for k, weight in enumerate(weights):
+        if weight:
+            coef = c * (weight * falling)
+            if coef != 0:
+                yield k, coef
+        falling *= p - k
+        if falling == 0:
+            break
+
+
 def _leibniz_terms(terms, rate: float, j: int) -> list:
     """(coef, power) terms of the j-th derivative of sum c x^p e^(-rate x), over e^(-rate x).
 
@@ -148,23 +202,48 @@ def _leibniz_terms(terms, rate: float, j: int) -> list:
     left.  Binomials are exact below 2^53 and every power p - k is rounded
     once; a coefficient past the float range is inf, not an exception.
     """
-    decay = [1.0]                                  # (-rate)^m
-    for _ in range(j):
-        decay.append(decay[-1] * -rate)
-    weights, binom = [], 1.0                       # C(j,k) (-rate)^(j-k), k = 0..j
-    for k in range(j + 1):
-        weights.append(binom * decay[j - k])
-        binom = binom * (j - k) / (k + 1)
-    out = []
-    for p, c in terms:
-        falling = 1.0                              # p(p-1)...(p-k+1)
-        for k, weight in enumerate(weights):
-            if weight:                             # 0 for k < j at rate 0
-                out.append((c * (weight * falling), p - k))
-            falling *= p - k
-            if falling == 0:
-                break
-    return out
+    weights = _leibniz_weights(rate, j)
+    return [(coef, p - k) for p, c in terms for k, coef in _leibniz_step(p, c, weights)]
+
+
+def _leibniz_plan(plan: tuple, rate: float, j: int):
+    """The Horner groups of the j-th derivative, from the parent's, or None.
+
+    A group's member p0 + o contributes to the offsets o - k, k = 0..j, so
+    the derivative's terms from one group are p0 + d over whole numbers d,
+    merged per offset in the order PowerExp merges them (ascending parent
+    power).  The result equals _horner_plan(_leibniz_terms(...)) whenever
+    every shifted power p0 + d is exact: then powers from one parent group
+    differ by exact whole numbers, and powers from two groups never do,
+    since their bases did not.  That holds for every d in [-j, top - p0]
+    once it holds at both ends (top is exact; so is p0 - j if fsum says so),
+    with all powers below 2^52 in magnitude.  Otherwise returns None.
+    """
+    weights = _leibniz_weights(rate, j)
+    groups = []                                    # (offsets, powers, coefs) per group
+    for group in plan:
+        p0, shifted = group.p0, group.p0 - j
+        if not (abs(shifted) < 2.0**52 and abs(group.top) < 2.0**52
+                and math.fsum((shifted, -p0, j)) == 0.0):
+            return None
+        coefs = [None] * (group.offsets[-1] + j + 1)   # by offset + j
+        powers = coefs.copy()
+        for offset, p, c in zip(group.offsets, group.powers, group.given):
+            for k, coef in _leibniz_step(p, c, weights):
+                i = offset + j - k
+                if coefs[i] is None:
+                    coefs[i], powers[i] = coef, p - k
+                else:
+                    coefs[i] += coef
+        kept = [i for i, c in enumerate(coefs) if c is not None and c != 0]
+        if kept:
+            groups.append(([i - kept[0] for i in kept], [powers[i] for i in kept],
+                           [coefs[i] for i in kept]))
+    groups.sort(key=lambda group: group[1][0])
+    # a float coefficient times a Leibniz weight stays a float
+    as_complex = bool(plan) and isinstance(plan[0].coefs[0], complex) and any(
+        isinstance(c, complex) for group in groups for c in group[2])
+    return tuple(_HornerGroup(*group, as_complex) for group in groups)
 
 
 # float64 overflows at 2^1024; a forward Horner sum whose terms stay below
@@ -174,18 +253,25 @@ _RANGE_BITS = 960.0
 
 
 class _HornerGroup:
-    """sum_k c_k x^(p0 + k) over integer offsets k >= 0, by Horner's rule."""
+    """sum_k c_k x^(p0 + k) over integer offsets k >= 0, by Horner's rule.
 
-    def __init__(self, p0, top, offsets: Sequence[int], coefs: Sequence):
-        self.p0, self.top = p0, top
-        self.coefs = tuple(coefs)                  # by ascending offset
-        self.gaps = tuple(b - a for a, b in zip(offsets, offsets[1:]))
+    ``offsets``, ``powers`` and ``given`` list the group's terms by
+    ascending offset.  In a real function the given coefficients are
+    floats; in a complex one (any coefficient complex) they are kept as
+    given, and the Horner sum reads them as complex numbers.
+    """
+
+    def __init__(self, offsets: list, powers: list, given: list, as_complex: bool):
+        self.offsets, self.powers, self.given = offsets, powers, given
+        self.p0, self.top = powers[0], powers[-1]
+        self.coefs = tuple(map(complex, given)) if as_complex else tuple(given)
+        self.gaps = tuple(map(operator.sub, offsets[1:], offsets[:-1]))
         # largest |x| at which the forward sum stays in range; a single term
         # is the term sum itself
         self.safe = math.inf
         if len(offsets) > 1:
-            spare = _RANGE_BITS - max(math.log2(sum(abs(c) for c in coefs)), 0.0)
-            self.safe = 2.0 ** (max(spare, 0.0) / max(offsets[-1], -p0))
+            spare = _RANGE_BITS - max(math.log2(sum(map(abs, self.coefs))), 0.0)
+            self.safe = 2.0 ** (max(spare, 0.0) / max(offsets[-1], -self.p0))
 
     def evaluate(self, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
         if max(hi, -lo) <= self.safe:
@@ -209,22 +295,23 @@ class _HornerGroup:
 
 
 def _horner_plan(terms) -> tuple:
-    """Group (power, coef) terms whose powers differ by integers."""
+    """Group (power, coef) terms, by ascending power, whose powers differ by integers."""
     as_complex = any(isinstance(c, complex) for _, c in terms)
-    groups = []                                    # [p0, [(offset, p, coef)]]
-    for p, c in terms:                             # ascending powers
-        c = complex(c) if as_complex else float(c)
-        for p0, members in groups:
-            offset = float(p - p0)
+    groups = []                                    # (offsets, powers, coefs) per group
+    for p, c in terms:
+        if not as_complex:
+            c = float(c)
+        for offsets, powers, coefs in groups:
+            offset = float(p - powers[0])
             # fsum is exact here: it is 0 only when p - p0 was not rounded
-            if offset.is_integer() and math.fsum((p, -p0, -offset)) == 0.0:
-                members.append((int(offset), p, c))
+            if offset.is_integer() and math.fsum((p, -powers[0], -offset)) == 0.0:
+                offsets.append(int(offset))
+                powers.append(p)
+                coefs.append(c)
                 break
         else:
-            groups.append((p, [(0, p, c)]))
-    return tuple(_HornerGroup(p0, members[-1][1], [k for k, _, _ in members],
-                              [c for _, _, c in members])
-                 for p0, members in groups)
+            groups.append(([0], [p], [c]))
+    return tuple(_HornerGroup(*group, as_complex) for group in groups)
 
 
 def _int_power(d: int, powers: dict):
@@ -253,11 +340,12 @@ def _times_power(acc, x, p, powers, nonpositive):
         if p == 0:
             return acc if isinstance(acc, np.ndarray) else np.full(x.shape, acc)
         scale = _int_power(int(p), powers)
-    else:
+    elif nonpositive:
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.power(x, p)
-        if nonpositive:
-            scale = np.where(x > 0, scale, 0.0 if p > 0 else np.nan)
+        scale = np.where(x > 0, scale, 0.0 if p > 0 else np.nan)
+    else:                               # x > 0: no division by zero, no invalid power
+        scale = np.power(x, p)
     if isinstance(acc, np.ndarray):
         acc *= scale
         return acc

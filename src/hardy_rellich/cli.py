@@ -179,7 +179,7 @@ def cmd_constants(args) -> int:
         }
         for alpha in alphas:
             row[f"glazman(alpha={format_float(alpha)})"] = \
-                float(constants.glazman_constant(n, alpha))
+                constants._float_weighted_constant(n, alpha)
         rows.append(row)
     emit({"command": "constants", "n_max": args.n_max, "rows": rows}, args.output)
     return 0

@@ -18,6 +18,7 @@ The central objects are
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,6 +117,7 @@ def birman_constant(n: int) -> SharpConstant:
 _FLOAT_LIMITS = {"c_n": 98, "b_n": 178}
 
 
+@functools.lru_cache(maxsize=None)    # at most 2 x 178 entries
 def _float_constant(name: str, n: int) -> float:
     """float(c_n) or float(b_n); an n past the float range raises ValueError."""
     if n > _FLOAT_LIMITS[name]:
@@ -123,6 +125,32 @@ def _float_constant(name: str, n: int) -> float:
                          f"the largest n it fits for is {_FLOAT_LIMITS[name]}")
     sharp = birman_constant(n)
     return float(sharp.c if name == "c_n" else sharp.b)
+
+
+@functools.lru_cache(maxsize=1024)
+def _float_weighted_constant(n: int, alpha) -> float:
+    """float(glazman_constant(n, alpha)), c_n's float for alpha = 0.
+
+    The rule of _float_constant: an n whose constant overflows a float
+    raises ValueError naming the largest n that fits for this alpha, the
+    n before the first one that overflows, found in exact arithmetic from
+    the product prod_{k<m} (2k + 1 - alpha) grown one factor at a time.
+    """
+    if alpha == 0:
+        return _float_constant("c_n", n)
+    try:
+        return float(glazman_constant(n, alpha))
+    except OverflowError:
+        a, prod, limit = Fraction(alpha), Fraction(1), 0
+        while True:     # prod_{k <= limit} (2k + 1 - alpha): the constant of n = limit + 1
+            prod *= 2 * limit + 1 - a
+            try:
+                float(prod * prod / 4 ** (limit + 1))
+            except OverflowError:
+                break
+            limit += 1
+        raise ValueError(f"the weighted constant (alpha = {float(alpha):g}) does not fit "
+                         f"in a float for n = {n}; the largest n it fits for is {limit}") from None
 
 
 def cesaro_norm(n: int) -> Fraction:

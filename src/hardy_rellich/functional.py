@@ -12,6 +12,12 @@ degree-(n-1) polynomial tail above), so the probe ratio
     C(a) = integral_a^inf x^(-2n) (sum_k b_k x^k)^2 dx,
 
 is available in closed form and decreases to c_n as sigma drops to -1/2.
+
+Functions with derivative closures are integrated on a LogGrid in one
+stacked pass (_halfline_norms): every closure a ratio needs (f^(n) and f,
+or those of each vector component) is sampled into one array, one row per
+closure, and all rows share one weighting, one trapezoid sum and one set
+of checks, the rule norm_sq runs on a single row.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import AnalyticFunction, PowerExp, polynomial_times_exp
-from .constants import _float_constant, glazman_constant, probe_tail_coeffs
-from .errors import TrivialFunctionError
-from .grid import GridFunction, LogGrid, norm_sq
+from .constants import _float_constant, _float_weighted_constant, probe_tail_coeffs
+from .errors import InvalidDataError, TrivialFunctionError
+from .grid import GridFunction, LogGrid, _log_trapezoid, _weighted_squares, norm_sq
 
 __all__ = [
     "ProbeSpec",
@@ -177,6 +183,30 @@ def _build_report(n, numerator, denominator, constant, **extra) -> RatioReport:
         slack=float(ratio - constant), **extra)
 
 
+def _halfline_norms(grid: LogGrid, rows) -> list:
+    """Integrals of |v|^2 x^p dx on a LogGrid for (closure, p) rows, in one pass.
+
+    Each closure is sampled on the grid's nodes without numpy warnings, as
+    GridFunction.from_callable samples (non-finite samples raise
+    InvalidDataError below), and the samples are stacked one row per
+    closure.  Every row then takes norm_sq's rule: the weight x^(p/2) goes
+    in before squaring, then the trapezoid sum in u plus the power-law
+    stub; one finiteness check and one decay test cover all rows.  Returns
+    one float per row, bit for bit what norm_sq gives for that row alone.
+    """
+    x = grid.x
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [np.asarray(fn(x)) for fn, _ in rows]
+        for v in samples:
+            if v.shape != x.shape:
+                raise InvalidDataError(
+                    f"values shape {v.shape} does not match grid of {len(x)} nodes")
+        dtype = complex if any(np.iscomplexobj(v) for v in samples) else float
+        weighted = _weighted_squares(grid, np.array(samples, dtype=dtype), [p for _, p in rows])
+    full, stub, _ = _log_trapezoid(grid, weighted)
+    return [float((a + b).real) for a, b in zip(full, stub)]
+
+
 ProbeOrFunction = Union[ProbeSpec, AnalyticFunction]
 
 
@@ -197,22 +227,22 @@ def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> 
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     grid = grid or LogGrid.default()
-    numerator = norm_sq(GridFunction.from_callable(grid, f.deriv(n)))
-    denominator = norm_sq(GridFunction.from_callable(grid, f.deriv(0)), -2.0 * n)
+    numerator, denominator = _halfline_norms(grid, ((f.deriv(n), 0.0),
+                                                    (f.deriv(0), -2.0 * n)))
     return _build_report(n, numerator, denominator, constant)
 
 
 def glazman_ratio(n: int, alpha: float, f: ProbeOrFunction,
                   grid: Optional[LogGrid] = None) -> RatioReport:
     """Power-weighted ratio: int x^alpha |f^(n)|^2 over int |f|^2 x^(alpha-2n)."""
-    constant = float(glazman_constant(n, alpha))
+    constant = _float_weighted_constant(n, alpha)
     if isinstance(f, ProbeSpec):
         f = ProbeFunction(f)
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     grid = grid or LogGrid.default()
-    numerator = norm_sq(GridFunction.from_callable(grid, f.deriv(n)), alpha)
-    denominator = norm_sq(GridFunction.from_callable(grid, f.deriv(0)), alpha - 2.0 * n)
+    numerator, denominator = _halfline_norms(grid, ((f.deriv(n), float(alpha)),
+                                                    (f.deriv(0), alpha - 2.0 * n)))
     return _build_report(n, numerator, denominator, constant, alpha=float(alpha))
 
 
@@ -230,7 +260,7 @@ def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioRe
     warnings.warn(
         f"computing an order-{n} derivative numerically from samples; "
         "expect degraded accuracy", stacklevel=2)
-    constant = float(glazman_constant(n, alpha)) if alpha else _float_constant("c_n", n)
+    constant = _float_weighted_constant(n, alpha)
     numerator = norm_sq(differentiate(f, n), alpha)
     denominator = norm_sq(f, alpha - 2.0 * n)
     extra = {"alpha": float(alpha)} if alpha else {}

@@ -1,24 +1,28 @@
 """Sampled functions on (0, inf) and finite intervals, plus their calculus.
 
 Log-uniform grids are the default on the half line: the inverse-power
-weights and the Mellin transform are both natural in u = ln x.  Plain
-integration is composite trapezoid in u (spectrally accurate for smooth
-integrands that decay at the window ends) plus an explicit power-law model
-for the unresolved (0, x_min) stub; ``integrate`` and ``norm_sq`` share
-that one rule.  A weighted squared norm takes the weight before squaring,
-(|f| x^(p/2))^2, so |f|^2 x^p stays in the float range wherever the product
-does: the inverse-power weights x^(-2n) of the Birman denominators reach
-n = 51 on the default window, where |f|^2 alone would underflow and x^(-2n)
-alone overflow from n = 26.  Cumulative integration, which feeds
-the averaging operators, picks one of three panel rules per panel: a
-power-law fit with a log-curvature correction where ln(v x) is straight
-to rounding (exact for monomials, also used beside sampled jumps), a
-cubic rule in the grid's uniform coordinate everywhere else (fourth order
-also where the integrand changes sign, where the power fit is only second
-order), and plain trapezoid where neither applies (exact zeros,
-non-finite values).  Choosing the rules is an analysis of v x (its
-log-slopes and curvature, jumps and zeros) apart from the masses it
-yields, so the moments v x^j, whose logs differ from ln(v x) by j u
+weights and the Mellin transform are both natural in u = ln x.  A LogGrid's
+nodes are u_k = ln x_min + h k, with the last one set to ln x_max, which is
+np.linspace's construction bit for bit.  Plain integration is composite
+trapezoid in u (spectrally accurate for smooth integrands that decay at the
+window ends) plus an explicit power-law model for the unresolved (0, x_min)
+stub.  One routine runs that rule on a stack of integrands, one per row,
+with one finiteness check and one decay test for them all; ``integrate``
+and ``norm_sq`` pass it a single row, and the ratio functionals pass it
+every integrand of a ratio at once.  A weighted squared norm takes the
+weight before squaring, (|f| x^(p/2))^2, so |f|^2 x^p stays in the float
+range wherever the product does: the inverse-power weights x^(-2n) of the
+Birman denominators reach n = 51 on the default window, where |f|^2 alone
+would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
+integration, which feeds the averaging operators, picks one of three panel
+rules per panel: a power-law fit with a log-curvature correction where
+ln(v x) is straight to rounding (exact for monomials, also used beside
+sampled jumps), a cubic rule in the grid's uniform coordinate everywhere
+else (fourth order also where the integrand changes sign, where the power
+fit is only second order), and plain trapezoid where neither applies
+(exact zeros, non-finite values).  Choosing the rules is an analysis of
+v x (its log-slopes and curvature, jumps and zeros) apart from the masses
+it yields, so the moments v x^j, whose logs differ from ln(v x) by j u
 only, reuse the analysis of v: the averaging operators' binomial moments
 pay for one analysis, not n.
 """
@@ -64,8 +68,13 @@ class LogGrid:
         self.x_max = float(x_max)
         self.count = int(count)
         lo, hi = math.log(x_min), math.log(x_max)
-        self.u = np.linspace(lo, hi, count)
         self.h = (hi - lo) / (count - 1)   # u[1] - u[0] would lose digits
+        # lo + h k with the last node at hi is np.linspace's construction:
+        # the same nodes, without its overhead per call
+        self.u = np.arange(count, dtype=float)
+        self.u *= self.h
+        self.u += lo
+        self.u[-1] = hi
         self.x = np.exp(self.u)
         self.u.flags.writeable = False
         self.x.flags.writeable = False
@@ -163,6 +172,9 @@ def _fit_exponent(xa: float, xb: float, wa, wb):
 def _power_stub(x, w, strict: bool) -> complex:
     """Mass of the local power-law model c x^gamma on (0, x[0]).
 
+    x holds the first three nodes, as floats, and w the integrand's first
+    three samples.
+
     gamma is fitted from the first two samples of the integrand; the fit is
     credible when the second and third samples agree on the exponent, which
     screens out boundary noise on negligible values.  The model integrates
@@ -170,13 +182,13 @@ def _power_stub(x, w, strict: bool) -> complex:
     diverges, which raises under ``strict`` and degrades to the flat model
     otherwise.
     """
-    x0, w0 = float(x[0]), w[0]
+    (x0, x1, x2), (w0, w1, w2) = x, w
     if w0 == 0:
         return 0.0
-    gamma = _fit_exponent(x0, float(x[1]), w0, w[1])
+    gamma = _fit_exponent(x0, x1, w0, w1)
     if gamma is None:
         return w0 * x0  # flat fallback model
-    gamma_next = _fit_exponent(float(x[1]), float(x[2]), w[1], w[2])
+    gamma_next = _fit_exponent(x1, x2, w1, w2)
     credible = gamma_next is not None and \
         abs(gamma - gamma_next) <= 0.1 * (1.0 + abs(gamma))
     if not credible:
@@ -195,29 +207,56 @@ def _power_stub(x, w, strict: bool) -> complex:
     return w0 * x0 / (1.0 + gamma)
 
 
-def _decay_warning(weighted) -> None:
-    # the left end is stub-corrected, so only gross non-decay matters there;
-    # the right end has no tail model at all
-    peak = np.max(np.abs(weighted))
-    if peak > 0 and (abs(weighted[-1]) > 1e-8 * peak or abs(weighted[0]) > 1e-3 * peak):
-        warnings.warn(
-            "integrand does not decay at the window ends; "
-            "truncation error may dominate", stacklevel=4)
-
-
 def _log_trapezoid(grid: LogGrid, weighted):
-    """(full, stub, g) for the integral of weighted dx over a LogGrid's window and below.
+    """(full, stub, g): integrals of each row of weighted dx over a LogGrid's window and below.
 
-    g = weighted x is the integrand in u; the nodes are uniform in u, so
-    full = h (sum g - (g_0 + g_last)/2).  The (0, x_min) stub is the fitted
-    power-law model of weighted.  Non-finite g raises InvalidDataError.
+    weighted holds one integrand per row, in the x measure; g = weighted x
+    is the integrand in u.  The nodes are uniform in u, so a row's
+    full = h (sum g - (g_0 + g_last)/2), and its (0, x_min) stub is the
+    fitted power-law model of the row; both come as one number per row.
+    One finiteness check and one decay test cover every row: non-finite g
+    raises InvalidDataError, and rows that do not decay toward the window
+    ends warn once.  The left end is stub-corrected, so only gross
+    non-decay matters there; the right end has no tail model at all.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = weighted * grid.x                   # du measure
-    _require_finite(g)
-    _decay_warning(g)
-    full = grid.h * (np.sum(g) - 0.5 * (g[0] + g[-1]))
-    return full, _power_stub(grid.x, weighted, strict=False), g
+        totals = g.sum(axis=1).tolist()
+    # a non-finite sample leaves its row's sum non-finite
+    if not all(map(cmath.isfinite, totals)):
+        _require_finite(g)
+    peak = np.abs(g).max(axis=1).tolist()
+    ends = g[:, ::len(grid) - 1].tolist()       # (g_0, g_last) per row
+    if any(abs(last) > 1e-8 * top or abs(first) > 1e-3 * top
+           for top, (first, last) in zip(peak, ends)):
+        warnings.warn(
+            "integrand does not decay at the window ends; "
+            "truncation error may dominate", stacklevel=3)
+    full = [grid.h * (total - 0.5 * (first + last)) for total, (first, last) in zip(totals, ends)]
+    x = grid.x[:3].tolist()
+    stub = []
+    for w in weighted[:, :3]:  # no comprehension frame: the stub's warning names the caller
+        stub.append(_power_stub(x, w, strict=False))
+    return full, stub, g
+
+
+def _weighted_squares(grid: LogGrid, values, powers):
+    """Rows of (|v| x^(p/2))^2, the integrands of weighted squared norms.
+
+    values holds one sampled function per row (rows, nodes), or one vector
+    per node (rows, nodes, m), whose squares are summed over components;
+    powers holds each row's weight power p.  The weight goes in before
+    squaring, so a row stays in the float range wherever |v|^2 x^p itself
+    does (see norm_sq).  Callers silence numpy's overflow and invalid
+    warnings: non-finite rows raise in _log_trapezoid.
+    """
+    root = np.abs(values)
+    for row, p in zip(root, powers):
+        if p != 0.0:
+            scale = grid.x ** (0.5 * p)
+            row *= scale[:, None] if row.ndim == 2 else scale
+    weighted = root * root
+    return weighted.sum(axis=2) if weighted.ndim == 3 else weighted
 
 
 def _halved(nodes, g):
@@ -244,9 +283,10 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
     if isinstance(f.grid, LogGrid):
         with np.errstate(over="ignore"):
             weighted = f.values * x**p          # integrand in the x measure
-        full, stub, g = _log_trapezoid(f.grid, weighted)
-        half = _halved(f.grid.u, g)
-        value = full + stub
+        full, stub, g = _log_trapezoid(f.grid, weighted[None])
+        full = full[0]
+        half = _halved(f.grid.u, g[0])
+        value = full + stub[0]
     else:
         if x[0] == 0.0 and p != 0.0:
             if p > 0 or f.values[0] == 0:
@@ -276,20 +316,16 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
     x^p overflows on its own.  Only x^(p/2) must be finite: on the default
     window (x_min = 1e-6) that is p >= -102, the Birman denominators up to
     n = 51.  The rule is integrate's trapezoid sum in u plus the power-law
-    stub, without its error estimate.  Other grids go through integrate.
+    stub, without its error estimate, run on a single row; the ratio
+    functionals run the same rule on all their rows at once.  Other grids
+    go through integrate.
     """
     grid, p = f.grid, float(weight_power)
     if isinstance(grid, LogGrid):
         with np.errstate(over="ignore", invalid="ignore"):
-            root = np.abs(f.values)
-            if p != 0.0:
-                scale = grid.x ** (0.5 * p)
-                root *= scale[:, None] if f.is_vector else scale
-            weighted = root * root
-            if f.is_vector:
-                weighted = weighted.sum(axis=1)
+            weighted = _weighted_squares(grid, f.values[None], (p,))
         full, stub, _ = _log_trapezoid(grid, weighted)
-        return float(np.real(full + stub))
+        return float(np.real(full[0] + stub[0]))
     _require_finite(f.values)
     sq = np.abs(f.values) ** 2
     if f.is_vector:
@@ -466,7 +502,7 @@ def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid):
 def _cumulative(grid: Grid, v, panels) -> np.ndarray:
     """Samples of the running integral: the (0, x_min) stub plus the panel sums."""
     x = grid.x
-    stub = _power_stub(x, v, strict=True) if isinstance(grid, LogGrid) else 0.0
+    stub = _power_stub(x[:3].tolist(), v[:3], strict=True) if isinstance(grid, LogGrid) else 0.0
     dtype = complex if (np.iscomplexobj(panels) or np.iscomplexobj(v)) else float
     out = np.empty(len(x), dtype=dtype)
     out[0] = stub

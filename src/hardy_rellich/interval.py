@@ -13,7 +13,8 @@ and the removable 0/0 at a vanishing end is read from the f^(n) samples
 there.  The vector-valued ratio on the half line replaces |f|^2 by the
 pointwise squared Euclidean norm, summed over components that may be
 analytic closures or sampled data, and inherits strict positivity of the
-slack.
+slack; the closures of all analytic components are integrated in one
+stacked pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
 from .errors import TrivialFunctionError
-from .functional import RatioReport, _build_report
+from .functional import RatioReport, _build_report, _halfline_norms
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
 
 __all__ = [
@@ -215,15 +216,19 @@ def vector_birman_ratio(n: int, f: VectorInput,
     if len(components) > MAX_COMPONENTS:
         raise ValueError(f"at most {MAX_COMPONENTS} components supported")
     grid = grid or LogGrid.default()
-    numerator = denominator = 0.0
+    parts, rows = [], []    # per component its (numerator, denominator), or None: stacked
     for comp in components:
         if isinstance(comp, GridFunction):
-            top, values = differentiate(comp, n), comp
+            parts.append((norm_sq(differentiate(comp, n)), norm_sq(comp, -2.0 * n)))
         elif comp.order < n:
             raise ValueError(f"every component needs {n} derivative closures")
         else:
-            top = GridFunction.from_callable(grid, comp.deriv(n))
-            values = GridFunction.from_callable(grid, comp.deriv(0))
-        numerator += norm_sq(top)
-        denominator += norm_sq(values, -2.0 * n)
+            parts.append(None)
+            rows += [(comp.deriv(n), 0.0), (comp.deriv(0), -2.0 * n)]
+    norms = iter(_halfline_norms(grid, rows) if rows else ())
+    numerator = denominator = 0.0
+    for part in parts:
+        top, values = part if part is not None else (next(norms), next(norms))
+        numerator += top
+        denominator += values
     return _build_report(n, numerator, denominator, constant, m=len(components))

@@ -138,12 +138,37 @@ class SpectrumCurve:
     points: np.ndarray
 
 
+# The denominator prod (1 + k z) is checked every _RESCALE_EVERY factors and
+# scaled down to about 2^(_RESCALE_BITS / 2) wherever a part has grown past
+# 2^_RESCALE_BITS: each factor is below 2n <= 2^9 in modulus (n <= 256,
+# |z| <= 2), so in between it stays below 2^(900 + 108) < 2^1024.
+_RESCALE_EVERY = 12
+_RESCALE_BITS = 900
+
+
 def _curve_point(n: int, theta):
+    """r_n(z) = z^n / prod_{k<n} (1 + k z) at z = 1 + e^(i theta).
+
+    From n = 151 the denominator overflows near theta = 0, where it is
+    (2n - 1)!!, so wherever it grows past 2^_RESCALE_BITS, the real and
+    imaginary parts of it and of the numerator are scaled by the same power
+    of two, which is exact.  The scaled points are those near theta = 0,
+    where all four parts stay normal floats and the quotient of the scaled
+    pair rounds as that of the unscaled one would: curves that did not
+    overflow (n <= 150) are unchanged.
+    """
     z = 1.0 + np.exp(1j * np.asarray(theta, dtype=float))
     num = z**n
     den = np.ones_like(z)
     for k in range(1, n):
         den = den * (1.0 + k * z)
+        if k % _RESCALE_EVERY == 0:
+            _, exponent = np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))
+            big = exponent > _RESCALE_BITS
+            if big.any():
+                shift = _RESCALE_BITS // 2 - exponent[big]
+                for part in (num.real, num.imag, den.real, den.imag):
+                    part[big] = np.ldexp(part[big], shift)
     return num / den
 
 

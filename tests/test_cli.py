@@ -202,3 +202,37 @@ def test_constants_reach_the_float_limit(capsys):
     assert code == 0
     last = json.loads(out)["rows"][-1]
     assert last["n"] == 98 and math.isfinite(last["c_n_float"]) and last["b_n_float"] > 0
+
+
+# the weighted constant for alpha = -3 is [(n + 1)!]^2, a float up to n = 97
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n-max", "98", "--alpha=-3"],
+    ["ratio", "--n", "98", "--function", "gamma", "--alpha", "-3"],
+])
+def test_weighted_constant_past_the_float_range_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.splitlines() == [
+        "error: the weighted constant (alpha = -3) does not fit in a float for n = 98; "
+        "the largest n it fits for is 97"]
+
+
+def test_weighted_constant_at_the_float_limit(capsys):
+    code, out, _ = _run(capsys, ["constants", "--n-max", "97", "--alpha=-3"])
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert last["n"] == 97 and last["glazman(alpha=-3)"] == float(math.factorial(98) ** 2)
+    # the ratio at the limit gets past the constant; x^97.5 e^-x has no
+    # finite 97th-derivative samples on the default window (ROADMAP item 2)
+    code, out, err = _run(capsys, ["ratio", "--n", "97", "--function", "gamma", "--alpha", "-3"])
+    assert code == cli.EXIT_VALIDATION and "fit in a float" not in err
+
+
+@pytest.mark.parametrize("n", [151, 152, 178])
+def test_spectrum_reaches_the_float_limit_of_b_n(capsys, n):
+    code, out, err = _run(capsys, ["spectrum", "--n", str(n), "--theta-count", "256"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert math.isfinite(payload["max_modulus"]) and math.isfinite(payload["deviation"])
+    assert payload["deviation"] <= n * np.finfo(float).eps * payload["norm"] + 2 * 5e-324

@@ -10,6 +10,7 @@ from hardy_rellich.constants import (
     _FLOAT_LIMITS,
     SharpConstant,
     _float_constant,
+    _float_weighted_constant,
     birman_constant,
     cesaro_norm,
     double_factorial_odd,
@@ -233,3 +234,20 @@ def test_float_limits_are_the_last_n_that_fit():
     with pytest.raises(OverflowError):
         float(birman_constant(_FLOAT_LIMITS["c_n"] + 1).c)
     assert float(birman_constant(_FLOAT_LIMITS["b_n"] + 1).b) == 0.0
+
+
+@pytest.mark.parametrize("alpha,limit", [(-3, 97), (-3.0, 97), (0.0, 98), (-0.5, 98),
+                                         (0.5, 99), (Fraction(-7, 2), 96), (-20.0, 91),
+                                         (1e3, 57)])
+def test_weighted_float_limit_is_the_last_n_that_fits(alpha, limit):
+    assert math.isfinite(_float_weighted_constant(limit, alpha))
+    assert _float_weighted_constant(limit, alpha) == float(glazman_constant(limit, alpha))
+    with pytest.raises(ValueError, match=f"largest n it fits for is {limit}$"):
+        _float_weighted_constant(limit + 1, alpha)
+    with pytest.raises(OverflowError):
+        float(glazman_constant(limit + 1, alpha))
+
+
+def test_weighted_constant_at_alpha_zero_is_c_n():
+    for n in (1, 8, 98):
+        assert _float_weighted_constant(n, 0.0) == _float_constant("c_n", n)

@@ -1,16 +1,20 @@
 """The optimality probe: closed forms against exact integrals, and sweeps."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hardy_rellich.analytic import gamma_class
+from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
 from hardy_rellich.errors import InvalidDataError
-from hardy_rellich.functional import (ProbeSpec, birman_ratio, probe_ratio_closed_form,
+from hardy_rellich.functional import (ProbeSpec, birman_ratio, glazman_ratio,
+                                      probe_ratio_closed_form, random_polynomial_probe,
                                       sharpness_sweep)
-from hardy_rellich.grid import LogGrid
+from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
+from hardy_rellich.interval import vector_birman_ratio
 
 
 def _exact_probe_parts(n, sigma, a):
@@ -91,3 +95,81 @@ def test_non_finite_samples_raise_the_typed_error():
 def test_n_past_the_float_range_of_c_n_is_refused(call):
     with pytest.raises(ValueError, match="largest n it fits for is 98"):
         call()
+
+
+# The ratio functionals sample every closure into one stacked array and
+# integrate all rows at once; the references here integrate each closure on
+# its own, by norm_sq, as the functionals did before they were stacked.
+
+def _reference_parts(n, fs, grid, alpha=0.0):
+    """(numerator, denominator) summed over fs, one norm_sq per integrand."""
+    numerator = denominator = 0.0
+    for f in fs:
+        numerator += norm_sq(GridFunction.from_callable(grid, f.deriv(n)), alpha)
+        denominator += norm_sq(GridFunction.from_callable(grid, f.deriv(0)), alpha - 2.0 * n)
+    return numerator, denominator
+
+
+def _assert_parts(report, reference):
+    assert (report.numerator, report.denominator) == reference
+    assert report.ratio == reference[0] / reference[1]
+
+
+@pytest.mark.parametrize("count", [256, 1024])
+def test_stacked_birman_ratio_is_the_per_integrand_one(count):
+    grid = LogGrid.default(count)
+    for n in range(1, 31):
+        for f in (gamma_class(n + 0.5, 2.0), gamma_class(n + 1.0, 0.5),
+                  PowerExp([(1 + 2j, n + 0.5), (0.5 - 1j, n + 2.0)], 1.0)):
+            _assert_parts(birman_ratio(n, f, grid), _reference_parts(n, [f], grid))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+def test_stacked_glazman_ratio_is_the_per_integrand_one(alpha):
+    grid = LogGrid.default(512)
+    for n in range(1, 13):
+        for f in (gamma_class(n + 0.5, 1.0), gamma_class(n + 1.0, 3.0)):
+            _assert_parts(glazman_ratio(n, alpha, f, grid), _reference_parts(n, [f], grid, alpha))
+
+
+def test_stacked_ratio_of_random_polynomial_probes():
+    rng = np.random.default_rng(20171019)
+    grid = LogGrid.default(256)
+    for n in range(1, 26):
+        f = random_polynomial_probe(n, rng)
+        _assert_parts(birman_ratio(n, f, grid), _reference_parts(n, [f], grid))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stacked_vector_ratio_is_the_per_integrand_one(m):
+    rng = np.random.default_rng(m)
+    grid = LogGrid.default(256)
+    for n in range(1, 9):
+        fs = [gamma_class(n + 0.5 * (k + 1), 1.0 + k) if k % 2 else random_polynomial_probe(n, rng)
+              for k in range(m)]
+        _assert_parts(vector_birman_ratio(n, fs, grid), _reference_parts(n, fs, grid))
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: birman_ratio(52, gamma_class(53), grid),
+    lambda grid: glazman_ratio(52, 0.0, gamma_class(53), grid),
+    lambda grid: vector_birman_ratio(52, [gamma_class(53), gamma_class(54)], grid),
+])
+def test_weight_out_of_range_raises_without_numpy_warnings(call):
+    # x^(-52) overflows at x_min = 1e-6 even taken before squaring
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidDataError, match="non-finite"):
+            call(LogGrid.default(256))
+    assert caught == []
+
+
+def test_non_decaying_integrand_warns_once():
+    # x^(-1/2) |f''|^2 and x^(-9/2) |f|^2 both go like 4 x^(-1/2) at 0: in u
+    # that is 4 x^(1/2), still 4e-3 at x_min = 1e-6.  Both rows fail the
+    # decay test, and one warning covers them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        glazman_ratio(2, -0.5, gamma_class(2, 1))
+    assert [str(w.message) for w in caught] == [
+        "integrand does not decay at the window ends; truncation error may dominate"]

@@ -139,6 +139,27 @@ class TestIntegrate:
         assert abs(res.value - 1.0) <= 1e-7
 
 
+# The windows of the command line (its default, also mellin-check's) and of
+# the benchmark's cut checks, and others the tests use
+PINNED_WINDOWS = [(1e-6, 1e6), (1e-5, 1e5), (1e-4, 1e4), (1e-4, 1e6), (1e-3, 1e3),
+                  (1e-12, 1e3), (1e-9, 1e6), (1e-16, 1e3), (0.3, 7.1)]
+PINNED_COUNTS = sorted(set(range(8, 300))
+                       | {2**k + d for k in range(9, 18) for d in (-1, 0, 1)} - {2**17 + 1}
+                       | set(np.random.default_rng(12).integers(300, 2**17, 40).tolist()))
+
+
+@pytest.mark.parametrize("window", PINNED_WINDOWS)
+def test_log_grid_nodes_are_linspace_bit_for_bit(window):
+    # LogGrid builds u as lo + h k with the last node at hi, without
+    # np.linspace; the nodes must not drift from linspace's
+    lo, hi = math.log(window[0]), math.log(window[1])
+    for count in PINNED_COUNTS:
+        grid = LogGrid(window[0], window[1], count)
+        u = np.linspace(lo, hi, count)
+        assert grid.u.tobytes() == u.tobytes(), count
+        assert grid.x.tobytes() == np.exp(u).tobytes(), count
+
+
 class TestNormSq:
     def test_zero(self, default_grid):
         assert norm_sq(GridFunction(default_grid, np.zeros(len(default_grid)))) == 0.0

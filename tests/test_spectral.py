@@ -26,6 +26,17 @@ def test_curve_peak_is_the_operator_norm(n):
         assert curve_max_modulus(spectrum_curve(n, theta_count)) == float(cesaro_norm(n))
 
 
+@pytest.mark.parametrize("n", range(151, 179))
+def test_curve_past_the_float_range_of_its_denominator(n):
+    # (2n - 1)!!, the denominator at theta = 0, overflows from n = 151; the
+    # product of n - 1 factors rounds n - 1 times, and b_n is subnormal from
+    # n = 172 (a RuntimeWarning would fail the suite)
+    curve = spectrum_curve(n, 256)
+    assert np.all(np.isfinite(curve.points))
+    exact = float(cesaro_norm(n))
+    assert abs(curve_max_modulus(curve) - exact) <= n * np.finfo(float).eps * exact + 2 * 5e-324
+
+
 # theta near 0, uniform and geometric, and near 2 pi from below; within
 # about 1e-8 of 0 the modulus falls short of the peak by less than an ulp,
 # and rounding may land on either side
