@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
-from .errors import TrivialFunctionError
+from .errors import ConvergenceError, TrivialFunctionError
 from .functional import RatioReport, _build_report, _halfline_norms
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
 
@@ -171,7 +171,10 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
 
     Strictly exceeds the sharp constant for admissible nonzero functions; a
     numerically zero f raises TrivialFunctionError, and a mismatch between
-    the declared vanishing and the closures raises ValueError.
+    the declared vanishing and the closures raises ValueError.  Once the
+    vanishing is checked, a computed ratio at or below c_n can only be a
+    discretization failure, never a counterexample: it raises
+    ConvergenceError with the ratio as last_estimate.
     """
     n = problem.n
     if f.order < n:
@@ -184,8 +187,14 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
     widths = np.diff(nodes)
     numerator = _trapezoid(_abs_sq(dn), widths)
     denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])), widths)
-    return _build_report(n, numerator, denominator, constant,
-                         side=problem.side, a=problem.a, c=problem.c)
+    report = _build_report(n, numerator, denominator, constant,
+                           side=problem.side, a=problem.a, c=problem.c)
+    if not report.ratio > constant:
+        raise ConvergenceError(
+            f"interval ratio {report.ratio:.6g} is not above c_{n} = {constant:.6g}, which "
+            "the inequality rules out for an admissible f: the quadrature did not resolve it",
+            last_estimate=report.ratio)
+    return report
 
 
 VectorInput = Union[GridFunction, Sequence[Union[AnalyticFunction, GridFunction]]]

@@ -8,7 +8,9 @@ symbol of T_n's kernel is prod_{j<n} 1/(s+j+1/2).  For norm estimation
 (Golub-Kahan-Lanczos) one log-grid engine discretizes T_n and the pairs
 alike as chains of such single-rate steps, each exponential integrated
 exactly against the piecewise-linear interpolant of phi: a real FFT for the
-periodic ("wrap") boundary, rescaled cumulative panel sums for the hard
+periodic ("wrap") boundary, whose kernel is periodized (the images of the
+exponential in every later period are summed in closed form, so no kernel
+mass is lost to the window), rescaled cumulative panel sums for the hard
 window ("cut").  Its adjoint is the transpose with respect to the quadrature
 weights (the unweighted transpose converges to the wrong value on log grids).
 
@@ -20,7 +22,7 @@ analysis, that of f: ln(f x^(j+1)) = ln(f x) + j u, so the rule each panel
 takes and its curvature correction are the same for every moment, exactly,
 and f x^j has the jumps and zeros of f.  The moments, the analytic family
 T_{1,z} behind the resolvent and the A side of the weighted pairs all take
-their accuracy from the grid's cumulative panel rule, which is fourth order
+their accuracy from the grid's cumulative panel rule, which is sixth order
 also where the integrand changes sign; that matters here, since
 (x^n f)^(n) has n sign changes.  Inverses act on analytic closures only:
 (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz coefficients,
@@ -316,11 +318,14 @@ class _LogConvolution:
     becomes sum t_i phi_i psi_i with weights t in u.  ``rates`` r, r+1, ...
     give one step each, applied in that order.  Each step integrates its
     exponential exactly against the piecewise-linear interpolant of phi
-    (`_exact_panel`), so the only bias is that of the interpolant and of the
-    window, the same for every rate.  ``boundary="wrap"`` closes the window
+    (`_exact_panel`), so the only bias is that of the interpolant and, on
+    the hard window, of the window, the same for every rate.  ``boundary="wrap"`` closes the window
     periodically (t = h): each step is circulant, with the hat integrals of
-    e^(-r tau) on the circle as its kernel, and one real FFT applies the
-    product of the multipliers.  ``boundary="cut"`` keeps the hard window
+    the periodized kernel sum_{m >= 0} e^(-r (tau + m L)), L = N h, as its
+    kernel, which is e^(-r tau) on one period divided by 1 - e^(-r L); one
+    real FFT applies the product of the multipliers.  A step's
+    zero-frequency multiplier is then 1/r exactly, the kernel's integral
+    over (0, inf).  ``boundary="cut"`` keeps the hard window
     (t trapezoid): each step is a rescaled cumulative panel sum
     e^(-r s) cumsum(e^(r s) phi), s centred on the window so both factors
     stay in floating-point range; as the rates step by one, the rescaling
@@ -348,6 +353,8 @@ class _LogConvolution:
             for r, (left, right) in zip(rates, self._panels):
                 hats = (left + right) * np.exp(-r * tau)
                 hats[0] = right + left * math.exp(-r * N * h)
+                # the images e^(-r (tau + m N h)), m >= 0, sum to this factor
+                hats /= -math.expm1(-r * N * h)
                 self._multiplier = self._multiplier * np.fft.rfft(hats)
             self.quad_weights = h * grid.x
             self._forward = self._backward = (root, 1.0 / root)
@@ -397,9 +404,10 @@ class DiscreteCesaro(_LogConvolution):
     between causal steps changes nothing.  The default boundary wraps
     periodically in u (the standard log-grid discretization of a
     scale-invariant operator): a hard cut at the window edges depresses the
-    discrete norm by 2-3% on the default window, far more than the wrap's
-    bias, the kernel mass beyond the window (about 1e-6 relative).
-    ``boundary="cut"`` keeps the hard window for comparison.
+    discrete norm by 2-3% on the default window, while the periodized wrap
+    kernel keeps all of the kernel's mass, so its largest multiplier, at
+    zero frequency, is b_n to rounding.  ``boundary="cut"`` keeps the hard
+    window for comparison.
     """
 
     def __init__(self, n: int, grid: LogGrid, boundary: str = "wrap"):

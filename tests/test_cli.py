@@ -53,6 +53,14 @@ def test_ratio_for_n_26_runs(capsys):
                                                                rel=1e-10)
 
 
+def test_interval_ratio_below_the_constant_exits_3(capsys):
+    # the n = 5 bridge's quadrature reads a ratio below c_5 (ROADMAP item 1):
+    # a discretization failure, reported as such, not a violated theorem
+    code, out, err = _run(capsys, ["interval", "--n", "5"])
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_non_convergence_exits_3(capsys):
     code, out, err = _run(capsys, ["norm", "--points", "256", "--max-iter", "1",
                                    "--tol", "1e-16"])

@@ -8,7 +8,7 @@ import pytest
 from hardy_rellich.analytic import gamma_class, monomial, polynomial_times_exp
 from hardy_rellich.cli import parse_function
 from hardy_rellich.constants import SIDES
-from hardy_rellich.errors import TrivialFunctionError
+from hardy_rellich.errors import ConvergenceError, TrivialFunctionError
 from hardy_rellich.functional import ProbeSpec
 from hardy_rellich.grid import GridFunction, LogGrid
 from hardy_rellich.interval import (
@@ -60,6 +60,15 @@ def test_bridge_ratio_exceeds_the_constant(n, a, c, side):
     for degree in (0, 1, 2):
         report = interval_ratio(IntervalProblem(n, a, c, side), _bridge(n, a, c, degree))
         assert report.slack > 0 and report.ratio > report.constant
+
+
+def test_ratio_at_or_below_the_constant_is_no_counterexample():
+    # the monomial-expanded bridge x^5 (1 - x)^5 cancels near x = 1, and the
+    # quadrature reads a ratio of 0.2133 against c_5 = 945^2 / 2^10 = 872.09
+    # (exact 7203.52); the theorem rules such a ratio out for an admissible f
+    with pytest.raises(ConvergenceError, match="not above c_5") as err:
+        interval_ratio(IntervalProblem(5, 0.0, 1.0, "both"), _bridge(5, 0.0, 1.0, 0))
+    assert 0.2 < err.value.last_estimate < 0.22
 
 
 @pytest.mark.parametrize("kwargs", [{"panels": 1}, {"panels": 0}, {"panels": -5}])

@@ -1,6 +1,5 @@
 """Averaging operators, inverses, the analytic family, pairs, and norms."""
 
-import contextlib
 import functools
 import math
 import time
@@ -29,15 +28,13 @@ def bump(grid):
         grid, lambda x: np.exp(-0.5 * (np.log(x) / 2.0) ** 2))
 
 
-def _rel_l2(grid, diff, reference):
-    return (norm_sq(GridFunction(grid, diff)) / norm_sq(reference)) ** 0.5
+def _rel_max(diff, reference):
+    """max |diff| over max |reference|, as the round-trip checks score them.
 
-
-def _slow_decay_warning(expected=True):
-    """norm_sq's truncation warning, for residuals that decay only like 1/x."""
-    if not expected:
-        return contextlib.nullcontext()
-    return pytest.warns(UserWarning, match="does not decay")
+    A residual at rounding level has no power law or decay for norm_sq's
+    stub and decay tests to read, so its size is measured pointwise.
+    """
+    return np.max(np.abs(diff)) / np.max(np.abs(reference.values))
 
 
 def _falling(base, count):
@@ -109,9 +106,16 @@ class TestApplyCesaro:
         assert out.values[0] == 1.0 / math.factorial(n)
         assert np.all(np.isfinite(out.values))
         # T_n e^-x = sum_m (-x)^m / (m + n)!; next to 0 the moments cancel
-        far = lg.x >= 0.5
-        exact = sum((-lg.x[far]) ** m / math.factorial(m + n) for m in range(40))
-        np.testing.assert_allclose(out.values[far], exact, rtol=1e-5)
+        # against x^(-n), which amplifies the panel rule's error there.  The
+        # bounds are twice the sixth-order rule's relative errors at x = 1/32
+        # and from x = 0.5 on
+        near, far = {1: (2.5e-11, 6e-12), 2: (9.5e-9, 1.4e-10), 3: (2.2e-6, 2.2e-9)}[n]
+        x = lg.x[1:]
+        exact = np.array([math.fsum((-t) ** m / math.factorial(m + n) for m in range(40))
+                          for t in x])
+        rel = np.abs(out.values[1:] / exact - 1.0)
+        assert rel[0] <= near
+        assert np.max(rel[x >= 0.5]) <= far
 
     def test_moments_out_of_range_raise(self, grid):
         # the second moment's samples 1e300 x times x leave the float range
@@ -162,9 +166,7 @@ class TestNestedOracle:
     def test_oracle_equivalence(self, grid, bump, n):
         kernel = ops.apply_cesaro(n, bump)
         nested = ops.apply_cesaro_nested(n, bump)
-        with _slow_decay_warning(n >= 3):
-            rel = _rel_l2(grid, kernel.values - nested.values, bump)
-        assert rel <= 1e-6
+        assert _rel_max(kernel.values - nested.values, bump) <= 1e-12
 
 
 def _per_moment_cesaro(n, f):
@@ -410,9 +412,7 @@ class TestResolvent:
         g = ops.resolvent_T1(z, f)
         t1g = ops.apply_cesaro(1, GridFunction(grid, g.values))
         residual = t1g.values - z * g.values - f.values
-        with _slow_decay_warning():
-            rel = _rel_l2(grid, residual, f)
-        assert rel <= 1e-6
+        assert _rel_max(residual, f) <= 1e-12
 
     def test_zero_function(self, grid):
         out = ops.resolvent_T1(3.0, GridFunction(grid, np.zeros(len(grid))))
@@ -440,7 +440,7 @@ class TestWeightedPair:
         with pytest.raises(ValueError):
             ops.weighted_pair_apply(ops.power_weight_pair(0), "C", bump)
 
-    def test_a_side_fourth_order_across_sign_change(self):
+    def test_a_side_sixth_order_across_sign_change(self):
         # for j = 0, (A f)(x) = int_x^inf f(t)/t dt; here f(t)/t is the
         # derivative of t^2.5 e^-t, which changes sign at t = 2.5
         def err(count):
@@ -451,9 +451,9 @@ class TestWeightedPair:
             return np.max(np.abs(out.values + x**2.5 * np.exp(-x)))
 
         errors = [err(2**k) for k in (10, 11, 12)]
-        # fourth order: 16 per doubling
-        assert 12.0 <= errors[0] / errors[1] <= 24.0
-        assert 12.0 <= errors[1] / errors[2] <= 24.0
+        # sixth order: 64 per doubling
+        assert 48.0 <= errors[0] / errors[1] <= 80.0
+        assert 48.0 <= errors[1] / errors[2] <= 80.0
 
     def test_adjoint_property_quadrature(self, grid, bump):
         # <A f, g>_w = <f, B g>_w on the discrete weighted inner product
@@ -486,9 +486,10 @@ class TestWeightedPair:
 class TestNormEstimation:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cesaro_norm_wrap(self, grid, n):
+        # the periodized wrap kernel has no window bias: only GKL's tol is left
         est = ops.estimate_operator_norm(ops.DiscreteCesaro(n, grid), grid)
         target = float(cesaro_norm(n))
-        assert abs(est - target) <= 0.02 * target
+        assert abs(est - target) <= 1e-8 * target
 
     def test_cesaro_norm_cut_biased_low(self, grid):
         # the hard window cut loses a few percent: documented behaviour
@@ -500,7 +501,7 @@ class TestNormEstimation:
         spec = ops.power_weight_pair(0)
         est = ops.estimate_operator_norm(
             ops.DiscreteWeightedPair(spec, grid, "A", power=0), grid)
-        assert abs(est - 2.0) <= 0.04  # 2K = 2
+        assert abs(est - 2.0) <= 2e-8  # 2K = 2
 
     def test_adjoint_consistency_wrap(self, grid):
         op = ops.DiscreteCesaro(2, grid)
@@ -542,12 +543,14 @@ def _hat_panels(rate, N, h):
 def _single_rate_reference(rate, boundary, N, h):
     """Entry (i, k) integrates e^(-rate (u_i - s)) against the hat of node k
     (the piecewise-linear interpolant of phi), over the circle for wrap and
-    over s in [u_0, u_i] for cut."""
+    over s in [u_0, u_i] for cut.  The wrap kernel is periodized: the images
+    e^(-rate (tau + m N h)), m >= 0, add up to 1/(1 - e^(-rate N h)) times
+    the kernel on one period."""
     falling, rising = _hat_panels(rate, N, h)
     i, k = np.indices((N, N))
     if boundary == "wrap":
         m = (i - k) % N
-        return falling[m] + rising[(m - 1) % N]
+        return (falling[m] + rising[(m - 1) % N]) / -math.expm1(-rate * N * h)
     d = i - k
     return (np.where((k >= 1) & (d >= 0), falling[d % N], 0.0)
             + np.where(d >= 1, rising[(d - 1) % N], 0.0))
@@ -636,8 +639,8 @@ def test_cesaro_wrap_stays_accurate_for_large_n(grid, n):
     op = ops.DiscreteCesaro(n, grid)
     # phi = 1 is an eigenvector of the circulant, with the zero-frequency multiplier
     eigen = op.apply(grid.x**-0.5) * np.sqrt(grid.x)
-    np.testing.assert_allclose(eigen, float(cesaro_norm(n)), rtol=3e-5)
-    assert ops.estimate_operator_norm(op, grid) == pytest.approx(float(cesaro_norm(n)), rel=3e-5)
+    np.testing.assert_allclose(eigen, float(cesaro_norm(n)), rtol=1e-14)
+    assert ops.estimate_operator_norm(op, grid) == pytest.approx(float(cesaro_norm(n)), rel=1e-8)
 
 
 def test_pair_spec_must_be_the_power_pair(grid):
@@ -695,13 +698,34 @@ def test_wrap_norm_at_1024_nodes(family, index, side, bound):
 
 
 @pytest.mark.parametrize("N", [1024, 4096])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_periodized_wrap_norm_is_b_n(n, N):
+    # the largest multiplier is the zero-frequency one, b_n to rounding, and
+    # GKL run to a tight tol reads it
+    lg = LogGrid.default(N)
+    op = ops.DiscreteCesaro(n, lg)
+    exact = float(cesaro_norm(n))
+    assert np.max(np.abs(op._multiplier)) == pytest.approx(exact, rel=2e-15)
+    assert ops.estimate_operator_norm(op, lg, tol=1e-12) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("side", "AB")
+@pytest.mark.parametrize("j", range(3))
+def test_periodized_wrap_pair_norm_is_2k(j, side):
+    lg = LogGrid.default(1024)
+    op = ops.DiscreteWeightedPair(ops.power_weight_pair(j), lg, side, power=j)
+    estimate = ops.estimate_operator_norm(op, lg, tol=1e-12)
+    assert estimate == pytest.approx(2.0 / (2 * j + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 20, 45, 60, 80])
 def test_wrap_zero_frequency_is_the_window_integral(n, N):
     # phi = 1 is an eigenvector of each circulant step, with eigenvalue the
-    # kernel's integral over one period L: (1 - e^(-r L))/r for rate r
+    # periodized kernel's integral over one period, which is that of
+    # e^(-r tau) over (0, inf): 1/r for rate r, and b_n for the chain
     lg = LogGrid.default(N)
-    length = N * lg.h
-    exact = math.prod(-math.expm1(-(j + 0.5) * length) / (j + 0.5) for j in range(n))
+    exact = math.prod(1.0 / (j + 0.5) for j in range(n))
     eigen = ops.DiscreteCesaro(n, lg).apply(lg.x**-0.5) * np.sqrt(lg.x)
     np.testing.assert_allclose(eigen, exact, rtol=1e-13)
 

@@ -7,6 +7,7 @@ from hardy_rellich.analytic import LogGaussian
 from hardy_rellich.constants import cesaro_norm
 from hardy_rellich.errors import TrivialFunctionError
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
+from hardy_rellich.operators import DiscreteCesaro
 from hardy_rellich.spectral import (
     _curve_point,
     curve_max_modulus,
@@ -87,3 +88,28 @@ def test_diagonalization_refuses_a_function_that_samples_to_zero(count):
     # a bump this narrow falls between the nodes of a coarse grid
     with pytest.raises(TrivialFunctionError):
         verify_diagonalization(LogGaussian(0.0, 0.003), count=count)
+
+
+def _wrap_symbol_error(n, count):
+    """max |multiplier - r_n| of the wrap DiscreteCesaro(n) over |omega_k| < 20.
+
+    The multiplier at omega_k = 2 pi k / L approximates the Laplace symbol
+    prod_{j<n} 1/(j + 1/2 + i omega_k) of T_n's kernel; that is r_n(z) at
+    z = 1/(1/2 + i omega_k), a point of the T_1 circle |z - 1| = 1, so the
+    spectral curve's point at theta = arg(z - 1).
+    """
+    grid = LogGrid.default(count)
+    multiplier = DiscreteCesaro(n, grid)._multiplier
+    omega = 2.0 * np.pi * np.arange(len(multiplier)) / (count * grid.h)
+    keep = omega < 20.0
+    z = 1.0 / (0.5 + 1j * omega[keep])
+    return float(np.max(np.abs(multiplier[keep] - _curve_point(n, np.angle(z - 1.0)))))
+
+
+def test_periodized_wrap_multiplier_is_the_curve():
+    # the hat integrals of the periodized kernel differ from the symbol by
+    # O((omega h)^2): 16 per 4x nodes, with no window bias left at omega = 0
+    errors = [_wrap_symbol_error(4, 2**k) for k in (10, 12, 14)]
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+    assert 14.0 <= errors[1] / errors[2] <= 18.0
+    assert errors[2] <= 1e-7
