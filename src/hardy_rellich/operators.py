@@ -13,6 +13,9 @@ exponential in every later period are summed in closed form, so no kernel
 mass is lost to the window), rescaled cumulative panel sums for the hard
 window ("cut").  Its adjoint is the transpose with respect to the quadrature
 weights (the unweighted transpose converges to the wrong value on log grids).
+estimate_operator_norm runs the wrap boundary on the half-spectrum, where a
+step is one product with the multiplier and no FFT, and the cut boundary on
+the grid.
 
 On sampled functions apply_cesaro expands the repeated-integration form
 (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt into n
@@ -333,6 +336,8 @@ class _LogConvolution:
     the transpose in the quad_weights inner product, the transposed steps in
     reverse order.  ``reverse`` mirrors the grid, making the kernel
     anti-causal; t is mirror-symmetric, so the mirror is exact.
+    estimate_operator_norm takes its coordinates from `_krylov_frame`: the
+    half-spectrum of the wrap circulant, the grid for the hard window.
     """
 
     def __init__(self, grid: LogGrid, rates, boundary: str, reverse: bool = False):
@@ -357,6 +362,12 @@ class _LogConvolution:
                 hats /= -math.expm1(-r * N * h)
                 self._multiplier = self._multiplier * np.fft.rfft(hats)
             self.quad_weights = h * grid.x
+            # Parseval for rfft: the bins between 0 and Nyquist stand for two
+            # of the full FFT's; odd N has no Nyquist bin
+            self._spectral_weights = np.full(len(self._multiplier), 2.0 * h / N)
+            self._spectral_weights[0] = h / N
+            if N % 2 == 0:
+                self._spectral_weights[-1] = h / N
             self._forward = self._backward = (root, 1.0 / root)
             return
         t = np.full(N, h)
@@ -390,6 +401,23 @@ class _LogConvolution:
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
         return self._apply(v, adjoint=True)
+
+    def _krylov_frame(self, start: np.ndarray) -> tuple:
+        """(weights, start, apply, adjoint_apply) in the coordinates GKL runs in.
+
+        The hard window keeps the grid and its quad_weights.  The wrap
+        boundary moves to the half-spectrum c = rfft(phi), phi = pre *
+        v[flip], with the Parseval weights h/N (1, 2, ..., 2, 1): phi -> c
+        maps the quad_weights inner product onto theirs, and the circulant
+        becomes multiplier * c, its adjoint conj(multiplier) * c.  The
+        recurrence takes only real combinations of these vectors, so it
+        stays in the image of the real grid vectors.
+        """
+        if self.boundary == "cut":
+            return self.quad_weights, start, self.apply, self.adjoint_apply
+        forward, backward = self._multiplier, np.conj(self._multiplier)
+        return (self._spectral_weights, np.fft.rfft(self._forward[0] * start[self._flip]),
+                lambda c: forward * c, lambda c: backward * c)
 
 
 class DiscreteCesaro(_LogConvolution):
@@ -435,10 +463,15 @@ class DiscreteWeightedPair(_LogConvolution):
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
         x = np.asarray(grid.x, dtype=float)
-        expected = {"phi": x**power, "psi": x ** (-power - 1.0), "w": np.ones_like(x)}
-        for name, want in expected.items():
-            got = np.asarray(getattr(spec, name)(x), dtype=float)
-            if not np.allclose(got, want, rtol=1e-10, atol=0.0):
+        got, want = np.empty((3, len(x))), np.empty((3, len(x)))
+        # x^j and x^(-j-1) leave float range on wide windows for large j; equal
+        # infinities still pass the check below
+        with np.errstate(over="ignore"):
+            got[0], got[1], got[2] = spec.phi(x), spec.psi(x), spec.w(x)
+            want[0], want[1], want[2] = x**power, x ** (-power - 1.0), 1.0
+        for name, same in zip(("phi", "psi", "w"),
+                              np.isclose(got, want, rtol=1e-10, atol=0.0).all(axis=1)):
+            if not same:
                 raise ValueError(
                     f"the pair's {name} is not that of power_weight_pair({power})")
         if spec.K != 1.0 / (2 * power + 1):
@@ -448,15 +481,23 @@ class DiscreteWeightedPair(_LogConvolution):
         self.spec = spec
 
 
+def _q_sum_sq(q: np.ndarray, v: np.ndarray) -> float:
+    """sum q |v|^2 with no |v| temporary: for complex v the real part of
+    conj(v) . (q v), which sums q (re^2 + im^2)."""
+    if np.iscomplexobj(v):
+        return float(np.vdot(v, q * v).real)
+    return float(q @ (v * v))
+
+
 def _q_norm(q: np.ndarray, v: np.ndarray) -> float:
     """sqrt(sum q |v|^2), rescaled where the squares would underflow."""
-    norm = math.sqrt(float(np.sum(q * np.abs(v) ** 2)))
+    norm = math.sqrt(_q_sum_sq(q, v))
     if norm >= 1e-100:
         return norm
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return 0.0
-    return peak * math.sqrt(float(np.sum(q * np.abs(v / peak) ** 2)))
+    return peak * math.sqrt(_q_sum_sq(q, v / peak))
 
 
 # Golub-Kahan steps per cycle before a restart: the per-step SVD of the
@@ -465,32 +506,28 @@ def _q_norm(q: np.ndarray, v: np.ndarray) -> float:
 _RESTART = 64
 
 
-def _golub_kahan(op, q: np.ndarray, v: np.ndarray):
-    """Yield (v_k, alpha_k, beta_(k-1)) of op V = U B from the q-unit vector v.
+def _golub_kahan(apply, adjoint_apply, q: np.ndarray, v: np.ndarray):
+    """Yield (v_k, alpha_k, beta_(k-1)) of apply V = U B from the q-unit vector v.
 
     B is upper bidiagonal, alpha on the diagonal and beta above it, and V, U
-    are q-orthonormal.  Each item costs one apply, and each after the first
-    one adjoint_apply too.  The recurrence is deterministic, so a second run
+    are q-orthonormal (adjoint_apply is apply's adjoint in q).  Each item
+    costs one apply, and each after the first one adjoint_apply too.  The recurrence is deterministic, so a second run
     from the same v yields the same vectors.  It ends where the Krylov space
     is invariant (alpha or beta is zero).
     """
     u, beta = np.zeros_like(v), 0.0
     while True:
-        image = op.apply(v) - beta * u
+        image = apply(v) - beta * u
         alpha = _q_norm(q, image)
         yield v, alpha, beta
         if alpha == 0.0:
             return
         u = image / alpha
-        w = op.adjoint_apply(u) - alpha * v
+        w = adjoint_apply(u) - alpha * v
         beta = _q_norm(q, w)
         if beta == 0.0:
             return
         v = w / beta
-
-
-def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
-    return np.diag(alphas) + np.diag(betas[1:], 1)
 
 
 def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
@@ -506,27 +543,39 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
     max_iter bounds the steps, each one apply and one adjoint_apply (the
     replays come on top); running out raises ConvergenceError with the last
     estimate attached.
+
+    The engine's operators run where they are cheapest, as
+    `_LogConvolution._krylov_frame` sets out: the wrap boundary on the
+    half-spectrum of its circulant, one rfft for the start vector and none
+    per step, the hard window on the grid.  Any other op with quad_weights,
+    apply and adjoint_apply runs on the grid too.  Both frames build the
+    same Krylov space from the same start vector, so the estimate and the
+    step count do not depend on the frame beyond rounding.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    q = op.quad_weights
     rng = np.random.default_rng(seed)
     start = rng.random(len(grid)) + 0.5
+    if isinstance(op, _LogConvolution):
+        q, start, apply, adjoint_apply = op._krylov_frame(start)
+    else:
+        q, apply, adjoint_apply = op.quad_weights, op.apply, op.adjoint_apply
     steps, estimate = 0, math.nan
     while True:
         start = start / _q_norm(q, start)
-        alphas, betas, previous = [], [], math.inf
-        for _, alpha, beta in _golub_kahan(op, q, start):
+        bidiagonal, previous = np.zeros((_RESTART, _RESTART)), math.inf
+        for k, (_, alpha, beta) in enumerate(_golub_kahan(apply, adjoint_apply, q, start)):
             steps += 1
             if not math.isfinite(alpha + beta):
                 raise ConvergenceError(
                     f"no convergence: the operator gave non-finite values at step {steps}",
                     last_estimate=estimate)
-            alphas.append(alpha)
-            betas.append(beta)
-            estimate = float(np.linalg.svd(_bidiagonal(alphas, betas), compute_uv=False)[0])
+            bidiagonal[k, k] = alpha
+            if k:
+                bidiagonal[k - 1, k] = beta
+            estimate = float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
             if abs(estimate - previous) <= tol * estimate:
                 return estimate
             if steps >= max_iter:
@@ -534,12 +583,12 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
                     f"no convergence to tol {tol} within {max_iter} iterations",
                     last_estimate=estimate)
             previous = estimate
-            if len(alphas) == _RESTART:
+            if k + 1 == _RESTART:
                 break
         else:
             return estimate  # invariant Krylov space: exact on it
-        coeffs = np.linalg.svd(_bidiagonal(alphas, betas))[2][0]
+        coeffs = np.linalg.svd(bidiagonal)[2][0]
         ritz = np.zeros_like(start)
-        for c, (v, _, _) in zip(coeffs, _golub_kahan(op, q, start)):
+        for c, (v, _, _) in zip(coeffs, _golub_kahan(apply, adjoint_apply, q, start)):
             ritz += c * v
         start = ritz

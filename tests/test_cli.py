@@ -100,6 +100,14 @@ def test_norm_argument_errors_exit_2(capsys, option):
     assert out == "" and "error:" in err
 
 
+def test_high_power_pair_norm_is_quiet(capsys):
+    # x^60 overflows on the default window inside the pair's spec check only
+    code, out, err = _run(capsys, ["norm", "--operator", "pair-a", "--pair-power", "60",
+                                   "--points", "1024"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["estimate"] == pytest.approx(2.0 / 121.0, abs=1e-4)
+
+
 # fresh interpreters: the -m entry path, and what each import pulls in
 
 SRC = str(Path(cli.__file__).resolve().parents[1])

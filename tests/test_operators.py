@@ -653,6 +653,34 @@ def test_pair_spec_must_be_the_power_pair(grid):
                 ops.DiscreteWeightedPair(spec, grid, side, boundary=boundary)
 
 
+def test_high_power_pair_builds_without_overflow_warnings():
+    # x^60 and x^(-61) leave float range on the default window; the spec
+    # check compares the infinities without a RuntimeWarning
+    lg = LogGrid.default(1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = ops.DiscreteWeightedPair(ops.power_weight_pair(60), lg, "A", power=60)
+        estimate = ops.estimate_operator_norm(op, lg)
+    assert abs(estimate - 2.0 / 121.0) <= 1e-4
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("phi", ops.WeightedPairSpec(phi=lambda x: x**2 * (1.0 + 1e-9), psi=lambda x: x**-3.0,
+                                 w=lambda x: np.ones_like(x), K=0.2)),
+    ("psi", ops.WeightedPairSpec(phi=lambda x: x**2, psi=lambda x: x**-3.0 * (1.0 - 1e-9),
+                                 w=lambda x: np.ones_like(x), K=0.2)),
+    ("w", ops.WeightedPairSpec(phi=lambda x: x**2, psi=lambda x: x**-3.0,
+                               w=lambda x: np.where(x > 1e5, np.nan, 1.0), K=0.2)),
+    ("K", ops.WeightedPairSpec(phi=lambda x: x**2, psi=lambda x: x**-3.0,
+                               w=lambda x: np.ones_like(x), K=0.25)),
+])
+def test_pair_spec_check_refuses_near_misses(grid, name, spec):
+    # rtol 1e-10 refuses a 1e-9 miss, and a NaN never matches
+    with pytest.raises(ValueError, match="pair's K" if name == "K" else f"pair's {name} is"):
+        ops.DiscreteWeightedPair(spec, grid, "B", power=2)
+    assert ops.DiscreteWeightedPair(ops.power_weight_pair(2), grid, "B", power=2).side == "B"
+
+
 def _window_norm(rate, length):
     """Norm of phi -> int_0^u e^(-rate (u-s)) phi(s) ds on L^2(0, length).
 
@@ -840,6 +868,77 @@ def test_restarts_converge_to_the_top_value():
     estimate = ops.estimate_operator_norm(op, lg, tol=1e-12)
     assert op.applies > 2 * ops._RESTART
     assert abs(estimate - 1.0) <= 1e-10
+
+
+class _Forwarding:
+    """Exposes only quad_weights, apply and adjoint_apply of an operator, so
+    estimate_operator_norm runs it on the grid."""
+
+    def __init__(self, op):
+        self._op = op
+        self.quad_weights = op.quad_weights
+
+    def apply(self, v):
+        return self._op.apply(v)
+
+    def adjoint_apply(self, v):
+        return self._op.adjoint_apply(v)
+
+
+def _fewest_steps(op, lg, tol):
+    """The smallest max_iter that does not raise ConvergenceError, by bisection."""
+    lo, hi = 0, 1000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            ops.estimate_operator_norm(op, lg, max_iter=mid, tol=tol)
+            hi = mid
+        except ConvergenceError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("N", [1023, 1024])
+@pytest.mark.parametrize("family,index,side", DISCRETE_CASES)
+def test_wrap_half_spectrum_matches_the_grid(family, index, side, N):
+    # the wrap boundary runs GKL on the half-spectrum; a forwarding proxy runs
+    # the same Krylov space on the grid (odd N has no Nyquist bin)
+    lg = LogGrid.default(N)
+    op = _discrete(family, index, side, "wrap", lg)
+    proxy = _Forwarding(op)
+    for tol in (1e-7, 1e-12):
+        spectral = ops.estimate_operator_norm(op, lg, tol=tol)
+        assert spectral == pytest.approx(ops.estimate_operator_norm(proxy, lg, tol=tol),
+                                         rel=1e-13)
+    assert _fewest_steps(op, lg, 1e-7) == _fewest_steps(proxy, lg, 1e-7)
+
+
+def test_wrap_half_spectrum_replays_restarts():
+    # pair j = 8 needs more than one cycle at tol 1e-12, so the Ritz vector is
+    # rebuilt in spectral coordinates
+    lg = LogGrid.default(1024)
+    op = _discrete("pair", 8, "A", "wrap", lg)
+    proxy = _Forwarding(op)
+    steps = _fewest_steps(op, lg, 1e-12)
+    assert steps > ops._RESTART
+    assert steps == _fewest_steps(proxy, lg, 1e-12)
+    spectral = ops.estimate_operator_norm(op, lg, tol=1e-12)
+    assert spectral == pytest.approx(ops.estimate_operator_norm(proxy, lg, tol=1e-12),
+                                     rel=1e-13)
+    assert spectral == pytest.approx(2.0 / 17.0, rel=1e-10)
+
+
+def test_wrap_half_spectrum_weights_are_parseval():
+    # the spectral weights give the start vector the q-norm it has on the grid
+    rng = np.random.default_rng(5)
+    for N in (1023, 1024):
+        lg = LogGrid.default(N)
+        op = ops.DiscreteCesaro(2, lg)
+        v = rng.standard_normal(N)
+        weights, c, _, _ = op._krylov_frame(v)
+        assert len(c) == N // 2 + 1
+        assert ops._q_norm(weights, c) == pytest.approx(ops._q_norm(op.quad_weights, v),
+                                                        rel=1e-14)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-6},
