@@ -17,9 +17,9 @@ itself and is freed as soon as it is dropped, without the cyclic collector.
 
 A PowerExp closure is evaluated by Horner's rule, one group of powers that
 differ by integers at a time: one ``np.power`` per group and one ``np.exp``
-per call, whatever the number of terms.  A derivative's groups come from
-its parent's, by the Leibniz step on integer offsets, with no search.  Its
-error bound is that of the term-by-term sum (a few ulps times
+per call, whatever the number of terms.  Every PowerExp, a derivative
+included, finds its groups from its own terms on first use.  Its error
+bound is that of the term-by-term sum (a few ulps times
 sum |c_i x^p_i| / |f(x)|), and it is finite at every x where each term is,
 on the whole float range.
 """
@@ -75,22 +75,15 @@ class PowerExp(AnalyticFunction):
     powers merged, and caches it per order in a dict that never holds the
     function itself (order 0 is ``self``).
 
-    Closures are evaluated by a plan built once per function: terms whose
-    powers differ by whole numbers form a group, and each group is x^p0
-    times a Horner sum over its integer offsets (gaps between powers take
-    one power of x, not zero-coefficient steps).  A function searches its
-    terms for the groups once; a derivative takes its groups from the
-    parent's, since differentiating shifts a group's powers by whole
-    numbers, so the Leibniz step runs on each group's integer offsets.
-    Where a shifted power p0 - k rounds (p0 = 0.3, say), the shifted
-    powers need not differ from each other by exact whole numbers any more,
-    and the derivative searches its own terms, as the parent did.  Both
-    routes give the same groups.  A call costs one
-    ``np.power`` per group (none when p0 is a non-negative integer) and one
-    ``np.exp``.  Horner's rule has the backward-error bound of the term sum,
-    so the relative error is a few ulps times sum |c_i x^p_i| / |f(x)|.  The
-    result is finite wherever every term is: where a group's x^p0 times its
-    highest offset could leave the float range, points with |x| > 1 are
+    Closures are evaluated by a plan built from the terms on first use:
+    terms whose powers differ by exact whole numbers form a group, and each
+    group is x^p0 times a Horner sum over its integer offsets (gaps between
+    powers take one power of x, not zero-coefficient steps).  A call costs
+    one ``np.power`` per group (none when p0 is a non-negative integer) and
+    one ``np.exp``.  Horner's rule has the backward-error bound of the term
+    sum, so the relative error is a few ulps times sum |c_i x^p_i| / |f(x)|.
+    The result is finite wherever every term is: where a group's x^p0 times
+    its highest offset could leave the float range, points with |x| > 1 are
     summed the other way round, as x^p_top times a Horner sum in 1/x.
     At x = 0 a term x^p with p > 0 is 0 and one with p < 0 is nan (x^0 = 1);
     at x < 0 the same holds for fractional and negative powers.
@@ -107,17 +100,6 @@ class PowerExp(AnalyticFunction):
         self._derivs = {}  # order j >= 1 -> PowerExp; order 0 is self, not stored
         self._plan = None  # the Horner groups, built on first use
 
-    @classmethod
-    def _from_plan(cls, plan: tuple, rate: float) -> "PowerExp":
-        """The PowerExp whose Horner groups are ``plan`` (merged, nonzero terms)."""
-        out = cls.__new__(cls)
-        terms = [term for group in plan for term in zip(group.powers, group.given)]
-        if len(plan) > 1:                          # groups interleave
-            terms.sort()
-        out.terms = tuple(terms)
-        out.rate, out._derivs, out._plan = rate, {}, plan
-        return out
-
     def _horner(self) -> tuple:
         if self._plan is None:
             self._plan = _horner_plan(self.terms)
@@ -130,9 +112,7 @@ class PowerExp(AnalyticFunction):
         if j == 0:
             return self
         if j not in self._derivs:
-            plan = _leibniz_plan(self._horner(), self.rate, j)
-            self._derivs[j] = (PowerExp(_leibniz_terms(self.terms, self.rate, j), self.rate)
-                               if plan is None else PowerExp._from_plan(plan, self.rate))
+            self._derivs[j] = PowerExp(_leibniz_terms(self.terms, self.rate, j), self.rate)
         return self._derivs[j]
 
     def deriv(self, j: int) -> Callable:
@@ -157,15 +137,6 @@ class PowerExp(AnalyticFunction):
         out = out.reshape(x.shape)
         return out if out.shape else out[()]
 
-    def __add__(self, other: "PowerExp") -> "PowerExp":
-        if not isinstance(other, PowerExp) or other.rate != self.rate:
-            return NotImplemented
-        return PowerExp([(c, p) for p, c in self.terms] + [(c, p) for p, c in other.terms],
-                        self.rate)
-
-    def __rmul__(self, scalar) -> "PowerExp":
-        return PowerExp([(scalar * c, p) for p, c in self.terms], self.rate)
-
 
 @functools.lru_cache(maxsize=256)
 def _leibniz_weights(rate: float, j: int) -> tuple:
@@ -180,19 +151,6 @@ def _leibniz_weights(rate: float, j: int) -> tuple:
     return tuple(weights)
 
 
-def _leibniz_step(p, c, weights):
-    """(k, coef) of the nonzero terms c C(j,k) p(p-1)...(p-k+1) (-rate)^(j-k) x^(p-k)."""
-    falling = 1.0                                  # p(p-1)...(p-k+1)
-    for k, weight in enumerate(weights):
-        if weight:
-            coef = c * (weight * falling)
-            if coef != 0:
-                yield k, coef
-        falling *= p - k
-        if falling == 0:
-            break
-
-
 def _leibniz_terms(terms, rate: float, j: int) -> list:
     """(coef, power) terms of the j-th derivative of sum c x^p e^(-rate x), over e^(-rate x).
 
@@ -203,47 +161,18 @@ def _leibniz_terms(terms, rate: float, j: int) -> list:
     once; a coefficient past the float range is inf, not an exception.
     """
     weights = _leibniz_weights(rate, j)
-    return [(coef, p - k) for p, c in terms for k, coef in _leibniz_step(p, c, weights)]
-
-
-def _leibniz_plan(plan: tuple, rate: float, j: int):
-    """The Horner groups of the j-th derivative, from the parent's, or None.
-
-    A group's member p0 + o contributes to the offsets o - k, k = 0..j, so
-    the derivative's terms from one group are p0 + d over whole numbers d,
-    merged per offset in the order PowerExp merges them (ascending parent
-    power).  The result equals _horner_plan(_leibniz_terms(...)) whenever
-    every shifted power p0 + d is exact: then powers from one parent group
-    differ by exact whole numbers, and powers from two groups never do,
-    since their bases did not.  That holds for every d in [-j, top - p0]
-    once it holds at both ends (top is exact; so is p0 - j if fsum says so),
-    with all powers below 2^52 in magnitude.  Otherwise returns None.
-    """
-    weights = _leibniz_weights(rate, j)
-    groups = []                                    # (offsets, powers, coefs) per group
-    for group in plan:
-        p0, shifted = group.p0, group.p0 - j
-        if not (abs(shifted) < 2.0**52 and abs(group.top) < 2.0**52
-                and math.fsum((shifted, -p0, j)) == 0.0):
-            return None
-        coefs = [None] * (group.offsets[-1] + j + 1)   # by offset + j
-        powers = coefs.copy()
-        for offset, p, c in zip(group.offsets, group.powers, group.given):
-            for k, coef in _leibniz_step(p, c, weights):
-                i = offset + j - k
-                if coefs[i] is None:
-                    coefs[i], powers[i] = coef, p - k
-                else:
-                    coefs[i] += coef
-        kept = [i for i, c in enumerate(coefs) if c is not None and c != 0]
-        if kept:
-            groups.append(([i - kept[0] for i in kept], [powers[i] for i in kept],
-                           [coefs[i] for i in kept]))
-    groups.sort(key=lambda group: group[1][0])
-    # a float coefficient times a Leibniz weight stays a float
-    as_complex = bool(plan) and isinstance(plan[0].coefs[0], complex) and any(
-        isinstance(c, complex) for group in groups for c in group[2])
-    return tuple(_HornerGroup(*group, as_complex) for group in groups)
+    out = []
+    for p, c in terms:
+        falling = 1.0                              # p(p-1)...(p-k+1)
+        for k, weight in enumerate(weights):
+            if weight:
+                coef = c * (weight * falling)
+                if coef != 0:
+                    out.append((coef, p - k))
+            falling *= p - k
+            if falling == 0:
+                break
+    return out
 
 
 # float64 overflows at 2^1024; a forward Horner sum whose terms stay below
@@ -255,16 +184,15 @@ _RANGE_BITS = 960.0
 class _HornerGroup:
     """sum_k c_k x^(p0 + k) over integer offsets k >= 0, by Horner's rule.
 
-    ``offsets``, ``powers`` and ``given`` list the group's terms by
-    ascending offset.  In a real function the given coefficients are
-    floats; in a complex one (any coefficient complex) they are kept as
-    given, and the Horner sum reads them as complex numbers.
+    Built from the group's powers and coefficients by ascending power.  In
+    a real function the coefficients are floats; in a complex one (any
+    coefficient complex) the Horner sum reads them as complex numbers.
     """
 
-    def __init__(self, offsets: list, powers: list, given: list, as_complex: bool):
-        self.offsets, self.powers, self.given = offsets, powers, given
+    def __init__(self, powers: list, coefs: list, as_complex: bool):
         self.p0, self.top = powers[0], powers[-1]
-        self.coefs = tuple(map(complex, given)) if as_complex else tuple(given)
+        self.coefs = tuple(map(complex, coefs)) if as_complex else tuple(coefs)
+        offsets = [int(p - self.p0) for p in powers]
         self.gaps = tuple(map(operator.sub, offsets[1:], offsets[:-1]))
         # largest |x| at which the forward sum stays in range; a single term
         # is the term sum itself
@@ -297,20 +225,19 @@ class _HornerGroup:
 def _horner_plan(terms) -> tuple:
     """Group (power, coef) terms, by ascending power, whose powers differ by integers."""
     as_complex = any(isinstance(c, complex) for _, c in terms)
-    groups = []                                    # (offsets, powers, coefs) per group
+    groups = []                                    # (powers, coefs) per group
     for p, c in terms:
         if not as_complex:
             c = float(c)
-        for offsets, powers, coefs in groups:
+        for powers, coefs in groups:
             offset = float(p - powers[0])
             # fsum is exact here: it is 0 only when p - p0 was not rounded
             if offset.is_integer() and math.fsum((p, -powers[0], -offset)) == 0.0:
-                offsets.append(int(offset))
                 powers.append(p)
                 coefs.append(c)
                 break
         else:
-            groups.append(([0], [p], [c]))
+            groups.append(([p], [c]))
     return tuple(_HornerGroup(*group, as_complex) for group in groups)
 
 
@@ -415,22 +342,24 @@ def zero_function() -> PowerExp:
     return PowerExp([], rate=0.0)
 
 
-def consistency_check(f: AnalyticFunction, points=None, rel_tol: float = 1e-5) -> bool:
+# sample points and relative tolerance of consistency_check
+_CHECK_POINTS = np.array([0.31, 0.77, 1.3, 2.9, 6.1])
+_CHECK_RTOL = 1e-5
+
+
+def consistency_check(f: AnalyticFunction) -> bool:
     """Spot-check the first derivative closure against central differences.
 
     Verifies f.deriv(1) at a handful of sample points; returns True when the
-    closure matches to rel_tol relative accuracy (skipped when the function
-    carries no derivative closure).
+    closure matches to _CHECK_RTOL relative accuracy (skipped when the
+    function carries no derivative closure).
     """
     if f.order < 1:
         return True
-    if points is None:
-        points = np.array([0.31, 0.77, 1.3, 2.9, 6.1])
-    points = np.asarray(points, dtype=float)
     val = f.deriv(0)
     der = f.deriv(1)
-    h = 1e-6 * np.maximum(points, 1.0)
-    numeric = (val(points + h) - val(points - h)) / (2 * h)
-    exact = der(points)
+    h = 1e-6 * np.maximum(_CHECK_POINTS, 1.0)
+    numeric = (val(_CHECK_POINTS + h) - val(_CHECK_POINTS - h)) / (2 * h)
+    exact = der(_CHECK_POINTS)
     scale = np.max(np.abs(exact)) + np.max(np.abs(numeric)) + 1e-300
-    return bool(np.max(np.abs(numeric - exact)) <= rel_tol * scale)
+    return bool(np.max(np.abs(numeric - exact)) <= _CHECK_RTOL * scale)

@@ -155,8 +155,7 @@ def _float_weighted_constant(n: int, alpha) -> float:
 
 def cesaro_norm(n: int) -> Fraction:
     """Operator norm 2^n / (2n-1)!! of the n-th generalized Cesaro average."""
-    _check_index(n)
-    return Fraction(2**n, double_factorial_odd(n))
+    return birman_constant(n).b
 
 
 def glazman_constant(n: int, alpha) -> Fraction:

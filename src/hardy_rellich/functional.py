@@ -22,13 +22,12 @@ of checks, the rule norm_sq runs on a single row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import AnalyticFunction, PowerExp, polynomial_times_exp
+from .analytic import AnalyticFunction, PowerExp, monomial, polynomial_times_exp
 from .constants import _float_constant, _float_weighted_constant, probe_tail_coeffs
 from .errors import InvalidDataError, TrivialFunctionError
 from .grid import GridFunction, LogGrid, _log_trapezoid, _weighted_squares, norm_sq
@@ -77,38 +76,28 @@ def _leading_product(n: int, sigma: float) -> float:
 class ProbeFunction(AnalyticFunction):
     """Analytic closures for the probe's n-fold antiderivative.
 
-    Below the cutoff the j-th derivative is a pure power; above it the
-    polynomial tail is differentiated term by term.  The n-th derivative
-    reproduces the generating truncated monomial x^sigma on (0, a).
+    Two PowerExp pieces joined at the cutoff: the power
+    x^(n+sigma) / prod_{j=1..n} (j + sigma) on (0, a], 0 at x <= 0, and the
+    polynomial tail above a.  The n-th derivative reproduces the generating
+    truncated monomial x^sigma on (0, a).
     """
 
     def __init__(self, spec: ProbeSpec):
         self.spec = spec
         self.order = spec.n
-        self._tail = probe_tail_coeffs(spec.n, spec.sigma, spec.a)
-        self._product = _leading_product(spec.n, spec.sigma)
+        n, sigma, a = spec.n, spec.sigma, spec.a
+        self._below = monomial(n + sigma, 1.0 / _leading_product(n, sigma))
+        self._above = polynomial_times_exp(probe_tail_coeffs(n, sigma, a), 0.0)
 
     def deriv(self, j: int):
-        n, sigma, a = self.spec.n, self.spec.sigma, self.spec.a
+        n, a = self.spec.n, self.spec.a
         if j > n:
             raise ValueError(f"probe carries derivatives up to order {n}, got {j}")
-
-        falling = 1.0
-        for ell in range(j):
-            falling *= n + sigma - ell
+        below, above = self._below.deriv(j), self._above.deriv(j)
 
         def evaluate(x):
             x = np.asarray(x, dtype=float)
-            below = np.zeros_like(x)
-            pos = x > 0
-            with np.errstate(invalid="ignore"):
-                below[pos] = falling / self._product * x[pos] ** (n + sigma - j)
-            # the tail has degree n - 1: its derivative of order n is 0
-            above = np.zeros_like(x)
-            for k in range(j, n):
-                fact = math.factorial(k) / math.factorial(k - j)
-                above = above + self._tail[k] * fact * x ** (k - j)
-            out = np.where(x <= a, below, above)
+            out = np.where(x > a, above(x), np.where(x > 0, below(x), 0.0))
             return out if out.shape else out[()]
 
         return evaluate

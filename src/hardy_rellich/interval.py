@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
-from .errors import ConvergenceError, TrivialFunctionError
+from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError
 from .functional import RatioReport, _build_report, _halfline_norms
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
 
@@ -170,8 +170,9 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
     """Finite-interval ratio of derivative energy to distance-weighted mass.
 
     Strictly exceeds the sharp constant for admissible nonzero functions; a
-    numerically zero f raises TrivialFunctionError, and a mismatch between
-    the declared vanishing and the closures raises ValueError.  Once the
+    numerically zero f raises TrivialFunctionError, a mismatch between the
+    declared vanishing and the closures raises ValueError, and samples whose
+    sums leave the float range raise InvalidDataError.  Once the
     vanishing is checked, a computed ratio at or below c_n can only be a
     discretization failure, never a counterexample: it raises
     ConvergenceError with the ratio as last_estimate.
@@ -181,12 +182,18 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     constant = _float_constant("c_n", n)
     nodes = _quad_nodes(problem, panels)
-    fx = np.asarray(f.deriv(0)(nodes))
-    _boundary_consistency(problem, f, nodes, fx)
-    dn = np.asarray(f.deriv(n)(nodes))
     widths = np.diff(nodes)
-    numerator = _trapezoid(_abs_sq(dn), widths)
-    denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])), widths)
+    # unwarned, as GridFunction.from_callable samples: non-finite sums raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.asarray(f.deriv(0)(nodes))
+        _boundary_consistency(problem, f, nodes, fx)
+        dn = np.asarray(f.deriv(n)(nodes))
+        numerator = _trapezoid(_abs_sq(dn), widths)
+        denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])),
+                                 widths)
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise InvalidDataError("interval samples leave the float range: "
+                               "the ratio's sums are not finite")
     report = _build_report(n, numerator, denominator, constant,
                            side=problem.side, a=problem.a, c=problem.c)
     if not report.ratio > constant:

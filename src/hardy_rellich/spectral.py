@@ -209,22 +209,27 @@ def curve_to_csv(curve: SpectrumCurve, path) -> None:
                              repr(float(point.imag))])
 
 
-def curve_to_svg(curve: SpectrumCurve, size: int = 640, margin: float = 0.08) -> str:
+# side of the square SVG viewBox; padding as a fraction of the curve's extent
+_SVG_SIZE = 640
+_SVG_MARGIN = 0.08
+
+
+def curve_to_svg(curve: SpectrumCurve) -> str:
     """Minimal SVG polyline of the curve with unit axes, viewBox auto-fit."""
     re = curve.points.real
     im = curve.points.imag
     lo = min(re.min(), im.min())
     hi = max(re.max(), im.max())
     span = (hi - lo) or 1.0
-    pad = margin * span
+    pad = _SVG_MARGIN * span
     lo, hi = lo - pad, hi + pad
     span = hi - lo
 
     def sx(v):
-        return (v - lo) / span * size
+        return (v - lo) / span * _SVG_SIZE
 
     def sy(v):
-        return size - (v - lo) / span * size
+        return _SVG_SIZE - (v - lo) / span * _SVG_SIZE
 
     pts = " ".join(f"{sx(p.real):.3f},{sy(p.imag):.3f}" for p in curve.points)
     axes = (
@@ -234,7 +239,7 @@ def curve_to_svg(curve: SpectrumCurve, size: int = 640, margin: float = 0.08) ->
         'stroke="#999" stroke-width="1"/>'
     )
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'
         f"{axes}"
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
         "</svg>"

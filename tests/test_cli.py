@@ -197,6 +197,14 @@ def test_non_finite_samples_give_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: grid samples contain non-finite values"]
 
 
+def test_interval_samples_past_the_float_range_give_one_error_line(tmp_path):
+    proc = _python(tmp_path, "-m", "hardy_rellich.cli", "interval", "--n", "1",
+                   "--function", "gamma:p=400", "--c", "10", "--side", "left")
+    assert proc.returncode == cli.EXIT_VALIDATION and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "float range" in line
+
+
 # the largest n whose constant fits in a float: 98 for c_n, 178 for b_n
 
 @pytest.mark.parametrize("argv,limit", [

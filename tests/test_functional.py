@@ -10,7 +10,7 @@ import pytest
 from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
 from hardy_rellich.errors import InvalidDataError
-from hardy_rellich.functional import (ProbeSpec, birman_ratio, glazman_ratio,
+from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio, glazman_ratio,
                                       probe_ratio_closed_form, random_polynomial_probe,
                                       sharpness_sweep)
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
@@ -46,6 +46,74 @@ def test_probe_closed_form_matches_exact_integrals(n, sigma, a):
     got = probe_ratio_closed_form(ProbeSpec(n=n, sigma=float(sigma), a=float(a)))
     exact = _exact_probe_parts(n, sigma, a)
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+def _exact_probe_derivative(n, sigma, a, j, x, mpmath):
+    """F^(j)(x) of the probe's n-fold antiderivative F, from Cauchy's formula.
+
+    Below the cutoff F^(j) = x^(n+sigma-j) Gamma(sigma+1)/Gamma(n+sigma-j+1);
+    above it F^(j) = int_0^a (x-t)^m t^sigma dt / m! with m = n-1-j, expanded
+    by the binomial theorem (0 for j = n); F vanishes at x <= 0.
+    """
+    sigma, a, x = mpmath.mpf(sigma), mpmath.mpf(a), mpmath.mpf(x)
+    if x <= 0:
+        return mpmath.mpf(0)
+    if x <= a:
+        return x ** (n + sigma - j) * mpmath.gamma(sigma + 1) / mpmath.gamma(n + sigma - j + 1)
+    m = n - 1 - j
+    if m < 0:
+        return mpmath.mpf(0)
+    return sum(mpmath.binomial(m, i) * x ** (m - i) * (-1) ** i * a ** (sigma + i + 1)
+               / (sigma + i + 1) for i in range(m + 1)) / mpmath.factorial(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("sigma", [-0.25, 0.0, 1.5])
+@pytest.mark.parametrize("a", [1.0, 10.0])
+def test_probe_closures_are_the_piecewise_closed_forms(n, sigma, a):
+    mpmath = pytest.importorskip("mpmath")
+    f = ProbeFunction(ProbeSpec(n, sigma, a))
+    # x = a belongs to the power piece: F^(n)(a) = a^sigma, not the tail's 0
+    x = np.array([-1.0, 0.0, 1e-3 * a, 0.5 * a, a, np.nextafter(a, np.inf),
+                  2 * a, 10 * a, 1e3 * a])
+    with mpmath.workdps(40):
+        for j in range(n + 1):
+            got = f.deriv(j)(x)
+            for value, point in zip(got, x):
+                exact = _exact_probe_derivative(n, sigma, a, j, point, mpmath)
+                if exact == 0:
+                    assert value == 0, (j, point)
+                else:
+                    assert abs(value - exact) <= 1e-12 * abs(exact), (j, point)
+    assert np.ndim(f.deriv(0)(a)) == 0
+    with pytest.raises(ValueError, match="up to order"):
+        f.deriv(n + 1)
+
+
+# glazman_ratio(n, 0, ProbeSpec(n, 0)) on LogGrid.default(size) for size =
+# 1024, 4096, 16384
+PROBE_GRID_RATIOS = {
+    1: (0.49662631013600594, 0.4991590588428641, 0.4997916781426674),
+    3: (7.607942245253737, 7.646796532248489, 7.656491257971285),
+    7: (2468343.957411775, 2480949.9562816247, 2484095.3423664668),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PROBE_GRID_RATIOS))
+def test_probe_grid_ratio_converges_at_first_order(n):
+    spec = ProbeSpec(n, 0.0)
+    numerator, denominator = probe_ratio_closed_form(spec)
+    exact = numerator / denominator
+    errors = []
+    for size, pinned in zip((1024, 4096, 16384), PROBE_GRID_RATIOS[n]):
+        # the tail of |F|^2 x^(-2n) decays only like x^(-2): the end test warns
+        with pytest.warns(UserWarning, match="does not decay"):
+            ratio = glazman_ratio(n, 0.0, spec, LogGrid.default(size)).ratio
+        assert ratio == pytest.approx(pinned, rel=1e-12)
+        errors.append(ratio - exact)
+    # f^(n) jumps from 1 to 0 at the cutoff: the error falls 4x per 4x nodes
+    assert all(error < 0 for error in errors)
+    assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(errors, errors[1:]))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hardy_rellich.analytic import gamma_class, monomial, polynomial_times_exp
+from hardy_rellich.analytic import PowerExp, gamma_class, polynomial_times_exp
 from hardy_rellich.cli import parse_function
 from hardy_rellich.constants import SIDES
-from hardy_rellich.errors import ConvergenceError, TrivialFunctionError
+from hardy_rellich.errors import ConvergenceError, InvalidDataError, TrivialFunctionError
 from hardy_rellich.functional import ProbeSpec
 from hardy_rellich.grid import GridFunction, LogGrid
 from hardy_rellich.interval import (
@@ -69,6 +69,14 @@ def test_ratio_at_or_below_the_constant_is_no_counterexample():
     with pytest.raises(ConvergenceError, match="not above c_5") as err:
         interval_ratio(IntervalProblem(5, 0.0, 1.0, "both"), _bridge(5, 0.0, 1.0, 0))
     assert 0.2 < err.value.last_estimate < 0.22
+
+
+def test_samples_past_the_float_range_raise_the_typed_error():
+    # x^400 overflows from x = 5.9 on: the sums are not finite, which is
+    # neither a trivial function nor a ratio below c_1, and numpy stays quiet
+    # (the suite turns RuntimeWarning into an error)
+    with pytest.raises(InvalidDataError, match="float range"):
+        interval_ratio(IntervalProblem(1, 0.0, 10.0, "left"), gamma_class(400.0))
 
 
 @pytest.mark.parametrize("kwargs", [{"panels": 1}, {"panels": 0}, {"panels": -5}])
@@ -142,7 +150,7 @@ def test_single_pass_ratio_matches_the_per_use_formula(n, a, c, side):
 def test_ratio_refuses_a_function_that_does_not_vanish(side):
     problem = IntervalProblem(2, 0.5, 1.5, side)
     with pytest.raises(ValueError, match="does not vanish"):
-        interval_ratio(problem, monomial(1.0) + monomial(2.0))
+        interval_ratio(problem, PowerExp([(1.0, 1.0), (1.0, 2.0)]))
     # vanishing to order 1 only fails the derivative-1 check
     with pytest.raises(ValueError, match="derivative 1"):
         interval_ratio(problem, _bridge(1, 0.5, 1.5, 0))
