@@ -20,7 +20,6 @@ from .constants import (
     eval_r_n,
     glazman_constant,
     leibniz_coeffs,
-    probe_tail_coeffs,
     spectral_polynomials,
 )
 from .errors import (
@@ -42,7 +41,6 @@ __all__ = [
     "eval_r_n",
     "glazman_constant",
     "leibniz_coeffs",
-    "probe_tail_coeffs",
     "spectral_polynomials",
     "ConvergenceError",
     "HardyRellichError",

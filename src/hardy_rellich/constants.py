@@ -9,8 +9,7 @@ The central objects are
 * its reciprocal square root  b_n = 2^n / (2n-1)!!, which is the operator
   norm of the n-th generalized Cesaro average,
 * the weighted (Glazman) constant  [prod_{j=1..n} (2n+1-2j-alpha)]^2 / 2^(2n),
-* the coefficients a_j(n,k) in the Leibniz expansion of (x^n f)^(k),
-* the tail coefficients b_k of the optimality probe family, and
+* the coefficients a_j(n,k) in the Leibniz expansion of (x^n f)^(k), and
 * the polynomial p_n(z) = prod_{k=0..n-1} (z+k) together with the rational
   function r_n(z) = z^n / prod_{k=1..n-1} (1+kz) that maps the spectrum of
   the Cesaro average T_1 onto the spectrum of T_n.
@@ -37,7 +36,6 @@ __all__ = [
     "cesaro_norm",
     "glazman_constant",
     "leibniz_coeffs",
-    "probe_tail_coeffs",
     "spectral_polynomials",
     "eval_p_n",
     "eval_r_n",
@@ -191,33 +189,6 @@ def leibniz_coeffs(n: int, k: int) -> LeibnizTable:
             prod *= n - ell
         coeffs.append(math.comb(k, j) * prod)
     return LeibnizTable(n=n, k=k, a=tuple(coeffs))
-
-
-def probe_tail_coeffs(n: int, sigma: float, a: float) -> list:
-    """Polynomial tail coefficients of the n-fold antiderivative of the probe.
-
-    The probe x^sigma truncated at x = a has an n-fold antiderivative that is
-    a polynomial sum_{k<n} b_k x^k beyond the cutoff, with
-
-        b_k = (-1)^(n-k+1) a^(n-k+sigma) / (k! (n-k-1)! (n-k+sigma)).
-
-    Values are returned as floats (sigma is generically irrational); exact
-    checks should use rational sigma and recompute independently.
-    """
-    _check_index(n)
-    if not sigma > -0.5:
-        raise ValueError(f"probe requires sigma > -1/2 for square-integrability, got {sigma}")
-    if not a > 0:
-        raise ValueError(f"cutoff a must be positive, got {a}")
-    out = []
-    for k in range(n):
-        sign = -1.0 if (n - k + 1) % 2 else 1.0
-        out.append(
-            sign
-            * float(a) ** (n - k + sigma)
-            / (math.factorial(k) * math.factorial(n - k - 1) * (n - k + sigma))
-        )
-    return out
 
 
 def spectral_polynomials(n: int) -> SpectralPolynomials:

@@ -4,14 +4,14 @@ The n-th ratio is  integral |f^(n)|^2 dx  over  integral |f|^2 x^(-2n) dx;
 it exceeds the sharp constant c_n strictly for every admissible nonzero f,
 and no admissible extremizer exists.  Sharpness is demonstrated with the
 probe family built from f_sigma = x^sigma on (0, a): its n-fold
-antiderivative has piecewise closed forms (a pure power below the cutoff, a
-degree-(n-1) polynomial tail above), so the probe ratio
+antiderivative F is g_0 x^(n+sigma) below the cutoff and its Taylor
+polynomial at a above it, sum_{k<n} g_k a^(n+sigma-k) (x - a)^k with
+g_k = 1/(k! prod_{j=1..n-k} (j + sigma)) > 0.  As int_a^inf x^(-2n) (x-a)^m dx
+= a^(m+1-2n) B(m+1, 2n-1-m), the probe ratio
 
-    R(n, sigma, a) = P^2 / (1 + (1+2 sigma) C(a) a^(-1-2 sigma) P^2),
-    P = prod_{j=1..n} (j + sigma),
-    C(a) = integral_a^inf x^(-2n) (sum_k b_k x^k)^2 dx,
+    R(n, sigma) = 1 / (g_0^2 + (1+2 sigma) sum_{k,l<n} g_k g_l B(k+l+1, 2n-1-k-l))
 
-is available in closed form and decreases to c_n as sigma drops to -1/2.
+is free of a and of cancellation, and decreases to c_n as sigma drops to -1/2.
 
 Functions with derivative closures are integrated on a LogGrid in one
 stacked pass (_halfline_norms): every closure a ratio needs (f^(n) and f,
@@ -22,13 +22,14 @@ of checks, the rule norm_sq runs on a single row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .analytic import AnalyticFunction, PowerExp, monomial, polynomial_times_exp
-from .constants import _float_constant, _float_weighted_constant, probe_tail_coeffs
+from .constants import _float_constant, _float_weighted_constant
 from .errors import InvalidDataError, TrivialFunctionError
 from .grid import GridFunction, LogGrid, _log_trapezoid, _weighted_squares, norm_sq
 
@@ -66,19 +67,26 @@ class ProbeSpec:
             raise ValueError(f"cutoff must be positive, got {self.a}")
 
 
-def _leading_product(n: int, sigma: float) -> float:
-    prod = 1.0
-    for j in range(1, n + 1):
-        prod *= j + sigma
-    return prod
+def _probe_taylor(n: int, sigma: float) -> list:
+    """g_k = 1/(k! prod_{j=1..n-k} (j + sigma)) for k < n, all positive.
+
+    F^(k)(a)/k! = g_k a^(n+sigma-k): the Taylor coefficients at the cutoff
+    of the probe's antiderivative, with the powers of a taken out.  Built
+    downward from g_(n-1) by g_k = g_(k+1) (k+1)/(n-k+sigma).
+    """
+    g = [1.0 / (math.factorial(n - 1) * (1 + sigma))]
+    for k in range(n - 2, -1, -1):
+        g.append(g[-1] * (k + 1) / (n - k + sigma))
+    return g[::-1]
 
 
 class ProbeFunction(AnalyticFunction):
     """Analytic closures for the probe's n-fold antiderivative.
 
-    Two PowerExp pieces joined at the cutoff: the power
-    x^(n+sigma) / prod_{j=1..n} (j + sigma) on (0, a], 0 at x <= 0, and the
-    polynomial tail above a.  The n-th derivative reproduces the generating
+    Two PowerExp pieces joined at the cutoff: the power g_0 x^(n+sigma) on
+    (0, a], 0 at x <= 0, and the Taylor polynomial at a above it, a
+    polynomial in x - a (see _probe_taylor).  Each piece is evaluated on its
+    own points only.  The n-th derivative reproduces the generating
     truncated monomial x^sigma on (0, a).
     """
 
@@ -86,41 +94,46 @@ class ProbeFunction(AnalyticFunction):
         self.spec = spec
         self.order = spec.n
         n, sigma, a = spec.n, spec.sigma, spec.a
-        self._below = monomial(n + sigma, 1.0 / _leading_product(n, sigma))
-        self._above = polynomial_times_exp(probe_tail_coeffs(n, sigma, a), 0.0)
+        g = _probe_taylor(n, sigma)
+        self._below = monomial(n + sigma, g[0])
+        self._tail = polynomial_times_exp(
+            [gk * a ** (n + sigma - k) for k, gk in enumerate(g)], 0.0)
 
     def deriv(self, j: int):
         n, a = self.spec.n, self.spec.a
         if j > n:
             raise ValueError(f"probe carries derivatives up to order {n}, got {j}")
-        below, above = self._below.deriv(j), self._above.deriv(j)
+        below, tail = self._below.deriv(j), self._tail.deriv(j)
 
         def evaluate(x):
             x = np.asarray(x, dtype=float)
-            out = np.where(x > a, above(x), np.where(x > 0, below(x), 0.0))
+            out = np.zeros(x.shape)
+            above, inside = x > a, (x > 0) & (x <= a)
+            out[above] = tail(x[above] - a)
+            out[inside] = below(x[inside])
             return out if out.shape else out[()]
 
         return evaluate
 
 
-def _probe_tail_integral(spec: ProbeSpec) -> float:
-    """C(a): mass of the squared polynomial tail against x^(-2n) beyond a."""
-    n, a = spec.n, spec.a
-    b = probe_tail_coeffs(n, spec.sigma, a)
-    total = 0.0
-    for k in range(n):
-        for ell in range(n):
-            total += b[k] * b[ell] * a ** (k + ell + 1 - 2 * n) / (2 * n - 1 - k - ell)
-    return total
+def _probe_closed_form(spec: ProbeSpec) -> tuple:
+    """(numerator, denominator, ratio) of the probe ratio (module docstring).
+
+    The ratio is taken before the factor a^(1+2 sigma) goes in, so it keeps
+    its digits where the denominator is subnormal.
+    """
+    n, sigma = spec.n, spec.sigma
+    g = _probe_taylor(n, sigma)
+    # B(m+1, 2n-1-m) = m! (2n-2-m)! / (2n-1)!
+    beta = [1 / ((2 * n - 1) * math.comb(2 * n - 2, m)) for m in range(2 * n - 1)]
+    ratio = 1 / (g[0] ** 2 + (1 + 2 * sigma) * float(np.convolve(g, g) @ beta))
+    numerator = spec.a ** (1 + 2 * sigma) / (1 + 2 * sigma)
+    return numerator, numerator / ratio, ratio
 
 
 def probe_ratio_closed_form(spec: ProbeSpec) -> tuple:
     """(numerator, denominator) of the probe ratio, both in closed form."""
-    n, sigma, a = spec.n, spec.sigma, spec.a
-    numerator = a ** (1 + 2 * sigma) / (1 + 2 * sigma)
-    prod_sq = _leading_product(n, sigma) ** 2
-    denominator = numerator / prod_sq + _probe_tail_integral(spec)
-    return numerator, denominator
+    return _probe_closed_form(spec)[:2]
 
 
 @dataclass(frozen=True)
@@ -210,9 +223,17 @@ def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> 
     if isinstance(f, ProbeSpec):
         if f.n != n:
             raise ValueError(f"probe was built for n={f.n}, ratio requested for n={n}")
-        numerator, denominator = probe_ratio_closed_form(f)
-        return _build_report(n, numerator, denominator, constant,
-                             sigma=f.sigma, a=f.a)
+        # the closed form is positive by construction: no vanishing-denominator
+        # test.  Its ratio errs by at most n ulps, so a slack inside 8 n ulps
+        # (sigma within about 1e-13 of -1/2), or an infinite ratio, has no sign
+        numerator, denominator, ratio = _probe_closed_form(f)
+        slack = ratio - constant
+        if not slack > 8 * n * np.finfo(float).eps * ratio:
+            raise ValueError(f"sigma = {f.sigma!r}: the probe's slack is not resolved in "
+                             "floating point (sigma too close to -1/2, or the ratio too large)")
+        return RatioReport(n=n, numerator=numerator, denominator=denominator,
+                           ratio=ratio, constant=constant, slack=slack,
+                           sigma=f.sigma, a=f.a)
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     grid = grid or LogGrid.default()

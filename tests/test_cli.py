@@ -61,6 +61,57 @@ def test_interval_ratio_below_the_constant_exits_3(capsys):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+# exact probe ratios (bench/oracles.probe_ratio), keyed by (n, sigma); the
+# ratio does not depend on the cutoff.  At these n a tail written in powers
+# of x cancels every digit
+EXACT_PROBE_RATIOS = {
+    (34, 0): 1.8296944281757793e75,
+    (60, 0): 8.274263573558746e161,
+    (98, 0): 6.51712282745829e305,
+    (98, 2): 2.3361339956807865e306,
+}
+
+
+@pytest.mark.parametrize("n,sigma", sorted(EXACT_PROBE_RATIOS))
+@pytest.mark.parametrize("cutoff", ["2", "10", "50"])
+def test_probe_ratio_matches_the_exact_ratio(capsys, n, sigma, cutoff):
+    code, out, err = _run(capsys, ["ratio", "--n", str(n),
+                                   "--function", f"probe:sigma={sigma},a={cutoff}"])
+    assert code == 0 and err == ""
+    report = json.loads(out)["report"]
+    assert report["ratio"] == pytest.approx(EXACT_PROBE_RATIOS[n, sigma], rel=1e-12)
+    assert report["slack"] > 0
+
+
+@pytest.mark.parametrize("n,sigma", sorted(EXACT_PROBE_RATIOS))
+@pytest.mark.parametrize("cutoff", ["2", "10", "50"])
+def test_sharpness_matches_the_exact_ratio(capsys, n, sigma, cutoff):
+    code, out, err = _run(capsys, ["sharpness", "--n", str(n), "--eps", str(sigma + 0.5),
+                                   "--cutoff", cutoff])
+    assert code == 0 and err == ""
+    (report,) = json.loads(out)["reports"]
+    assert report["ratio"] == pytest.approx(EXACT_PROBE_RATIOS[n, sigma], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [34, 97, 98])
+def test_sharpness_slacks_are_positive_up_to_the_float_limit(capsys, n):
+    # n = 97 and 98 have denominators below 1e-300 at the default cutoff
+    code, out, err = _run(capsys, ["sharpness", "--n", str(n)])
+    assert code == 0 and err == ""
+    assert all(report["slack"] > 0 for report in json.loads(out)["reports"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--n", "2", "--function", "probe:sigma=-0.5"],
+    ["ratio", "--n", "2", "--function", "probe:sigma=-0.4999999999999999"],
+    ["sharpness", "--n", "2", "--cutoff", "0"],
+])
+def test_invalid_probes_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_non_convergence_exits_3(capsys):
     code, out, err = _run(capsys, ["norm", "--points", "256", "--max-iter", "1",
                                    "--tol", "1e-16"])

@@ -18,7 +18,6 @@ from hardy_rellich.constants import (
     eval_r_n,
     glazman_constant,
     leibniz_coeffs,
-    probe_tail_coeffs,
     spectral_polynomials,
 )
 from hardy_rellich.errors import PoleError
@@ -146,37 +145,6 @@ class TestLeibnizCoeffs:
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             leibniz_coeffs(2, 3)
-
-
-class TestProbeTailCoeffs:
-    def test_unit_probe(self):
-        assert probe_tail_coeffs(1, 0.0, 1.0) == [1.0]
-
-    def test_first_order_closed_form(self):
-        for sigma, a in ((0.25, 2.0), (-0.3, 5.0), (1.5, 0.7)):
-            (b0,) = probe_tail_coeffs(1, sigma, a)
-            assert b0 == pytest.approx(a ** (1 + sigma) / (1 + sigma), rel=1e-15)
-
-    def test_second_order_by_symbolic_integration(self):
-        # double antiderivative of the unit-cutoff probe: sample the smooth
-        # branch beyond the cutoff at two points and read off the line
-        sympy = pytest.importorskip("sympy")
-        t, s = sympy.symbols("t s", positive=True)
-        inner = sympy.integrate(sympy.Piecewise((1, t < 1), (0, True)), (t, 0, s))
-
-        def double_anti(x0):
-            return sympy.integrate(inner, (s, 0, x0))
-
-        v2, v3 = double_anti(2), double_anti(3)
-        b1 = sympy.nsimplify(v3 - v2)
-        b0 = sympy.nsimplify(v2 - 2 * b1)
-        assert [float(b0), float(b1)] == probe_tail_coeffs(2, 0.0, 1.0) == [-0.5, 1.0]
-
-    def test_rejects_non_square_integrable(self):
-        with pytest.raises(ValueError):
-            probe_tail_coeffs(2, -0.5, 1.0)
-        with pytest.raises(ValueError):
-            probe_tail_coeffs(2, 0.0, -1.0)
 
 
 class TestSpectralPolynomials:

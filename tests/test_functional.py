@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
@@ -67,7 +68,9 @@ def _exact_probe_derivative(n, sigma, a, j, x, mpmath):
                / (sigma + i + 1) for i in range(m + 1)) / mpmath.factorial(m)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
+# n = 30: just past the cutoff the reference binomial sum cancels about 41
+# digits, hence 80-digit arithmetic
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 30])
 @pytest.mark.parametrize("sigma", [-0.25, 0.0, 1.5])
 @pytest.mark.parametrize("a", [1.0, 10.0])
 def test_probe_closures_are_the_piecewise_closed_forms(n, sigma, a):
@@ -75,8 +78,8 @@ def test_probe_closures_are_the_piecewise_closed_forms(n, sigma, a):
     f = ProbeFunction(ProbeSpec(n, sigma, a))
     # x = a belongs to the power piece: F^(n)(a) = a^sigma, not the tail's 0
     x = np.array([-1.0, 0.0, 1e-3 * a, 0.5 * a, a, np.nextafter(a, np.inf),
-                  2 * a, 10 * a, 1e3 * a])
-    with mpmath.workdps(40):
+                  1.05 * a, 2 * a, 10 * a, 1e3 * a])
+    with mpmath.workdps(80):
         for j in range(n + 1):
             got = f.deriv(j)(x)
             for value, point in zip(got, x):
@@ -88,6 +91,115 @@ def test_probe_closures_are_the_piecewise_closed_forms(n, sigma, a):
     assert np.ndim(f.deriv(0)(a)) == 0
     with pytest.raises(ValueError, match="up to order"):
         f.deriv(n + 1)
+
+
+class TestProbeTail:
+    """Beyond the cutoff the probe's antiderivative is a polynomial."""
+
+    def test_unit_probe(self):
+        # n = 1, sigma = 0, a = 1: F(x) = min(x, 1)
+        assert ProbeFunction(ProbeSpec(1, 0.0, 1.0))(np.array([2.0, 5.0])).tolist() == [1.0, 1.0]
+
+    def test_first_order_closed_form(self):
+        for sigma, a in ((0.25, 2.0), (-0.3, 5.0), (1.5, 0.7)):
+            f = ProbeFunction(ProbeSpec(1, sigma, a))
+            assert f(3 * a) == pytest.approx(a ** (1 + sigma) / (1 + sigma), rel=1e-15)
+
+    def test_second_order_by_symbolic_integration(self):
+        # double antiderivative of the unit-cutoff probe, sampled on its tail
+        sympy = pytest.importorskip("sympy")
+        t, s = sympy.symbols("t s", positive=True)
+        inner = sympy.integrate(sympy.Piecewise((1, t < 1), (0, True)), (t, 0, s))
+        exact = [float(sympy.integrate(inner, (s, 0, x0))) for x0 in (2, 3)]
+        f = ProbeFunction(ProbeSpec(2, 0.0, 1.0))
+        assert f(np.array([2.0, 3.0])).tolist() == exact == [1.5, 2.5]
+
+    def test_rejects_non_square_integrable(self):
+        for sigma in (-0.5, -0.7, math.nan):
+            with pytest.raises(ValueError, match="sigma > -1/2"):
+                ProbeSpec(2, sigma, 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_rejects_a_nonpositive_cutoff(self, a):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            ProbeSpec(2, 0.0, a)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_an_index_below_one(self, n):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            ProbeSpec(n, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec", [ProbeSpec(50, 1.5), ProbeSpec(52, 0.0)])
+def test_probe_closures_evaluate_each_piece_on_its_own_points(spec):
+    # the power piece overflows at x = 1e6, beyond the cutoff, where it is
+    # not used; a RuntimeWarning is an error under the suite's filter
+    f = ProbeFunction(spec)
+    x = LogGrid.default().x
+    for j in (0, 1, spec.n):
+        assert np.isfinite(f.deriv(j)(x)).all()
+
+
+def _exact_probe_ratio(n, sigma):
+    """The probe ratio in exact arithmetic, for rational sigma > -1/2.
+
+    Written with the monomial tail F = sum_k b_k x^k beyond the cutoff,
+    b_k = (-1)^(n-1-k) a^(n-k+sigma) / (k! (n-1-k)! (n-k+sigma)), whose
+    cancellation exact rationals do not feel; a^(1+2 sigma) divides out.
+    """
+    prod = math.prod(j + sigma for j in range(1, n + 1))
+    b = [Fraction((-1) ** (n - 1 - k), math.factorial(k) * math.factorial(n - 1 - k))
+         / (n - k + sigma) for k in range(n)]
+    tail = sum(b[k] * b[m] / (2 * n - 1 - k - m) for k in range(n) for m in range(n))
+    head = 1 / (1 + 2 * sigma)
+    return head / (head / prod**2 + tail)
+
+
+# the CLI's default offsets, sigma = -1/2 + eps
+DEFAULT_EPS = ("0.5", "0.25", "0.1", "0.05", "0.01", "0.001")
+
+
+@pytest.mark.parametrize("n", [34, 60, 98])
+def test_sharpness_sweep_matches_the_exact_ratios(n):
+    # at these n a tail written in powers of x cancels every digit
+    exact = [float(_exact_probe_ratio(n, Fraction(e) - Fraction(1, 2))) for e in DEFAULT_EPS]
+    for a in (2.0, 10.0, 50.0):
+        sweep = sharpness_sweep(n, [float(e) for e in DEFAULT_EPS], a)
+        assert [r.ratio for r in sweep.reports] == pytest.approx(exact, rel=1e-12)
+        assert all(r.slack > 0 for r in sweep.reports)
+
+
+def test_probe_ratio_keeps_its_digits_where_the_denominator_is_subnormal():
+    report = birman_ratio(98, ProbeSpec(98, 2.0, 0.01))
+    assert 0 < report.denominator < np.finfo(float).tiny
+    assert report.ratio == pytest.approx(2.3361339956807865e306, rel=1e-12)   # exact
+
+
+# sigma = -1/2 + 10^t: offsets near -1/2, where the slack is smallest, are
+# drawn as often as the ones far from it
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=98),
+       st.floats(min_value=-16.0, max_value=1.0).map(lambda t: -0.5 + 10.0**t),
+       st.floats(min_value=1e-2, max_value=1e3))
+def test_probe_ratio_sits_above_the_constant_whatever_the_cutoff(n, sigma, a):
+    try:
+        report = birman_ratio(n, ProbeSpec(n, sigma, a))
+    except ValueError:
+        # refused only where the slack, about (1 + 2 sigma) c_n, is below
+        # the closed form's rounding error
+        assert 1 + 2 * sigma < 1e-12
+        return
+    assert report.slack > 0
+    unit = birman_ratio(n, ProbeSpec(n, sigma, 1.0))
+    assert report.ratio == pytest.approx(unit.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [ProbeSpec(n, -0.5 + 1e-16) for n in (1, 2, 60, 98)]
+                         + [ProbeSpec(98, 200.0, 1.0)])
+def test_unresolved_probe_slack_is_refused(spec):
+    # a slack below the closed form's rounding error, or an infinite ratio
+    with pytest.raises(ValueError, match="not resolved"):
+        birman_ratio(spec.n, spec)
 
 
 # glazman_ratio(n, 0, ProbeSpec(n, 0)) on LogGrid.default(size) for size =

@@ -47,10 +47,13 @@ def _falling(base, count):
 def _probe_image(spec):
     """Analytic closures for F_probe / x^n, the image of f_sigma under T_n."""
     from hardy_rellich.analytic import AnalyticFunction
-    from hardy_rellich.constants import probe_tail_coeffs
 
     n, sigma, a = spec.n, spec.sigma, spec.a
-    tail = probe_tail_coeffs(n, sigma, a)
+    # F = sum_k b_k x^k beyond the cutoff: alternating monomial coefficients,
+    # which cancel only mildly for the n <= 3 probes used here
+    tail = [(-1) ** (n - k - 1) * a ** (n - k + sigma)
+            / (math.factorial(k) * math.factorial(n - k - 1) * (n - k + sigma))
+            for k in range(n)]
     lead = 1.0 / math.prod(j + sigma for j in range(1, n + 1))
 
     class ProbeImage(AnalyticFunction):
