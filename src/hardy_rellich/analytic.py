@@ -41,7 +41,6 @@ __all__ = [
     "gamma_class",
     "polynomial_times_exp",
     "zero_function",
-    "consistency_check",
 ]
 
 
@@ -242,11 +241,20 @@ def _horner_plan(terms) -> tuple:
 
 
 def _int_power(d: int, powers: dict):
-    """t^d by repeated squaring, memoised in powers (which holds 1: t)."""
-    if d not in powers:
-        half = _int_power(d // 2, powers)
-        powers[d] = half * half * powers[1] if d % 2 else half * half
-    return powers[d]
+    """t^d by repeated squaring, memoised in powers (which holds 1: t).
+
+    t^d = (t^(d//2))^2, times t for odd d, built upward from the first
+    d // 2^k already in powers: one loop step per bit, no recursion, and
+    only t^d itself is kept.
+    """
+    chain = [d]
+    while chain[-1] not in powers:
+        chain.append(chain[-1] // 2)
+    value = powers[chain.pop()]
+    for k in reversed(chain):
+        value = value * value * powers[1] if k % 2 else value * value
+    powers[d] = value
+    return value
 
 
 def _horner(coefs, gaps, powers):
@@ -290,8 +298,10 @@ class LogGaussian(AnalyticFunction):
     def __init__(self, mu: float = 0.0, s: float = 1.0, power: float = 0.0):
         self.mu = float(mu)
         self.s = float(s)
-        if not (self.s > 0 and math.isfinite(self.s)):
-            raise ValueError(f"the width s must be positive and finite, got {s}")
+        # the closures divide by s^2, which must be a positive float too
+        if not (self.s > 0 and 0 < self.s * self.s < math.inf):
+            raise ValueError(f"the width s must be positive and finite, with s^2 in the "
+                             f"float range, got {s}")
         self.power = float(power)
 
     def _value(self, x):
@@ -340,26 +350,3 @@ def polynomial_times_exp(coeffs: Sequence, rate: float = 1.0) -> PowerExp:
 
 def zero_function() -> PowerExp:
     return PowerExp([], rate=0.0)
-
-
-# sample points and relative tolerance of consistency_check
-_CHECK_POINTS = np.array([0.31, 0.77, 1.3, 2.9, 6.1])
-_CHECK_RTOL = 1e-5
-
-
-def consistency_check(f: AnalyticFunction) -> bool:
-    """Spot-check the first derivative closure against central differences.
-
-    Verifies f.deriv(1) at a handful of sample points; returns True when the
-    closure matches to _CHECK_RTOL relative accuracy (skipped when the
-    function carries no derivative closure).
-    """
-    if f.order < 1:
-        return True
-    val = f.deriv(0)
-    der = f.deriv(1)
-    h = 1e-6 * np.maximum(_CHECK_POINTS, 1.0)
-    numeric = (val(_CHECK_POINTS + h) - val(_CHECK_POINTS - h)) / (2 * h)
-    exact = der(_CHECK_POINTS)
-    scale = np.max(np.abs(exact)) + np.max(np.abs(numeric)) + 1e-300
-    return bool(np.max(np.abs(numeric - exact)) <= _CHECK_RTOL * scale)

@@ -165,6 +165,8 @@ def glazman_constant(n: int, alpha) -> Fraction:
     valid degenerate constant, not an error.
     """
     _check_index(n)
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise ValueError(f"the weight power alpha must be finite, got {alpha}")
     a = Fraction(alpha)
     prod = Fraction(1)
     for j in range(1, n + 1):

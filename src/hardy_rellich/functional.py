@@ -18,6 +18,12 @@ stacked pass (_halfline_norms): every closure a ratio needs (f^(n) and f,
 or those of each vector component) is sampled into one array, one row per
 closure, and all rows share one weighting, one trapezoid sum and one set
 of checks, the rule norm_sq runs on a single row.
+
+Every grid, sampled, vector and interval report is built by _build_report,
+which applies the refusals these routes share: a report has slack > 0, or
+the call raises ConvergenceError (a ratio at or below the constant is an
+inadmissible f or an unresolved quadrature, never a counterexample).  The
+probe's closed form keeps its own rule, a slack above its rounding error.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction, PowerExp, monomial, polynomial_times_exp
 from .constants import _float_constant, _float_weighted_constant
-from .errors import InvalidDataError, TrivialFunctionError
+from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError
 from .grid import GridFunction, LogGrid, _log_trapezoid, _weighted_squares, norm_sq
 
 __all__ = [
@@ -97,7 +103,7 @@ class ProbeFunction(AnalyticFunction):
         g = _probe_taylor(n, sigma)
         self._below = monomial(n + sigma, g[0])
         self._tail = polynomial_times_exp(
-            [gk * a ** (n + sigma - k) for k, gk in enumerate(g)], 0.0)
+            [gk * _power(a, n + sigma - k) for k, gk in enumerate(g)], 0.0)
 
     def deriv(self, j: int):
         n, a = self.spec.n, self.spec.a
@@ -116,18 +122,28 @@ class ProbeFunction(AnalyticFunction):
         return evaluate
 
 
+def _power(a: float, p: float) -> float:
+    """a^p, inf where it overflows a float."""
+    try:
+        return a ** p
+    except OverflowError:
+        return math.inf
+
+
 def _probe_closed_form(spec: ProbeSpec) -> tuple:
     """(numerator, denominator, ratio) of the probe ratio (module docstring).
 
     The ratio is taken before the factor a^(1+2 sigma) goes in, so it keeps
-    its digits where the denominator is subnormal.
+    its digits where the denominator is subnormal; the factor itself is inf
+    where it overflows, and the ratio is inf where its bracket underflows.
     """
     n, sigma = spec.n, spec.sigma
     g = _probe_taylor(n, sigma)
     # B(m+1, 2n-1-m) = m! (2n-2-m)! / (2n-1)!
     beta = [1 / ((2 * n - 1) * math.comb(2 * n - 2, m)) for m in range(2 * n - 1)]
-    ratio = 1 / (g[0] ** 2 + (1 + 2 * sigma) * float(np.convolve(g, g) @ beta))
-    numerator = spec.a ** (1 + 2 * sigma) / (1 + 2 * sigma)
+    bracket = g[0] ** 2 + (1 + 2 * sigma) * float(np.convolve(g, g) @ beta)
+    ratio = 1 / bracket if bracket else math.inf
+    numerator = _power(spec.a, 1 + 2 * sigma) / (1 + 2 * sigma)
     return numerator, numerator / ratio, ratio
 
 
@@ -140,9 +156,11 @@ def probe_ratio_closed_form(spec: ProbeSpec) -> tuple:
 class RatioReport:
     """Outcome of one inequality-ratio evaluation.
 
-    slack = ratio - constant is strictly positive for admissible nonzero
-    functions; the optional fields carry whichever parameters produced the
-    report (weight power, probe exponent/cutoff, interval data).
+    slack = ratio - constant > 0 in every report: a grid, sampled, vector or
+    interval ratio at or below its constant raises ConvergenceError instead,
+    and a probe slack below the closed form's rounding error ValueError.
+    The optional fields carry whichever parameters produced the report
+    (weight power, probe exponent/cutoff, interval data).
     """
 
     n: int
@@ -175,10 +193,29 @@ class RatioReport:
 
 
 def _build_report(n, numerator, denominator, constant, **extra) -> RatioReport:
+    """The report of a grid, sampled, vector or interval ratio, after its refusals.
+
+    Non-finite sums raise InvalidDataError and a vanishing denominator
+    TrivialFunctionError.  The inequality holds strictly for every
+    admissible nonzero f, so a ratio at or below the constant is never a
+    counterexample: it raises ConvergenceError with the ratio as
+    last_estimate.
+    """
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise InvalidDataError("the ratio's sums leave the float range: "
+                               f"numerator {numerator}, denominator {denominator}")
     if not denominator > TRIVIAL_DENOMINATOR:
         raise TrivialFunctionError(
             "denominator vanishes: the test function is numerically zero")
     ratio = numerator / denominator
+    if not ratio > constant:
+        alpha = extra.get("alpha")
+        bound = (f"c_{n} = {constant:.6g}" if alpha is None else
+                 f"{constant:.6g}, the weighted constant of n = {n} and alpha = {alpha:g}")
+        raise ConvergenceError(
+            f"ratio {ratio:.6g} is not above {bound}, which the inequality rules out "
+            "for an admissible f: f is not admissible, or the quadrature did not resolve it",
+            last_estimate=ratio)
     return RatioReport(
         n=n, numerator=float(numerator), denominator=float(denominator),
         ratio=float(ratio), constant=float(constant),
@@ -297,6 +334,8 @@ def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0) -> Swe
     for eps in eps_values:
         if not eps > 0:
             raise ValueError(f"offsets must be positive, got {eps}")
+    if len(set(eps_values)) < len(eps_values):
+        raise ValueError(f"offsets must be distinct, got {eps_values}")
     constant = _float_constant("c_n", n)
     reports = []
     for eps in eps_values:

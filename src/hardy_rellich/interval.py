@@ -3,18 +3,19 @@
 On (a, c) the weight is the distance to whichever boundary the test
 function vanishes at: (x - a) for left-vanishing, (c - x) for
 right-vanishing, and d(x) = min(x - a, c - x) when it vanishes at both.
-d has its kink at the midpoint, and the quadrature keeps the midpoint on
-a node, so no panel straddles the kink and the d-weighted trapezoid sum
-is exactly the sum of its (x - a)- and (c - x)-weighted halves.  The
-nodes are uniform, with _REFINE_LEVELS halvings clustered against each
-vanishing boundary.  Each closure is sampled once per node set: f and
-f^(n) on all nodes (and f^(j), 0 < j < n, once for the vanishing check),
-and the removable 0/0 at a vanishing end is read from the f^(n) samples
-there.  The vector-valued ratio on the half line replaces |f|^2 by the
-pointwise squared Euclidean norm, summed over components that may be
-analytic closures or sampled data, and inherits strict positivity of the
-slack; the closures of all analytic components are integrated in one
-stacked pass.
+d has its kink at the midpoint.  The nodes are uniform, with an even
+number of panels so that the midpoint is a node: no panel straddles the
+kink, and the d-weighted trapezoid sum is exactly the sum of its (x - a)-
+and (c - x)-weighted halves.  Each closure is sampled once: f and f^(n)
+on all nodes (and f^(j), 0 < j < n, once for the vanishing check), and the
+removable 0/0 at a vanishing end is read from the f^(n) samples there.
+The refusals every ratio route shares (non-finite sums, a vanishing
+denominator, a ratio at or below the constant) are those of
+functional._build_report.  The vector-valued ratio on the half line
+replaces |f|^2 by the pointwise squared Euclidean norm, summed over
+components that may be analytic closures or sampled data, and inherits
+strict positivity of the slack; the closures of all analytic components
+are integrated in one stacked pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
-from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError
+from .errors import TrivialFunctionError
 from .functional import RatioReport, _build_report, _halfline_norms
 from .grid import GridFunction, LogGrid, differentiate, norm_sq
 
@@ -38,8 +39,6 @@ __all__ = [
 ]
 
 MAX_COMPONENTS = 64
-# halvings of the uniform step clustered against each vanishing boundary
-_REFINE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -61,34 +60,10 @@ class IntervalProblem:
 
 
 def _quad_nodes(problem: IntervalProblem, panels: int) -> np.ndarray:
-    """Uniform nodes with midpoint included and geometric endpoint clusters.
-
-    _REFINE_LEVELS halvings against each vanishing boundary resolve the
-    inverse-power weight without an adaptive mesh.  The cluster nodes go
-    into the first and last panel in order, so the array is the sorted
-    union without a sort.
-    """
+    """Uniform nodes on [a, c]; an odd panel count gains one, keeping the midpoint a node."""
     if panels < 2:
         raise ValueError(f"need at least 2 panels, got {panels}")
-    if panels % 2:
-        panels += 1  # keep the midpoint on a node
-    nodes = np.linspace(problem.a, problem.c, panels + 1)
-    h = (problem.c - problem.a) / panels
-    steps = h / 2.0 ** np.arange(_REFINE_LEVELS, 0, -1)   # h/2^L, ..., h/2
-    left = right = steps[:0]
-    if problem.side in ("left", "both"):
-        left = _inside(problem.a + steps, nodes[0], nodes[1])
-    if problem.side in ("right", "both"):
-        right = _inside(problem.c - steps[::-1], nodes[-2], nodes[-1])
-    if left.size or right.size:
-        nodes = np.concatenate((nodes[:1], left, nodes[1:-1], right, nodes[-1:]))
-    return nodes
-
-
-def _inside(extras: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The distinct cluster nodes strictly between two uniform nodes."""
-    extras = np.unique(extras)
-    return extras[(extras > lo) & (extras < hi)]
+    return np.linspace(problem.a, problem.c, panels + panels % 2 + 1)
 
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
@@ -103,9 +78,9 @@ def _max_abs(values: np.ndarray) -> float:
     return max(float(np.max(values)), -float(np.min(values)))
 
 
-def _trapezoid(values: np.ndarray, widths: np.ndarray) -> float:
-    """Trapezoid sum of node values over panels of the given widths."""
-    return 0.5 * float(np.dot(widths, values[1:]) + np.dot(widths, values[:-1]))
+def _trapezoid(values: np.ndarray, h: float) -> float:
+    """Trapezoid sum of node values over uniform panels of width h."""
+    return h * (float(np.sum(values)) - 0.5 * float(values[0] + values[-1]))
 
 
 def _boundary_consistency(problem: IntervalProblem, f: AnalyticFunction,
@@ -169,39 +144,28 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
                    panels: int = 4096) -> RatioReport:
     """Finite-interval ratio of derivative energy to distance-weighted mass.
 
-    Strictly exceeds the sharp constant for admissible nonzero functions; a
-    numerically zero f raises TrivialFunctionError, a mismatch between the
-    declared vanishing and the closures raises ValueError, and samples whose
-    sums leave the float range raise InvalidDataError.  Once the
-    vanishing is checked, a computed ratio at or below c_n can only be a
-    discretization failure, never a counterexample: it raises
-    ConvergenceError with the ratio as last_estimate.
+    A plain trapezoid rule on _quad_nodes.  A mismatch between the declared
+    vanishing and the closures raises ValueError; the refusals of
+    _build_report follow: non-finite sums raise InvalidDataError, a
+    numerically zero f TrivialFunctionError, and a ratio at or below c_n,
+    which the inequality rules out, ConvergenceError with the ratio as
+    last_estimate.
     """
     n = problem.n
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     constant = _float_constant("c_n", n)
     nodes = _quad_nodes(problem, panels)
-    widths = np.diff(nodes)
-    # unwarned, as GridFunction.from_callable samples: non-finite sums raise below
+    h = (problem.c - problem.a) / (len(nodes) - 1)
+    # unwarned, as GridFunction.from_callable samples: non-finite sums are refused
     with np.errstate(over="ignore", invalid="ignore"):
         fx = np.asarray(f.deriv(0)(nodes))
         _boundary_consistency(problem, f, nodes, fx)
         dn = np.asarray(f.deriv(n)(nodes))
-        numerator = _trapezoid(_abs_sq(dn), widths)
-        denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])),
-                                 widths)
-    if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise InvalidDataError("interval samples leave the float range: "
-                               "the ratio's sums are not finite")
-    report = _build_report(n, numerator, denominator, constant,
-                           side=problem.side, a=problem.a, c=problem.c)
-    if not report.ratio > constant:
-        raise ConvergenceError(
-            f"interval ratio {report.ratio:.6g} is not above c_{n} = {constant:.6g}, which "
-            "the inequality rules out for an admissible f: the quadrature did not resolve it",
-            last_estimate=report.ratio)
-    return report
+        numerator = _trapezoid(_abs_sq(dn), h)
+        denominator = _trapezoid(_weighted_integrand(problem, nodes, fx, (dn[0], dn[-1])), h)
+    return _build_report(n, numerator, denominator, constant,
+                         side=problem.side, a=problem.a, c=problem.c)
 
 
 VectorInput = Union[GridFunction, Sequence[Union[AnalyticFunction, GridFunction]]]

@@ -310,7 +310,12 @@ def _exact_panel(rate: float, h: float) -> tuple:
             left = c + rho * left
             right = c - rho * right
         return h * left, h * right
-    return (math.expm1(rho) - rho) / (rho * rate), (1.0 + math.expm1(-rho) / rho) / rate
+    try:
+        return (math.expm1(rho) - rho) / (rho * rate), (1.0 + math.expm1(-rho) / rho) / rate
+    except OverflowError:
+        raise ValueError(f"r*h = {rho:.6g} (rate {rate:g} times the log-grid step {h:.6g}): "
+                         "e^(r*h) leaves the float range; use more points or a narrower "
+                         "window") from None
 
 
 class _LogConvolution:

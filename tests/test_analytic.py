@@ -11,7 +11,6 @@ import pytest
 from hardy_rellich.analytic import (
     LogGaussian,
     PowerExp,
-    consistency_check,
     gamma_class,
     monomial,
     polynomial_times_exp,
@@ -267,8 +266,12 @@ class TestDerivedHornerGroups:
 
 class TestLogGaussian:
     def test_first_derivative_consistent(self):
-        assert consistency_check(LogGaussian(0.0, 1.0))
-        assert consistency_check(LogGaussian(1.0, 0.5, power=-0.5))
+        # against central differences
+        x = np.array([0.31, 0.77, 1.3, 2.9, 6.1])
+        h = 1e-6 * np.maximum(x, 1.0)
+        for f in (LogGaussian(0.0, 1.0), LogGaussian(1.0, 0.5, power=-0.5)):
+            numeric = (f.deriv(0)(x + h) - f.deriv(0)(x - h)) / (2 * h)
+            np.testing.assert_allclose(f.deriv(1)(x), numeric, rtol=1e-5)
 
     def test_second_derivative_by_differences(self):
         f = LogGaussian(0.3, 1.2, power=1.0)
@@ -281,19 +284,9 @@ class TestLogGaussian:
         with pytest.raises(ValueError):
             LogGaussian().deriv(3)
 
-    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf, 1e300, 1e-300])
     def test_width_must_be_positive_and_finite(self, s):
+        # 1e300 and 1e-300 are finite, but their squares overflow or underflow
         with pytest.raises(ValueError):
             LogGaussian(0.0, s)
 
-
-class TestConsistencyCheck:
-    def test_detects_broken_closure(self):
-        class Broken(PowerExp):
-            def deriv(self, j):
-                base = super().deriv(j)
-                if j == 1:
-                    return lambda x: 2.0 * base(x)  # wrong by a factor
-                return base
-
-        assert consistency_check(Broken([(1.0, 2.0)], 1.0)) is False

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
-from hardy_rellich.errors import InvalidDataError
-from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio, glazman_ratio,
+from hardy_rellich.errors import ConvergenceError, InvalidDataError
+from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio,
+                                      birman_ratio_sampled, glazman_ratio,
                                       probe_ratio_closed_form, random_polynomial_probe,
                                       sharpness_sweep)
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
@@ -268,6 +269,28 @@ def test_non_finite_samples_raise_the_typed_error():
     # (RuntimeWarning is an error under the test suite's filter)
     with pytest.raises(InvalidDataError, match="non-finite"):
         birman_ratio(52, gamma_class(53), LogGrid.default(256))
+
+
+def _sampled_exp():
+    grid = LogGrid.default(1024)
+    return GridFunction(grid, np.exp(-grid.x))
+
+
+# e^(-x) and x e^(-x) do not vanish to order n at 0, so they are not
+# admissible, and the grid reads a ratio far below the constant
+@pytest.mark.parametrize("call,constant,message", [
+    (lambda: birman_ratio(1, gamma_class(0.0)), 0.25, "not above c_1"),
+    (lambda: glazman_ratio(2, 0.5, gamma_class(1.0)), 0.09765625,
+     "not above 0.0976562, the weighted constant of n = 2 and alpha = 0.5"),
+    (lambda: vector_birman_ratio(1, [gamma_class(1.5), gamma_class(0.0)]), 0.25, "not above c_1"),
+    (lambda: birman_ratio_sampled(1, _sampled_exp()), 0.25, "not above c_1"),
+])
+def test_ratio_at_or_below_the_constant_is_refused_on_every_route(call, constant, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError, match=message) as err:
+            call()
+    assert err.value.last_estimate < constant
 
 
 @pytest.mark.parametrize("call", [lambda: birman_ratio(99, gamma_class(99.5)),

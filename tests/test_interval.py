@@ -12,7 +12,6 @@ from hardy_rellich.errors import ConvergenceError, InvalidDataError, TrivialFunc
 from hardy_rellich.functional import ProbeSpec
 from hardy_rellich.grid import GridFunction, LogGrid
 from hardy_rellich.interval import (
-    _REFINE_LEVELS,
     IntervalProblem,
     _quad_nodes,
     _trapezoid,
@@ -42,14 +41,14 @@ def test_denominator_splits_at_the_midpoint(n, a, c, panels):
         nodes = _quad_nodes(problem, panels)
         fx = np.asarray(f.deriv(0)(nodes))
         dn_ends = tuple(np.asarray(f.deriv(n)(nodes[[0, -1]])))
-        widths = np.diff(nodes)
-        full = _trapezoid(_weighted_integrand(problem, nodes, fx, dn_ends), widths)
+        h = (c - a) / (len(nodes) - 1)
+        full = _trapezoid(_weighted_integrand(problem, nodes, fx, dn_ends), h)
         m = int(np.argmin(np.abs(nodes - 0.5 * (a + c))))
         lo, hi = slice(None, m + 1), slice(m, None)
         left = _trapezoid(_weighted_integrand(IntervalProblem(n, a, c, "left"), nodes[lo],
-                                              fx[lo], dn_ends), widths[:m])
+                                              fx[lo], dn_ends), h)
         right = _trapezoid(_weighted_integrand(IntervalProblem(n, a, c, "right"), nodes[hi],
-                                               fx[hi], dn_ends), widths[m:])
+                                               fx[hi], dn_ends), h)
         assert full == pytest.approx(left + right, rel=1e-12)
 
 
@@ -63,12 +62,21 @@ def test_bridge_ratio_exceeds_the_constant(n, a, c, side):
 
 
 def test_ratio_at_or_below_the_constant_is_no_counterexample():
-    # the monomial-expanded bridge x^5 (1 - x)^5 cancels near x = 1, and the
-    # quadrature reads a ratio of 0.2133 against c_5 = 945^2 / 2^10 = 872.09
-    # (exact 7203.52); the theorem rules such a ratio out for an admissible f
+    # the monomial-expanded bridge x^5 (1 - x)^5 cancels near x = 1, and on
+    # 16384 panels the quadrature reads a ratio of 0.3145 against
+    # c_5 = 945^2 / 2^10 = 872.09 (exact 7203.52); the theorem rules such a
+    # ratio out for an admissible f
     with pytest.raises(ConvergenceError, match="not above c_5") as err:
-        interval_ratio(IntervalProblem(5, 0.0, 1.0, "both"), _bridge(5, 0.0, 1.0, 0))
-    assert 0.2 < err.value.last_estimate < 0.22
+        interval_ratio(IntervalProblem(5, 0.0, 1.0, "both"), _bridge(5, 0.0, 1.0, 0),
+                       panels=16384)
+    assert err.value.last_estimate <= 872.0947265625
+
+
+def test_cancelling_n3_bridge_is_resolved_on_uniform_nodes():
+    # x^3 (1 - x)^3 expanded in monomials: exact ratio 2304/127
+    report = interval_ratio(IntervalProblem(3, 0.0, 1.0, "both"), _bridge(3, 0.0, 1.0, 0),
+                            panels=65536)
+    assert report.ratio == pytest.approx(18.141732283464567, rel=1e-8)
 
 
 def test_samples_past_the_float_range_raise_the_typed_error():
@@ -87,26 +95,15 @@ def test_quadrature_arguments_are_validated(kwargs):
         interval_ratio(problem, f, **kwargs)
 
 
-def _sorted_unique_nodes(problem, panels, refine_levels):
-    """The node set built as a sorted union of uniform and cluster nodes."""
-    panels += panels % 2
-    nodes = np.linspace(problem.a, problem.c, panels + 1)
-    h = (problem.c - problem.a) / panels
-    extras = []
-    if problem.side in ("left", "both"):
-        extras += [problem.a + h / 2**k for k in range(1, refine_levels + 1)]
-    if problem.side in ("right", "both"):
-        extras += [problem.c - h / 2**k for k in range(1, refine_levels + 1)]
-    return np.unique(np.concatenate((nodes, extras))) if extras else nodes
-
-
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("a,c", [(0.0, 1.0), (0.1, 0.7), (2.0, 2.5)])
 @pytest.mark.parametrize("panels", [2, 7, 64, 1001, 4096])
 def test_nodes_are_the_sorted_union(side, a, c, panels):
+    # the nodes are the uniform linspace itself, sorted with no union to
+    # take, and an even panel count keeps the midpoint a node
     problem = IntervalProblem(1, a, c, side)
     nodes = _quad_nodes(problem, panels)
-    expected = _sorted_unique_nodes(problem, panels, _REFINE_LEVELS)
+    expected = np.linspace(a, c, panels + panels % 2 + 1)
     assert nodes.tobytes() == expected.tobytes()
 
 
