@@ -92,6 +92,8 @@ class PowerExp(AnalyticFunction):
         # terms: iterable of (coef, power)
         merged = {}
         for c, p in terms:
+            if not math.isfinite(p):
+                raise ValueError(f"power {p} is not a finite number")
             if c != 0:
                 merged[p] = merged.get(p, 0) + c
         self.terms = tuple(sorted((p, c) for p, c in merged.items() if c != 0))

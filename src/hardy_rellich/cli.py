@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 from numbers import Integral, Real
 from typing import Optional
@@ -447,17 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (HardyRellichError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings():
+        # one line per warning, like the error line, without the echoed source
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        except (HardyRellichError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

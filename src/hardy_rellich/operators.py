@@ -13,9 +13,12 @@ exponential in every later period are summed in closed form, so no kernel
 mass is lost to the window), rescaled cumulative panel sums for the hard
 window ("cut").  Its adjoint is the transpose with respect to the quadrature
 weights (the unweighted transpose converges to the wrong value on log grids).
-estimate_operator_norm runs the wrap boundary on the half-spectrum, where a
-step is one product with the multiplier and no FFT, and the cut boundary on
-the grid.
+estimate_operator_norm runs in coordinates scaled by the square roots of
+those weights, where the adjoint is the plain transpose and a norm is a dot
+product: the wrap boundary on the scaled half-spectrum, where a step is one
+product with the multiplier and no FFT, and the cut boundary on the grid.
+Each step reads the top eigenvalue of the tridiagonal B^T B of the
+Golub-Kahan bidiagonal B.
 
 On sampled functions apply_cesaro expands the repeated-integration form
 (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt into n
@@ -327,22 +330,24 @@ class _LogConvolution:
     give one step each, applied in that order.  Each step integrates its
     exponential exactly against the piecewise-linear interpolant of phi
     (`_exact_panel`), so the only bias is that of the interpolant and, on
-    the hard window, of the window, the same for every rate.  ``boundary="wrap"`` closes the window
-    periodically (t = h): each step is circulant, with the hat integrals of
-    the periodized kernel sum_{m >= 0} e^(-r (tau + m L)), L = N h, as its
-    kernel, which is e^(-r tau) on one period divided by 1 - e^(-r L); one
-    real FFT applies the product of the multipliers.  A step's
-    zero-frequency multiplier is then 1/r exactly, the kernel's integral
-    over (0, inf).  ``boundary="cut"`` keeps the hard window
-    (t trapezoid): each step is a rescaled cumulative panel sum
-    e^(-r s) cumsum(e^(r s) phi), s centred on the window so both factors
-    stay in floating-point range; as the rates step by one, the rescaling
-    between two steps folds into the single factor e^s.  adjoint_apply is
-    the transpose in the quad_weights inner product, the transposed steps in
-    reverse order.  ``reverse`` mirrors the grid, making the kernel
+    the hard window, of the window, the same for every rate.
+    ``boundary="wrap"`` closes the window periodically (t = h): each step
+    is circulant, with the hat integrals of the periodized kernel
+    sum_{m >= 0} e^(-r (tau + m L)), L = N h, as its kernel, which is
+    e^(-r tau) on one period divided by 1 - e^(-r L); one real FFT applies
+    the product of the multipliers.  A step's zero-frequency multiplier is
+    then 1/r exactly, the kernel's integral over (0, inf).
+    ``boundary="cut"`` keeps the hard window (t trapezoid): each step is a
+    rescaled cumulative panel sum e^(-r s) cumsum(e^(r s) phi), s centred on
+    the window so both factors stay in floating-point range; as the rates
+    step by one, the rescaling between two steps folds into the single
+    factor e^s.  The chain acts on w = sqrt(t) phi = sqrt(quad_weights) v,
+    where adjoint_apply is the plain transpose, the transposed steps in
+    reverse order: the circulant needs no scaling there, and the hard
+    window's scalings carry sqrt(t).  apply and adjoint_apply conjugate by
+    sqrt(quad_weights), and estimate_operator_norm runs on w itself (see
+    `_unit_frame`).  ``reverse`` mirrors the grid, making the kernel
     anti-causal; t is mirror-symmetric, so the mirror is exact.
-    estimate_operator_norm takes its coordinates from `_krylov_frame`: the
-    half-spectrum of the wrap circulant, the grid for the hard window.
     """
 
     def __init__(self, grid: LogGrid, rates, boundary: str, reverse: bool = False):
@@ -354,35 +359,28 @@ class _LogConvolution:
         self.boundary = boundary
         N, h = len(grid), grid.h
         self._panels = [_exact_panel(r, h) for r in rates]
-        # (pre, post) scalings around the chain, in the causal frame
         self._flip = slice(None, None, -1 if reverse else 1)
-        root = np.sqrt(grid.x)[self._flip]
         if boundary == "wrap":
+            # one row of hats per rate; the images e^(-r (tau + m N h)),
+            # m >= 0, sum to the factor 1/(1 - e^(-r N h)) of each row
             tau = h * np.arange(N)
-            self._multiplier = 1.0
-            for r, (left, right) in zip(rates, self._panels):
-                hats = (left + right) * np.exp(-r * tau)
-                hats[0] = right + left * math.exp(-r * N * h)
-                # the images e^(-r (tau + m N h)), m >= 0, sum to this factor
-                hats /= -math.expm1(-r * N * h)
-                self._multiplier = self._multiplier * np.fft.rfft(hats)
+            left, right = np.array(self._panels).T
+            hats = (left + right)[:, None] * np.exp(-np.array(rates)[:, None] * tau)
+            hats[:, 0] = right + left * np.array([math.exp(-r * N * h) for r in rates])
+            hats /= np.array([[-math.expm1(-r * N * h)] for r in rates])
+            self._multiplier = np.prod(np.fft.rfft(hats, axis=-1), axis=0)
             self.quad_weights = h * grid.x
-            # Parseval for rfft: the bins between 0 and Nyquist stand for two
-            # of the full FFT's; odd N has no Nyquist bin
-            self._spectral_weights = np.full(len(self._multiplier), 2.0 * h / N)
-            self._spectral_weights[0] = h / N
-            if N % 2 == 0:
-                self._spectral_weights[-1] = h / N
-            self._forward = self._backward = (root, 1.0 / root)
-            return
-        t = np.full(N, h)
-        t[0] = t[-1] = 0.5 * h
-        self.quad_weights = t * grid.x
-        s = h * (np.arange(N) - 0.5 * (N - 1))
-        self._fold = np.exp(s)
-        first, last = np.exp(rates[0] * s), np.exp(-rates[-1] * s)
-        self._forward = (root * first, last / root)
-        self._backward = (t * root * last, first / (t * root))
+            self._forward = self._backward = (1.0, 1.0)
+        else:
+            t = np.full(N, h)
+            t[0] = t[-1] = 0.5 * h
+            self.quad_weights = t * grid.x
+            s = h * (np.arange(N) - 0.5 * (N - 1))
+            self._fold = np.exp(s)
+            root = np.sqrt(t)
+            self._forward = (np.exp(rates[0] * s) / root, root * np.exp(-rates[-1] * s))
+            self._backward = self._forward[::-1]
+        self._root_weights = np.sqrt(self.quad_weights)
 
     def _chain(self, phi: np.ndarray, adjoint: bool) -> np.ndarray:
         if self.boundary == "wrap":
@@ -395,34 +393,19 @@ class _LogConvolution:
             phi = step(self._fold * phi, *panel)
         return phi
 
-    def _apply(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        if np.iscomplexobj(v):
-            return self._apply(v.real, adjoint) + 1j * self._apply(v.imag, adjoint)
+    def _apply(self, w: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """apply or adjoint_apply on w = sqrt(quad_weights) v, where the
+        adjoint is the plain transpose."""
+        if np.iscomplexobj(w):
+            return self._apply(w.real, adjoint) + 1j * self._apply(w.imag, adjoint)
         pre, post = self._backward if adjoint else self._forward
-        return (post * self._chain(pre * v[self._flip], adjoint))[self._flip]
+        return (post * self._chain(pre * w[self._flip], adjoint))[self._flip]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, adjoint=False)
+        return self._apply(self._root_weights * v) / self._root_weights
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, adjoint=True)
-
-    def _krylov_frame(self, start: np.ndarray) -> tuple:
-        """(weights, start, apply, adjoint_apply) in the coordinates GKL runs in.
-
-        The hard window keeps the grid and its quad_weights.  The wrap
-        boundary moves to the half-spectrum c = rfft(phi), phi = pre *
-        v[flip], with the Parseval weights h/N (1, 2, ..., 2, 1): phi -> c
-        maps the quad_weights inner product onto theirs, and the circulant
-        becomes multiplier * c, its adjoint conj(multiplier) * c.  The
-        recurrence takes only real combinations of these vectors, so it
-        stays in the image of the real grid vectors.
-        """
-        if self.boundary == "cut":
-            return self.quad_weights, start, self.apply, self.adjoint_apply
-        forward, backward = self._multiplier, np.conj(self._multiplier)
-        return (self._spectral_weights, np.fft.rfft(self._forward[0] * start[self._flip]),
-                lambda c: forward * c, lambda c: backward * c)
+        return self._apply(self._root_weights * v, adjoint=True) / self._root_weights
 
 
 class DiscreteCesaro(_LogConvolution):
@@ -470,12 +453,12 @@ class DiscreteWeightedPair(_LogConvolution):
         x = np.asarray(grid.x, dtype=float)
         got, want = np.empty((3, len(x))), np.empty((3, len(x)))
         # x^j and x^(-j-1) leave float range on wide windows for large j; equal
-        # infinities still pass the check below
-        with np.errstate(over="ignore"):
+        # infinities pass the check below (inf - inf is nan), and nan fails it
+        with np.errstate(over="ignore", invalid="ignore"):
             got[0], got[1], got[2] = spec.phi(x), spec.psi(x), spec.w(x)
             want[0], want[1], want[2] = x**power, x ** (-power - 1.0), 1.0
-        for name, same in zip(("phi", "psi", "w"),
-                              np.isclose(got, want, rtol=1e-10, atol=0.0).all(axis=1)):
+            close = (got == want) | (abs(got - want) <= 1e-10 * abs(want))
+        for name, same in zip(("phi", "psi", "w"), close.all(axis=1)):
             if not same:
                 raise ValueError(
                     f"the pair's {name} is not that of power_weight_pair({power})")
@@ -486,50 +469,79 @@ class DiscreteWeightedPair(_LogConvolution):
         self.spec = spec
 
 
-def _q_sum_sq(q: np.ndarray, v: np.ndarray) -> float:
-    """sum q |v|^2 with no |v| temporary: for complex v the real part of
-    conj(v) . (q v), which sums q (re^2 + im^2)."""
-    if np.iscomplexobj(v):
-        return float(np.vdot(v, q * v).real)
-    return float(q @ (v * v))
-
-
-def _q_norm(q: np.ndarray, v: np.ndarray) -> float:
-    """sqrt(sum q |v|^2), rescaled where the squares would underflow."""
-    norm = math.sqrt(_q_sum_sq(q, v))
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real or complex vector, rescaled where the squares
+    would underflow."""
+    norm = math.sqrt(np.vdot(v, v).real)
     if norm >= 1e-100:
         return norm
-    peak = float(np.max(np.abs(v)))
+    # |v| first: a complex v divided by a subnormal peak overflows
+    size = np.abs(v)
+    peak = float(np.max(size))
     if peak == 0.0:
         return 0.0
-    return peak * math.sqrt(_q_sum_sq(q, v / peak))
+    size /= peak
+    return peak * math.sqrt(size @ size)
 
 
-# Golub-Kahan steps per cycle before a restart: the per-step SVD of the
-# k x k bidiagonal costs O(k^3), so k is bounded; 64 leaves room above the
-# 39 steps the cut pair j = 2 takes at tol 1e-8 on 1024 nodes.
+def _unit_frame(op, start: np.ndarray) -> tuple:
+    """(start, apply, adjoint_apply) in coordinates whose inner product is the
+    plain dot product, where GKL runs.
+
+    w = sqrt(quad_weights) v maps op's quadrature inner product onto it.
+    The engine's hard window applies in w directly, as its scalings carry
+    the weights.  The wrap boundary goes on to the half-spectrum c =
+    rfft(w[flip]) scaled by the square roots of the Parseval weights
+    (1, 2, ..., 2, 1)/N (odd N has no Nyquist bin), where its circulant is
+    the product with the multiplier, and its adjoint that with the
+    conjugate; a diagonal scaling commutes with both.  GKL takes only real
+    combinations of these vectors, so it stays in the image of the real
+    grid vectors.  Any other op is conjugated by sqrt(quad_weights).
+    """
+    if not isinstance(op, _LogConvolution):
+        root = np.sqrt(op.quad_weights)
+        return (root * start, lambda w: root * op.apply(w / root),
+                lambda w: root * op.adjoint_apply(w / root))
+    start = op._root_weights * start
+    if op.boundary == "cut":
+        return start, op._apply, lambda w: op._apply(w, adjoint=True)
+    N = len(start)
+    parseval = np.full(N // 2 + 1, 2.0 / N)
+    parseval[0] = 1.0 / N
+    if N % 2 == 0:
+        parseval[-1] = 1.0 / N
+    forward, backward = op._multiplier, np.conj(op._multiplier)
+    return (np.sqrt(parseval) * np.fft.rfft(start[op._flip]),
+            lambda c: forward * c, lambda c: backward * c)
+
+
+# Golub-Kahan steps per cycle before a restart: each step solves the
+# eigenproblem of the k x k tridiagonal B^T B afresh, as a dense matrix at
+# O(k^3), so k is bounded; 64 leaves room above the 39 steps the cut pair
+# j = 2 takes at tol 1e-8 on 1024 nodes.
 _RESTART = 64
 
 
-def _golub_kahan(apply, adjoint_apply, q: np.ndarray, v: np.ndarray):
-    """Yield (v_k, alpha_k, beta_(k-1)) of apply V = U B from the q-unit vector v.
+def _golub_kahan(apply, adjoint_apply, v: np.ndarray):
+    """Yield (v_k, alpha_k, beta_(k-1)) of apply V = U B from the unit vector v.
 
     B is upper bidiagonal, alpha on the diagonal and beta above it, and V, U
-    are q-orthonormal (adjoint_apply is apply's adjoint in q).  Each item
-    costs one apply, and each after the first one adjoint_apply too.  The recurrence is deterministic, so a second run
-    from the same v yields the same vectors.  It ends where the Krylov space
-    is invariant (alpha or beta is zero).
+    are orthonormal (adjoint_apply is apply's transpose).  Each item costs
+    one apply, and each after the first one adjoint_apply too.  The
+    recurrence is deterministic, so a second run from the same v yields the
+    same vectors.  It ends where the Krylov space is invariant (alpha or
+    beta is zero).
     """
     u, beta = np.zeros_like(v), 0.0
     while True:
         image = apply(v) - beta * u
-        alpha = _q_norm(q, image)
+        alpha = _norm(image)
         yield v, alpha, beta
         if alpha == 0.0:
             return
         u = image / alpha
         w = adjoint_apply(u) - alpha * v
-        beta = _q_norm(q, w)
+        beta = _norm(w)
         if beta == 0.0:
             return
         v = w / beta
@@ -541,46 +553,52 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
 
     Bidiagonalizes op in its quadrature inner product from a seeded positive
     start vector; the estimate is the top singular value of the k x k
-    bidiagonal, which rises toward ||op|| with k.  Convergence means the
+    bidiagonal B, the square root of the top eigenvalue of the tridiagonal
+    B^T B, which rises toward ||op|| with k.  Convergence means the
     estimate moved by at most tol (relative) in one step.  Every _RESTART
     steps the bidiagonalization restarts from the top Ritz vector, which is
-    rebuilt by replaying the cycle, so memory stays a few grid vectors.
+    rebuilt by replaying the cycle, so memory stays a few vectors.
     max_iter bounds the steps, each one apply and one adjoint_apply (the
     replays come on top); running out raises ConvergenceError with the last
     estimate attached.
 
-    The engine's operators run where they are cheapest, as
-    `_LogConvolution._krylov_frame` sets out: the wrap boundary on the
+    GKL runs in the unit-weight coordinates of `_unit_frame`, where a norm
+    is a plain dot product: the engine's wrap boundary on the scaled
     half-spectrum of its circulant, one rfft for the start vector and none
-    per step, the hard window on the grid.  Any other op with quad_weights,
-    apply and adjoint_apply runs on the grid too.  Both frames build the
-    same Krylov space from the same start vector, so the estimate and the
-    step count do not depend on the frame beyond rounding.
+    per step, its hard window on the grid with the weights folded into its
+    scalings, and any other op with quad_weights, apply and adjoint_apply
+    conjugated by the weights' square roots.  Every frame builds the same
+    Krylov space from the same start vector, so the estimate and the step
+    count do not depend on the frame beyond rounding.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     rng = np.random.default_rng(seed)
-    start = rng.random(len(grid)) + 0.5
-    if isinstance(op, _LogConvolution):
-        q, start, apply, adjoint_apply = op._krylov_frame(start)
-    else:
-        q, apply, adjoint_apply = op.quad_weights, op.apply, op.adjoint_apply
+    start, apply, adjoint_apply = _unit_frame(op, rng.random(len(grid)) + 0.5)
     steps, estimate = 0, math.nan
     while True:
-        start = start / _q_norm(q, start)
-        bidiagonal, previous = np.zeros((_RESTART, _RESTART)), math.inf
-        for k, (_, alpha, beta) in enumerate(_golub_kahan(apply, adjoint_apply, q, start)):
+        start = start / _norm(start)
+        # B^T B in place, lower triangle: alpha_k^2 + beta_(k-1)^2 on the
+        # diagonal, alpha_(k-1) beta_(k-1) beside it, all times scale^2
+        gram, previous = np.zeros((_RESTART, _RESTART)), math.inf
+        for k, (_, alpha, beta) in enumerate(_golub_kahan(apply, adjoint_apply, start)):
             steps += 1
             if not math.isfinite(alpha + beta):
                 raise ConvergenceError(
                     f"no convergence: the operator gave non-finite values at step {steps}",
                     last_estimate=estimate)
-            bidiagonal[k, k] = alpha
+            if not k:
+                # a power of two near 1/alpha keeps the squares in range and
+                # scales exactly; 2^1020 at most, for a subnormal alpha
+                scale = math.ldexp(1.0, -max(math.frexp(alpha)[1], -1020))
+            alpha, beta = alpha * scale, beta * scale
+            gram[k, k] = alpha * alpha + beta * beta
             if k:
-                bidiagonal[k - 1, k] = beta
-            estimate = float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
+                gram[k, k - 1] = last_alpha * beta
+            last_alpha = alpha
+            estimate = math.sqrt(np.linalg.eigvalsh(gram[:k + 1, :k + 1])[-1]) / scale
             if abs(estimate - previous) <= tol * estimate:
                 return estimate
             if steps >= max_iter:
@@ -592,8 +610,8 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
                 break
         else:
             return estimate  # invariant Krylov space: exact on it
-        coeffs = np.linalg.svd(bidiagonal)[2][0]
+        coeffs = np.linalg.eigh(gram)[1][:, -1]
         ritz = np.zeros_like(start)
-        for c, (v, _, _) in zip(coeffs, _golub_kahan(apply, adjoint_apply, q, start)):
+        for c, (v, _, _) in zip(coeffs, _golub_kahan(apply, adjoint_apply, start)):
             ritz += c * v
         start = ritz

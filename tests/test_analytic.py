@@ -27,6 +27,11 @@ class TestPowerExp:
         np.testing.assert_allclose(f.deriv(1)(x), 1.5 * x**0.5)
         np.testing.assert_allclose(f.deriv(2)(x), 0.75 * x**-0.5)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_is_refused(self, power):
+        with pytest.raises(ValueError, match=f"power {power} is not a finite number"):
+            PowerExp([(1.0, 2.0), (1.0, power)])
+
     def test_gamma_class_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         xs = sympy.Symbol("x", positive=True)

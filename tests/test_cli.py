@@ -275,6 +275,24 @@ def test_interval_samples_past_the_float_range_give_one_error_line(tmp_path):
     assert line.startswith("error:") and "float range" in line
 
 
+@pytest.mark.parametrize("argv,warned", [
+    (["ratio", "--n", "1", "--function", "gamma:p=0"],
+     ["warning: UserWarning: integrand does not decay at the window ends; "
+      "truncation error may dominate",
+      "warning: UserWarning: stub model diverges; using flat fallback"]),
+    # e^((j+1/2) s) overflows in the hard window's scalings for n = 52
+    (["norm", "--n", "52", "--boundary", "cut"], None),
+])
+def test_warnings_take_one_line_each(tmp_path, argv, warned):
+    proc = _python(tmp_path, "-m", "hardy_rellich.cli", *argv)
+    assert proc.returncode == cli.EXIT_NO_CONVERGENCE and proc.stdout == ""
+    *lines, last = proc.stderr.splitlines()
+    assert last.startswith("error:")
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    if warned is not None:
+        assert lines == warned
+
+
 # the largest n whose constant fits in a float: 98 for c_n, 178 for b_n
 
 @pytest.mark.parametrize("argv,limit", [
@@ -361,6 +379,9 @@ def test_probe_scale_past_the_float_range_reads_infinity(capsys, argv):
     # r h > 709 on a 64-node grid over 600 decades
     (["norm", "--n", "60", "--x-min", "1e-300", "--x-max", "1e300", "--points", "64"],
      "r*h = "),
+    (["ratio", "--n", "1", "--function", "gamma:p=nan"], "power nan is not a finite"),
+    (["interval", "--n", "1", "--function", "gamma:p=nan"], "power nan is not a finite"),
+    (["ratio", "--n", "2", "--function", "vec:gamma:p=3|gamma:p=-inf"], "power -inf"),
 ])
 def test_extreme_inputs_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, argv)

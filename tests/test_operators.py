@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardy_rellich import operators as ops
 from hardy_rellich.analytic import LogGaussian, gamma_class, monomial, polynomial_times_exp
@@ -740,6 +741,14 @@ def test_periodized_wrap_norm_is_b_n(n, N):
     assert ops.estimate_operator_norm(op, lg, tol=1e-12) == pytest.approx(exact, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [100, 150, 170])
+def test_wrap_norms_whose_squares_underflow_keep_their_digits(n):
+    # b_n^2 is subnormal from n = 100 on; the vector norms and B^T B are rescaled
+    lg = LogGrid.default(1024)
+    estimate = ops.estimate_operator_norm(ops.DiscreteCesaro(n, lg), lg, tol=1e-12)
+    assert estimate == pytest.approx(float(cesaro_norm(n)), rel=1e-14)
+
+
 @pytest.mark.parametrize("side", "AB")
 @pytest.mark.parametrize("j", range(3))
 def test_periodized_wrap_pair_norm_is_2k(j, side):
@@ -932,16 +941,119 @@ def test_wrap_half_spectrum_replays_restarts():
 
 
 def test_wrap_half_spectrum_weights_are_parseval():
-    # the spectral weights give the start vector the q-norm it has on the grid
+    # the scaled half-spectrum gives the start vector the q-norm it has on the grid
     rng = np.random.default_rng(5)
     for N in (1023, 1024):
         lg = LogGrid.default(N)
         op = ops.DiscreteCesaro(2, lg)
         v = rng.standard_normal(N)
-        weights, c, _, _ = op._krylov_frame(v)
+        c, _, _ = ops._unit_frame(op, v)
         assert len(c) == N // 2 + 1
-        assert ops._q_norm(weights, c) == pytest.approx(ops._q_norm(op.quad_weights, v),
-                                                        rel=1e-14)
+        assert np.linalg.norm(c) == pytest.approx(math.sqrt(np.sum(op.quad_weights * v * v)),
+                                                  rel=1e-14)
+
+
+def _reference_norm(op, lg, tol, max_iter=10000, seed=1729):
+    """(estimate, steps) of Golub-Kahan-Lanczos in the quad_weights inner
+    product on the grid, with the full SVD of the bidiagonal at every step:
+    the algorithm estimate_operator_norm runs, in the weighted frame."""
+    q = op.quad_weights
+
+    def q_norm(v):
+        return math.sqrt(float(q @ (v * v)))
+
+    def golub_kahan(v):
+        u, beta = np.zeros_like(v), 0.0
+        while True:
+            image = op.apply(v) - beta * u
+            alpha = q_norm(image)
+            yield v, alpha, beta
+            if alpha == 0.0:
+                return
+            u = image / alpha
+            w = op.adjoint_apply(u) - alpha * v
+            beta = q_norm(w)
+            if beta == 0.0:
+                return
+            v = w / beta
+
+    start = np.random.default_rng(seed).random(len(lg)) + 0.5
+    steps = 0
+    while True:
+        start = start / q_norm(start)
+        bidiagonal, previous = np.zeros((ops._RESTART, ops._RESTART)), math.inf
+        for k, (_, alpha, beta) in enumerate(golub_kahan(start)):
+            steps += 1
+            bidiagonal[k, k] = alpha
+            if k:
+                bidiagonal[k - 1, k] = beta
+            estimate = float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
+            if abs(estimate - previous) <= tol * estimate:
+                return estimate, steps
+            assert steps < max_iter
+            previous = estimate
+            if k + 1 == ops._RESTART:
+                break
+        else:
+            return estimate, steps
+        coeffs = np.linalg.svd(bidiagonal)[2][0]
+        ritz = np.zeros_like(start)
+        for c, (v, _, _) in zip(coeffs, golub_kahan(start)):
+            ritz += c * v
+        start = ritz
+
+
+def _assert_matches_reference(op, lg, tol):
+    """Equal step counts, and estimates within 1e-13, against _reference_norm."""
+    reference, steps = _reference_norm(op, lg, tol)
+    estimate = ops.estimate_operator_norm(op, lg, tol=tol, max_iter=steps)
+    assert estimate == pytest.approx(reference, rel=1e-13)
+    if steps > 1:
+        with pytest.raises(ConvergenceError):
+            ops.estimate_operator_norm(op, lg, tol=tol, max_iter=steps - 1)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+@pytest.mark.parametrize("N", [1023, 1024])
+@pytest.mark.parametrize("boundary", ["wrap", "cut"])
+@pytest.mark.parametrize("family,index,side", DISCRETE_CASES + [("pair", 8, "A")])
+def test_unit_frame_matches_the_weighted_svd_reference(family, index, side, boundary, N, tol):
+    # pair j = 8 restarts at tol 1e-12 (test_wrap_half_spectrum_replays_restarts)
+    lg = LogGrid.default(N)
+    _assert_matches_reference(_discrete(family, index, side, boundary, lg), lg, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.sampled_from([64, 255, 256]),
+       power=st.floats(0.25, 4.0), tol=st.sampled_from([1e-7, 1e-12]))
+def test_generic_frame_matches_the_weighted_svd_reference(seed, N, power, tol):
+    # an op the engine does not know is conjugated by sqrt(quad_weights)
+    rng = np.random.default_rng(seed)
+    lg = LogGrid.default(N)
+    d = rng.random(N) ** power * rng.choice([-1.0, 1.0], N)
+    _assert_matches_reference(_Diagonal(d, lg), lg, tol)
+
+
+def _loop_multiplier(rates, lg):
+    """The wrap multiplier built one rate at a time, one rfft each."""
+    N, h = len(lg), lg.h
+    tau = h * np.arange(N)
+    multiplier = 1.0
+    for r in rates:
+        left, right = ops._exact_panel(r, h)
+        hats = (left + right) * np.exp(-r * tau)
+        hats[0] = right + left * math.exp(-r * N * h)
+        hats /= -math.expm1(-r * N * h)
+        multiplier = multiplier * np.fft.rfft(hats)
+    return multiplier
+
+
+@pytest.mark.parametrize("N", [1023, 1024, 4096])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_stacked_wrap_multiplier_equals_the_per_rate_loop(n, N):
+    lg = LogGrid.default(N)
+    assert np.array_equal(ops.DiscreteCesaro(n, lg)._multiplier,
+                          _loop_multiplier(_rates("cesaro", n), lg))
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-6},
