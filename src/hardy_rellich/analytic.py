@@ -340,9 +340,9 @@ def monomial(power: float, coefficient=1.0) -> PowerExp:
     return PowerExp([(coefficient, power)], rate=0.0)
 
 
-def gamma_class(power: float, rate: float = 1.0, coefficient=1.0) -> PowerExp:
-    """c * x^power * exp(-rate x); the Gamma-integral test family."""
-    return PowerExp([(coefficient, power)], rate=rate)
+def gamma_class(power: float, rate: float = 1.0) -> PowerExp:
+    """x^power * exp(-rate x); the Gamma-integral test family."""
+    return PowerExp([(1.0, power)], rate=rate)
 
 
 def polynomial_times_exp(coeffs: Sequence, rate: float = 1.0) -> PowerExp:

@@ -101,7 +101,8 @@ REGISTRY_HELP = (
     "'probe:sigma=0,a=10' for the optimality probe (closed forms); "
     "'bridge:degree=0' for (x-a)^n (c-x)^n x^degree on an interval; "
     "'zero' for the zero function; "
-    "'csv:PATH' for sampled data (numerical derivatives, degraded accuracy); "
+    "'csv:PATH' for sampled data (numerical derivatives, degraded accuracy), "
+    "a vector if the file has several re/im column pairs; "
     "'vec:SPEC|SPEC|...' for a vector of components"
 )
 
@@ -153,9 +154,11 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
         poly = poly * np.polynomial.Polynomial([0.0, 1.0]) ** degree
         return analytic.PowerExp([(coef, k) for k, coef in enumerate(poly.coef)], 0.0)
     if name == "csv":
-        return grid.read_csv(_resolve_path(body))
-    if name == "vec":
-        return [parse_function(part, n, bounds) for part in body.split("|")]
+        components = grid.read_csv(_resolve_path(body))
+        return components[0] if len(components) == 1 else components
+    if name == "vec":  # a several-column CSV part adds each of its components
+        parts = [parse_function(part, n, bounds) for part in body.split("|")]
+        return [c for part in parts for c in (part if isinstance(part, list) else [part])]
     raise ValueError(f"unknown test function {spec!r}; {REGISTRY_HELP}")
 
 
@@ -191,7 +194,7 @@ def cmd_ratio(args) -> int:
 
     f = parse_function(args.function, args.n)
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
-    if isinstance(f, list) or (isinstance(f, grid.GridFunction) and f.is_vector):
+    if isinstance(f, list):
         from . import interval
 
         if args.alpha is not None:
@@ -232,6 +235,10 @@ def cmd_norm(args) -> int:
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
     if args.operator == "cesaro":
         target = constants._float_constant("b_n", args.n)
+        if target < sys.float_info.min:  # b_171 = 1.9e-308 is the first subnormal
+            raise ValueError(f"b_n = {target:.3g} for n = {args.n} is below the normal float "
+                             "range, where the norm estimate loses its digits; "
+                             "the largest n it answers for is 170")
         op = operators.DiscreteCesaro(args.n, lg, boundary=args.boundary)
     else:
         spec = operators.power_weight_pair(args.pair_power)
@@ -422,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mellin-check",
                        help="residual of the transformed scaling identity "
                             "(the transform diagonalizes the generator)")
-    p.add_argument("--points", type=int, default=2**14)
+    _add_window(p, points=2**14)
     p.add_argument("--center", type=float, default=0.0,
                    help="center of the log-Gaussian test bump in ln x")
     p.add_argument("--width", type=float, default=0.003,
                    help="width of the log-Gaussian test bump")
-    p.add_argument("--x-min", type=float, default=constants.DEFAULT_WINDOW[0])
-    p.add_argument("--x-max", type=float, default=constants.DEFAULT_WINDOW[1])
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_mellin_check)
 

@@ -13,11 +13,12 @@ g_k = 1/(k! prod_{j=1..n-k} (j + sigma)) > 0.  As int_a^inf x^(-2n) (x-a)^m dx
 
 is free of a and of cancellation, and decreases to c_n as sigma drops to -1/2.
 
-Functions with derivative closures are integrated on a LogGrid in one
-stacked pass (_halfline_norms): every closure a ratio needs (f^(n) and f,
-or those of each vector component) is sampled into one array, one row per
-closure, and all rows share one weighting, one trapezoid sum and one set
-of checks, the rule norm_sq runs on a single row.
+Every half-line grid ratio, of a scalar or of a vector (a list of scalar
+components), sums its norms in one core, _halfline_ratio.  Closures are
+integrated on a LogGrid in one stacked pass (_halfline_norms): f^(n) and f
+of every component are sampled into one array, one row per closure, and
+all rows share one weighting, one trapezoid sum and one set of checks, the
+rule norm_sq runs on a single row.  Sampled components go through norm_sq.
 
 Every grid, sampled, vector and interval report is built by _build_report,
 which applies the refusals these routes share: a report has slack > 0, or
@@ -29,6 +30,7 @@ probe's closed form keeps its own rule, a slack above its rounding error.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -37,7 +39,8 @@ import numpy as np
 from .analytic import AnalyticFunction, PowerExp, monomial, polynomial_times_exp
 from .constants import _float_constant, _float_weighted_constant
 from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError
-from .grid import GridFunction, LogGrid, _log_trapezoid, _weighted_squares, norm_sq
+from .grid import (GridFunction, LogGrid, _log_trapezoid, _weighted_squares, differentiate,
+                   norm_sq)
 
 __all__ = [
     "ProbeSpec",
@@ -225,13 +228,10 @@ def _build_report(n, numerator, denominator, constant, **extra) -> RatioReport:
 def _halfline_norms(grid: LogGrid, rows) -> list:
     """Integrals of |v|^2 x^p dx on a LogGrid for (closure, p) rows, in one pass.
 
-    Each closure is sampled on the grid's nodes without numpy warnings, as
-    GridFunction.from_callable samples (non-finite samples raise
-    InvalidDataError below), and the samples are stacked one row per
-    closure.  Every row then takes norm_sq's rule: the weight x^(p/2) goes
-    in before squaring, then the trapezoid sum in u plus the power-law
-    stub; one finiteness check and one decay test cover all rows.  Returns
-    one float per row, bit for bit what norm_sq gives for that row alone.
+    The closures are sampled unwarned, as GridFunction.from_callable samples
+    (non-finite samples raise InvalidDataError below), and stacked one row
+    each; every row takes norm_sq's rule, bit for bit what norm_sq gives for
+    it alone, with one finiteness check and one decay test for all rows.
     """
     x = grid.x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,6 +244,32 @@ def _halfline_norms(grid: LogGrid, rows) -> list:
         weighted = _weighted_squares(grid, np.array(samples, dtype=dtype), [p for _, p in rows])
     full, stub, _ = _log_trapezoid(grid, weighted)
     return [float((a + b).real) for a, b in zip(full, stub)]
+
+
+def _halfline_ratio(n, power, components, grid, constant, **extra) -> RatioReport:
+    """Report of sum int x^p |c^(n)|^2 dx over sum int x^(p-2n) |c|^2 dx, in component order.
+
+    Sampled components keep their grids and take finite-difference
+    derivatives; analytic ones need closures up to order n and are stacked
+    on ``grid`` (the default LogGrid if None).
+    """
+    power = float(power)
+    parts, rows = [], []    # per component its (numerator, denominator), or None: stacked
+    for c in components:
+        if isinstance(c, GridFunction):
+            parts.append((norm_sq(differentiate(c, n), power), norm_sq(c, power - 2.0 * n)))
+        elif c.order < n:
+            raise ValueError(f"ratio of order {n} needs {n} derivative closures")
+        else:
+            parts.append(None)
+            rows += [(c.deriv(n), power), (c.deriv(0), power - 2.0 * n)]
+    norms = iter(_halfline_norms(grid or LogGrid.default(), rows) if rows else ())
+    numerator = denominator = 0.0
+    for part in parts:
+        top, bottom = part or (next(norms), next(norms))
+        numerator += top
+        denominator += bottom
+    return _build_report(n, numerator, denominator, constant, **extra)
 
 
 ProbeOrFunction = Union[ProbeSpec, AnalyticFunction]
@@ -271,12 +297,7 @@ def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> 
         return RatioReport(n=n, numerator=numerator, denominator=denominator,
                            ratio=ratio, constant=constant, slack=slack,
                            sigma=f.sigma, a=f.a)
-    if f.order < n:
-        raise ValueError(f"ratio of order {n} needs {n} derivative closures")
-    grid = grid or LogGrid.default()
-    numerator, denominator = _halfline_norms(grid, ((f.deriv(n), 0.0),
-                                                    (f.deriv(0), -2.0 * n)))
-    return _build_report(n, numerator, denominator, constant)
+    return _halfline_ratio(n, 0.0, [f], grid, constant)
 
 
 def glazman_ratio(n: int, alpha: float, f: ProbeOrFunction,
@@ -285,12 +306,7 @@ def glazman_ratio(n: int, alpha: float, f: ProbeOrFunction,
     constant = _float_weighted_constant(n, alpha)
     if isinstance(f, ProbeSpec):
         f = ProbeFunction(f)
-    if f.order < n:
-        raise ValueError(f"ratio of order {n} needs {n} derivative closures")
-    grid = grid or LogGrid.default()
-    numerator, denominator = _halfline_norms(grid, ((f.deriv(n), float(alpha)),
-                                                    (f.deriv(0), alpha - 2.0 * n)))
-    return _build_report(n, numerator, denominator, constant, alpha=float(alpha))
+    return _halfline_ratio(n, alpha, [f], grid, constant, alpha=float(alpha))
 
 
 def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioReport:
@@ -300,18 +316,11 @@ def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioRe
     (a warning is emitted).  Closure-carrying functions should go through
     birman_ratio/glazman_ratio instead.
     """
-    import warnings
-
-    from .grid import differentiate
-
     warnings.warn(
         f"computing an order-{n} derivative numerically from samples; "
         "expect degraded accuracy", stacklevel=2)
-    constant = _float_weighted_constant(n, alpha)
-    numerator = norm_sq(differentiate(f, n), alpha)
-    denominator = norm_sq(f, alpha - 2.0 * n)
     extra = {"alpha": float(alpha)} if alpha else {}
-    return _build_report(n, numerator, denominator, constant, **extra)
+    return _halfline_ratio(n, alpha, [f], None, _float_weighted_constant(n, alpha), **extra)
 
 
 @dataclass(frozen=True)
@@ -352,15 +361,14 @@ def sharpness_sweep(n: int, eps_values: Sequence[float], a: float = 10.0) -> Swe
                        constant=constant)
 
 
-def random_polynomial_probe(n: int, rng: np.random.Generator,
-                            degree: int = 3) -> PowerExp:
-    """Random admissible test function: x^n * poly(x) * e^(-x).
+def random_polynomial_probe(n: int, rng: np.random.Generator) -> PowerExp:
+    """Random admissible test function: x^n * poly(x) * e^(-x), poly of degree 4.
 
     Vanishing order exactly n at the origin and exponential decay, so every
     draw is admissible for the n-th ratio.  Coefficients are uniform in
-    [-1, 1] with the leading one bounded away from zero.
+    [-1, 1] with the x^n one bounded away from zero.
     """
-    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    coeffs = rng.uniform(-1.0, 1.0, 4)
     lead = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
     full = np.concatenate((np.zeros(n), [lead], coeffs))
     return polynomial_times_exp(full, rate=1.0)

@@ -116,14 +116,14 @@ Grid = Union[LogGrid, LinearGrid]
 
 
 class GridFunction:
-    """Complex samples on a grid; vector mode stores one length-m row per node.
+    """Scalar samples on a grid, one per node, real or complex; a vector is a list of them.
 
     Values are frozen after construction, so instances are freely shareable.
     """
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values)
-        if values.ndim not in (1, 2) or values.shape[0] != len(grid):
+        if values.shape != (len(grid),):
             raise InvalidDataError(
                 f"values shape {values.shape} does not match grid of {len(grid)} nodes")
         if not np.iscomplexobj(values):
@@ -137,14 +137,6 @@ class GridFunction:
         # unwarned: the calculus raises InvalidDataError on non-finite samples
         with np.errstate(over="ignore", invalid="ignore"):
             return cls(grid, np.asarray(fn(grid.x)))
-
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == 2
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1] if self.is_vector else 1
 
 
 @dataclass(frozen=True)
@@ -243,20 +235,17 @@ def _log_trapezoid(grid: LogGrid, weighted):
 def _weighted_squares(grid: LogGrid, values, powers):
     """Rows of (|v| x^(p/2))^2, the integrands of weighted squared norms.
 
-    values holds one sampled function per row (rows, nodes), or one vector
-    per node (rows, nodes, m), whose squares are summed over components;
-    powers holds each row's weight power p.  The weight goes in before
-    squaring, so a row stays in the float range wherever |v|^2 x^p itself
-    does (see norm_sq).  Callers silence numpy's overflow and invalid
-    warnings: non-finite rows raise in _log_trapezoid.
+    values holds one sampled function per row, powers each row's weight
+    power p.  The weight goes in before squaring, so a row stays in the
+    float range wherever |v|^2 x^p itself does (see norm_sq).  Callers
+    silence numpy's overflow and invalid warnings: non-finite rows raise in
+    _log_trapezoid.
     """
     root = np.abs(values)
     for row, p in zip(root, powers):
         if p != 0.0:
-            scale = grid.x ** (0.5 * p)
-            row *= scale[:, None] if row.ndim == 2 else scale
-    weighted = root * root
-    return weighted.sum(axis=2) if weighted.ndim == 3 else weighted
+            row *= grid.x ** (0.5 * p)
+    return root * root
 
 
 def _halved(nodes, g):
@@ -275,8 +264,6 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
     ends (checked heuristically, warned).  Linearity in f holds to rounding
     for such integrands.
     """
-    if f.is_vector:
-        raise InvalidDataError("integrate expects scalar values; use norm_sq for vectors")
     _require_finite(f.values)
     x = f.grid.x
     p = float(weight_power)
@@ -307,18 +294,16 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
 
 
 def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
-    """Weighted squared norm: integral of ||f(x)||^2 x^p dx.
+    """Weighted squared norm: integral of |f(x)|^2 x^p dx.
 
-    Vector values contribute their pointwise squared Euclidean norm.  On a
-    LogGrid the weight goes in before squaring: the integrand is
-    (|f| x^(p/2))^2, summed over components, so it stays in the float
-    range wherever ||f||^2 x^p itself does, also where |f|^2 underflows or
-    x^p overflows on its own.  Only x^(p/2) must be finite: on the default
-    window (x_min = 1e-6) that is p >= -102, the Birman denominators up to
-    n = 51.  The rule is integrate's trapezoid sum in u plus the power-law
-    stub, without its error estimate, run on a single row; the ratio
-    functionals run the same rule on all their rows at once.  Other grids
-    go through integrate.
+    On a LogGrid the weight goes in before squaring: the integrand is
+    (|f| x^(p/2))^2, so it stays in the float range wherever |f|^2 x^p
+    itself does, also where |f|^2 underflows or x^p overflows on its own.
+    Only x^(p/2) must be finite: on the default window (x_min = 1e-6) that
+    is p >= -102, the Birman denominators up to n = 51.  The rule is
+    integrate's trapezoid sum in u plus the power-law stub, without its
+    error estimate, run on a single row; the ratio functionals run the same
+    rule on all their rows at once.  Other grids go through integrate.
     """
     grid, p = f.grid, float(weight_power)
     if isinstance(grid, LogGrid):
@@ -326,11 +311,7 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
             weighted = _weighted_squares(grid, f.values[None], (p,))
         full, stub, _ = _log_trapezoid(grid, weighted)
         return float(np.real(full[0] + stub[0]))
-    _require_finite(f.values)
-    sq = np.abs(f.values) ** 2
-    if f.is_vector:
-        sq = sq.sum(axis=1)
-    res = integrate(GridFunction(f.grid, sq), weight_power)
+    res = integrate(GridFunction(f.grid, np.abs(f.values) ** 2), weight_power)
     return float(np.real(res.value))
 
 
@@ -545,8 +526,6 @@ def _cumulative_moments(f: GridFunction):
     f x^j would read as data, falling back to lower-order rules beside it;
     the rule of f keeps the quintic there.
     """
-    if f.is_vector:
-        raise InvalidDataError("cumulative_integral expects scalar values")
     _require_finite(f.values)
     grid, v = f.grid, f.values
     masses, fit, trapezoid, du, damp, w = _panel_analysis(grid, v)
@@ -584,8 +563,6 @@ def differentiate(f: GridFunction, order: int = 1) -> GridFunction:
         raise ValueError("order must be >= 1")
     if len(f.grid) < 2 * order + 2:
         raise ValueError(f"grid too small for order {order} differentiation")
-    if f.is_vector:
-        raise InvalidDataError("differentiate expects scalar values")
     _require_finite(f.values)
     vals = f.values
     for _ in range(order):
@@ -596,45 +573,46 @@ def differentiate(f: GridFunction, order: int = 1) -> GridFunction:
     return GridFunction(f.grid, vals)
 
 
-def write_csv(f: GridFunction, path) -> None:
-    """Serialize as CSV: columns x, re, im (or x, re_1, im_1, ..., re_m, im_m)."""
+def write_csv(components, path) -> None:
+    """Serialize GridFunctions on one grid as CSV: columns x, re_1, im_1, ..., re_m, im_m.
+
+    A single component's columns are x, re, im.
+    """
+    x = components[0].grid.x
+    if any(not np.array_equal(c.grid.x, x) for c in components[1:]):
+        raise InvalidDataError("the components of a CSV must share one grid")
+    header = ["x", "re", "im"] if len(components) == 1 else ["x"] + [
+        f"{part}_{k}" for k in range(1, len(components) + 1) for part in ("re", "im")]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if f.is_vector:
-            header = ["x"]
-            for k in range(1, f.m + 1):
-                header += [f"re_{k}", f"im_{k}"]
-            writer.writerow(header)
-            for xi, row in zip(f.grid.x, f.values):
-                out = [repr(float(xi))]
-                for val in row:
-                    out += [repr(float(np.real(val))), repr(float(np.imag(val)))]
-                writer.writerow(out)
-        else:
-            writer.writerow(["x", "re", "im"])
-            for xi, val in zip(f.grid.x, f.values):
-                writer.writerow([repr(float(xi)),
-                                 repr(float(np.real(val))),
-                                 repr(float(np.imag(val)))])
+        writer.writerow(header)
+        for xi, *row in zip(x, *(c.values for c in components)):
+            out = [repr(float(xi))]
+            for val in row:
+                out += [repr(float(np.real(val))), repr(float(np.imag(val)))]
+            writer.writerow(out)
 
 
-def read_csv(path) -> GridFunction:
-    """Load a GridFunction written by write_csv, re-deriving the grid kind."""
+def read_csv(path) -> list:
+    """Load what write_csv wrote: one GridFunction per re/im column pair.
+
+    The grid kind, log-uniform or uniform, is re-derived from the x column.
+    """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    header, data = rows[0], rows[1:]
+    data = rows[1:]
     x = np.array([float(r[0]) for r in data])
     if len(x) < 8:
         raise InvalidDataError("CSV needs at least 8 samples")
     raw = np.array([[float(c) for c in r[1:]] for r in data])
-    values = raw[:, 0::2] + 1j * raw[:, 1::2]
-    if values.shape[1] == 1:
-        values = values[:, 0]
+    if not raw.shape[1] or raw.shape[1] % 2:
+        raise InvalidDataError("CSV needs an x column and then re/im column pairs")
+    columns = (raw[:, 0::2] + 1j * raw[:, 1::2]).T
     if x[0] > 0:
         du = np.diff(np.log(x))
         if np.allclose(du, du[0], rtol=1e-8, atol=0):
-            return GridFunction(LogGrid(x[0], x[-1], len(x)), values)
+            return [GridFunction(LogGrid(x[0], x[-1], len(x)), v) for v in columns]
     dx = np.diff(x)
     if np.allclose(dx, dx[0], rtol=1e-8, atol=0):
-        return GridFunction(LinearGrid(x[0], x[-1], len(x)), values)
+        return [GridFunction(LinearGrid(x[0], x[-1], len(x)), v) for v in columns]
     raise InvalidDataError("CSV nodes are neither log-uniform nor uniform")

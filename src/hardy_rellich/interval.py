@@ -11,11 +11,9 @@ on all nodes (and f^(j), 0 < j < n, once for the vanishing check), and the
 removable 0/0 at a vanishing end is read from the f^(n) samples there.
 The refusals every ratio route shares (non-finite sums, a vanishing
 denominator, a ratio at or below the constant) are those of
-functional._build_report.  The vector-valued ratio on the half line
-replaces |f|^2 by the pointwise squared Euclidean norm, summed over
-components that may be analytic closures or sampled data, and inherits
-strict positivity of the slack; the closures of all analytic components
-are integrated in one stacked pass.
+functional._build_report.  The vector-valued ratio on the half line sums
+the norms of a list of scalar components, analytic or sampled, in the core
+of the scalar ones (functional._halfline_ratio), and inherits their slack > 0.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
 from .errors import TrivialFunctionError
-from .functional import RatioReport, _build_report, _halfline_norms
-from .grid import GridFunction, LogGrid, differentiate, norm_sq
+from .functional import RatioReport, _build_report, _halfline_ratio
+from .grid import GridFunction, LogGrid
 
 __all__ = [
     "IntervalProblem",
@@ -168,47 +166,23 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
                          side=problem.side, a=problem.a, c=problem.c)
 
 
-VectorInput = Union[GridFunction, Sequence[Union[AnalyticFunction, GridFunction]]]
-
-
-def vector_birman_ratio(n: int, f: VectorInput,
+def vector_birman_ratio(n: int, f: Sequence[Union[AnalyticFunction, GridFunction]],
                         grid: Optional[LogGrid] = None) -> RatioReport:
     """Half-line ratio for vector values: componentwise squared norms summed.
 
-    Takes analytic component closures (preferred), sampled components, a
-    vector-valued GridFunction, or any mix.  An analytic component is
-    sampled on ``grid``; a sampled one keeps its own grid, and its n-th
-    derivative falls back to finite differences with degraded accuracy.
+    Takes a list of scalar components: analytic closures (preferred),
+    sampled data, or a mix.  An analytic component is sampled on ``grid``;
+    a sampled one keeps its own grid, and its n-th derivative falls back to
+    finite differences with degraded accuracy.
     """
     constant = _float_constant("c_n", n)
-    components = []
-    for comp in [f] if isinstance(f, GridFunction) else f:
-        if isinstance(comp, GridFunction):  # one component per column
-            columns = comp.values.reshape(len(comp.grid), -1).T
-            components += [GridFunction(comp.grid, col) for col in columns]
-        elif isinstance(comp, AnalyticFunction):
-            components.append(comp)
-        else:
+    components = list(f)
+    for comp in components:
+        if not isinstance(comp, (AnalyticFunction, GridFunction)):
             raise ValueError("vector components must be analytic functions or sampled data, "
                              f"got {type(comp).__name__}")
     if not components:
         raise TrivialFunctionError("empty component list")
     if len(components) > MAX_COMPONENTS:
         raise ValueError(f"at most {MAX_COMPONENTS} components supported")
-    grid = grid or LogGrid.default()
-    parts, rows = [], []    # per component its (numerator, denominator), or None: stacked
-    for comp in components:
-        if isinstance(comp, GridFunction):
-            parts.append((norm_sq(differentiate(comp, n)), norm_sq(comp, -2.0 * n)))
-        elif comp.order < n:
-            raise ValueError(f"every component needs {n} derivative closures")
-        else:
-            parts.append(None)
-            rows += [(comp.deriv(n), 0.0), (comp.deriv(0), -2.0 * n)]
-    norms = iter(_halfline_norms(grid, rows) if rows else ())
-    numerator = denominator = 0.0
-    for part in parts:
-        top, values = part if part is not None else (next(norms), next(norms))
-        numerator += top
-        denominator += values
-    return _build_report(n, numerator, denominator, constant, m=len(components))
+    return _halfline_ratio(n, 0.0, components, grid, constant, m=len(components))

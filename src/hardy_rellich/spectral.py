@@ -63,8 +63,6 @@ def mellin_forward(f: GridFunction) -> MellinData:
     """
     if not isinstance(f.grid, LogGrid):
         raise InvalidDataError("the transform lives on log grids")
-    if f.is_vector:
-        raise InvalidDataError("transform expects scalar values")
     N = len(f.grid)
     _require_power_of_two(N)
     h = f.grid.h

@@ -221,13 +221,15 @@ def test_module_entry_matches_in_process_run(capsys, tmp_path, name):
 # vector-valued functions: sampled, analytic, and mixed
 
 def _write_pair(path):
-    """Samples of x^2.5 e^(-x) and x^3 e^(-2x) as a two-component CSV."""
+    """Samples of x^2.5 e^(-x) and x^3 e^(-2x) as a two-component CSV, and each alone."""
     from hardy_rellich import grid
 
     lg = grid.LogGrid(1e-4, 60.0, 2048)
-    values = [lg.x**2.5 * np.exp(-lg.x), lg.x**3 * np.exp(-2.0 * lg.x)]
-    grid.write_csv(grid.GridFunction(lg, np.stack(values, axis=1)), path)
-    grid.write_csv(grid.GridFunction(lg, values[0]), path.parent / "one.csv")
+    pair = [grid.GridFunction(lg, lg.x**2.5 * np.exp(-lg.x)),
+            grid.GridFunction(lg, lg.x**3 * np.exp(-2.0 * lg.x))]
+    grid.write_csv(pair, path)
+    grid.write_csv(pair[:1], path.parent / "one.csv")
+    grid.write_csv(pair[1:], path.parent / "two.csv")
 
 
 def test_ratio_of_a_two_component_csv(capsys, tmp_path):
@@ -241,6 +243,17 @@ def test_ratio_of_a_two_component_csv(capsys, tmp_path):
     report = json.loads(out)["report"]
     assert report["m"] == 2
     assert report["ratio"] == pytest.approx(exact["report"]["ratio"], rel=1e-4)
+
+
+def test_two_component_csv_is_the_vector_of_its_columns(capsys, tmp_path):
+    _write_pair(tmp_path / "pair.csv")
+    whole = _run(capsys, ["ratio", "--n", "1", "--function", f"csv:{tmp_path / 'pair.csv'}"])
+    split = _run(capsys, ["ratio", "--n", "1", "--function",
+                          f"vec:csv:{tmp_path / 'one.csv'}|csv:{tmp_path / 'two.csv'}"])
+    assert whole[0] == split[0] == 0, whole[2] + split[2]
+    whole, split = (json.loads(out)["report"] for _, out, _ in (whole, split))
+    for key in ("m", "numerator", "denominator", "ratio"):
+        assert whole[key] == split[key], key
 
 
 def test_ratio_of_a_vector_with_a_sampled_component(capsys, tmp_path):
@@ -293,7 +306,8 @@ def test_warnings_take_one_line_each(tmp_path, argv, warned):
         assert lines == warned
 
 
-# the largest n whose constant fits in a float: 98 for c_n, 178 for b_n
+# the largest n whose constant fits in a float: 98 for c_n, 178 for b_n (170 for
+# the norm estimate, which needs b_n in the normal range)
 
 @pytest.mark.parametrize("argv,limit", [
     (["constants", "--n-max", "99"], 98),
@@ -302,11 +316,22 @@ def test_warnings_take_one_line_each(tmp_path, argv, warned):
     (["interval", "--n", "99"], 98),
     (["norm", "--n", "179", "--points", "256"], 178),
     (["spectrum", "--n", "179"], 178),
+    # b_171 .. b_178 are subnormal: the norm estimate would lose its digits there
+    (["norm", "--n", "171", "--points", "256"], 170),
+    (["norm", "--n", "175", "--points", "256"], 170),
+    (["norm", "--n", "178", "--points", "256"], 170),
 ])
 def test_n_past_the_float_range_exits_2(capsys, argv, limit):
     code, out, err = _run(capsys, argv)
     assert code == cli.EXIT_VALIDATION
-    assert out == "" and err.startswith("error:") and f"is {limit}" in err
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error:") and f"is {limit}" in err
+
+
+def test_norm_at_the_last_normal_b_n(capsys):
+    code, out, err = _run(capsys, ["norm", "--n", "170", "--points", "256"])
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["relative_deviation"]) <= 1e-8
 
 
 def test_constants_reach_the_float_limit(capsys):

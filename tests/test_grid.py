@@ -69,6 +69,12 @@ class TestGridConstruction:
             f.values[0] = 1.0
 
 
+    def test_vector_values_rejected(self, default_grid):
+        # a vector is a list of scalar GridFunctions, one per component
+        with pytest.raises(InvalidDataError):
+            GridFunction(default_grid, np.zeros((len(default_grid), 2)))
+
+
 class TestIntegrate:
     def test_zero(self, default_grid):
         res = integrate(GridFunction(default_grid, np.zeros(len(default_grid))))
@@ -123,11 +129,6 @@ class TestIntegrate:
         with pytest.raises(InvalidDataError):
             integrate(GridFunction(default_grid, values))
 
-    def test_vector_rejected(self, default_grid):
-        f = GridFunction(default_grid, np.zeros((len(default_grid), 2)))
-        with pytest.raises(InvalidDataError):
-            integrate(f)
-
     def test_non_decaying_warns(self, default_grid):
         f = GridFunction(default_grid, np.ones(len(default_grid)))
         with pytest.warns(UserWarning):
@@ -176,8 +177,8 @@ class TestNormSq:
         grid = LogGrid.default(1024)
         f = GridFunction(grid, np.exp((n + 1) * grid.u - grid.x))
         assert norm_sq(f, -2.0 * n) == pytest.approx(0.25, rel=1e-13)
-        vector = GridFunction(grid, np.stack([f.values, 1j * f.values], axis=1))
-        assert norm_sq(vector, -2.0 * n) == pytest.approx(0.5, rel=1e-13)
+        doubled = GridFunction(grid, f.values + 1j * f.values)
+        assert norm_sq(doubled, -2.0 * n) == pytest.approx(0.5, rel=1e-13)
 
     def test_weight_out_of_range_raises(self):
         # x^(-2n/2) itself overflows at x_min = 1e-6 from n = 52
@@ -199,9 +200,10 @@ class TestNormSq:
             norm_sq(GridFunction(default_grid, values))
 
     def test_vector_additivity(self, default_grid):
+        # |g + i g|^2 is the squared Euclidean norm of the vector (g, g)
         g = np.exp(-0.5 * np.log(default_grid.x) ** 2)
         scalar = norm_sq(GridFunction(default_grid, g))
-        vector = norm_sq(GridFunction(default_grid, np.stack([g, g], axis=1)))
+        vector = norm_sq(GridFunction(default_grid, g + 1j * g))
         assert vector == pytest.approx(2 * scalar, rel=1e-14)
 
 
@@ -348,17 +350,36 @@ class TestCsvRoundTrip:
         f = GridFunction.from_callable(default_grid,
                                        lambda x: np.exp(-x) * (1 + 2j))
         path = tmp_path / "f.csv"
-        write_csv(f, path)
-        back = read_csv(path)
+        write_csv([f], path)
+        (back,) = read_csv(path)
         assert isinstance(back.grid, LogGrid)
+        assert path.read_text().splitlines()[0] == "x,re,im"
         np.testing.assert_allclose(back.values, f.values, rtol=1e-12)
 
     def test_vector_linear_grid(self, tmp_path):
         grid = LinearGrid(0.0, 1.0, 33)
-        values = np.stack([grid.x, grid.x**2], axis=1).astype(complex)
+        components = [GridFunction(grid, grid.x), GridFunction(grid, grid.x**2 * (1 - 1j))]
         path = tmp_path / "vec.csv"
-        write_csv(GridFunction(grid, values), path)
+        write_csv(components, path)
         back = read_csv(path)
-        assert isinstance(back.grid, LinearGrid)
-        assert back.m == 2
-        np.testing.assert_allclose(back.values, values, atol=1e-14)
+        assert path.read_text().splitlines()[0] == "x,re_1,im_1,re_2,im_2"
+        assert len(back) == 2 and all(isinstance(c.grid, LinearGrid) for c in back)
+        for got, want in zip(back, components):
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_unpaired_columns_rejected(self, tmp_path, columns):
+        # x alone, x and re, or a re with no im: no column may be read twice
+        grid = LinearGrid(0.0, 1.0, 33)
+        path = tmp_path / "vec.csv"
+        write_csv([GridFunction(grid, grid.x)] * 2, path)
+        path.write_text("".join(",".join(row.split(",")[:columns]) + "\n"
+                                for row in path.read_text().splitlines()))
+        with pytest.raises(InvalidDataError, match="re/im column pairs"):
+            read_csv(path)
+
+    def test_components_on_different_grids_rejected(self, tmp_path):
+        first, second = LinearGrid(0.0, 1.0, 33), LinearGrid(0.0, 2.0, 33)
+        with pytest.raises(InvalidDataError):
+            write_csv([GridFunction(first, first.x), GridFunction(second, second.x)],
+                      tmp_path / "vec.csv")

@@ -153,27 +153,18 @@ def test_ratio_refuses_a_function_that_does_not_vanish(side):
         interval_ratio(problem, _bridge(1, 0.5, 1.5, 0))
 
 
-def _sampled_pair(count=2048):
-    """gamma_class(2.5) and x^3 e^(-2x) on a log grid, as one vector GridFunction."""
-    comps = [gamma_class(2.5), polynomial_times_exp([0, 0, 0, 1.0], rate=2.0)]
-    grid = LogGrid(1e-4, 60.0, count)
-    values = np.stack([np.asarray(c.deriv(0)(grid.x)) for c in comps], axis=1)
-    return comps, GridFunction(grid, values)
-
-
 def test_vector_ratio_takes_sampled_and_analytic_components():
-    comps, sampled = _sampled_pair()
-    exact = vector_birman_ratio(1, comps, sampled.grid)
+    # gamma_class(2.5) and x^3 e^(-2x), as closures and sampled on a log grid
+    comps = [gamma_class(2.5), polynomial_times_exp([0, 0, 0, 1.0], rate=2.0)]
+    grid = LogGrid(1e-4, 60.0, 2048)
+    sampled = [GridFunction.from_callable(grid, c.deriv(0)) for c in comps]
+    exact = vector_birman_ratio(1, comps, grid)
     whole = vector_birman_ratio(1, sampled)
-    first = GridFunction(sampled.grid, sampled.values[:, 0])
-    mixed = vector_birman_ratio(1, [first, comps[1]], sampled.grid)
+    mixed = vector_birman_ratio(1, [sampled[0], comps[1]], grid)
     assert whole.m == mixed.m == exact.m == 2
     # finite differences of second order on 2048 nodes
     assert whole.ratio == pytest.approx(exact.ratio, rel=1e-4)
     assert mixed.ratio == pytest.approx(exact.ratio, rel=1e-4)
-    # a vector GridFunction is its columns, each a sampled component
-    columns = [GridFunction(sampled.grid, sampled.values[:, k]) for k in range(2)]
-    assert vector_birman_ratio(1, columns) == whole
 
 
 def test_vector_ratio_refuses_other_components():
