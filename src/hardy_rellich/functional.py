@@ -250,10 +250,15 @@ def _halfline_ratio(n, power, components, grid, constant, **extra) -> RatioRepor
     """Report of sum int x^p |c^(n)|^2 dx over sum int x^(p-2n) |c|^2 dx, in component order.
 
     Sampled components keep their grids and take finite-difference
-    derivatives; analytic ones need closures up to order n and are stacked
-    on ``grid`` (the default LogGrid if None).
+    derivatives, with one warning per call however many there are; analytic
+    ones need closures up to order n and are stacked on ``grid`` (the
+    default LogGrid if None).
     """
     power = float(power)
+    if any(isinstance(c, GridFunction) for c in components):
+        warnings.warn(
+            f"computing an order-{n} derivative numerically from samples; "
+            "expect degraded accuracy", stacklevel=3)
     parts, rows = [], []    # per component its (numerator, denominator), or None: stacked
     for c in components:
         if isinstance(c, GridFunction):
@@ -316,9 +321,6 @@ def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioRe
     (a warning is emitted).  Closure-carrying functions should go through
     birman_ratio/glazman_ratio instead.
     """
-    warnings.warn(
-        f"computing an order-{n} derivative numerically from samples; "
-        "expect degraded accuracy", stacklevel=2)
     extra = {"alpha": float(alpha)} if alpha else {}
     return _halfline_ratio(n, alpha, [f], None, _float_weighted_constant(n, alpha), **extra)
 

@@ -17,14 +17,14 @@ would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
 integration, which feeds the averaging operators, picks one of three panel
 rules per panel: a power-law fit with a log-curvature correction where
 ln(v x) is straight to rounding (exact for monomials, also used beside
-sampled jumps), a quintic rule in the grid's uniform coordinate everywhere
-else (sixth order also where the integrand changes sign, where the power
-fit is only second order), and plain trapezoid where neither applies
-(exact zeros, non-finite values).  Choosing the rules is an analysis of
-v x (its log-slopes and curvature, jumps and zeros) apart from the masses
-it yields, so the moments v x^j, whose logs differ from ln(v x) by j u
-only, reuse the analysis of v: the averaging operators' binomial moments
-pay for one analysis, not n.
+sampled jumps), an eight-node Lagrange rule in the grid's uniform
+coordinate everywhere else (eighth order also where the integrand changes
+sign, where the power fit is only second order), and plain trapezoid
+where neither applies (exact zeros, non-finite values).  Choosing the
+rules is an analysis of v x (its log-slopes and curvature, jumps and
+zeros) apart from the masses it yields, so the moments v x^j, whose logs
+differ from ln(v x) by j u only, reuse the analysis of v: the averaging
+operators' binomial moments pay for one analysis, not n.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
 # to rounding, so the fit keeps pure and complex monomials exact to ~1e-12.
 _STRAIGHT = 1e-8
 # A step this many times larger than both neighbouring steps is a sampled
-# jump: no quintic through six nodes across it resembles the data.
+# jump: no degree-7 polynomial through eight nodes across it resembles the data.
 _JUMP = 8.0
 
 
@@ -345,25 +345,32 @@ def _power_law(w0, ratio, z, du):
     return w0 * du * out
 
 
-# One-sided rows of the quintic through the first six nodes, integrated over
-# the first and second panels; mirrored at the right end.
-_END_ROWS = np.array([[475.0, 1427.0, -798.0, 482.0, -173.0, 27.0],
-                      [-27.0, 637.0, 1022.0, -258.0, 77.0, -11.0]])
+# Weights of the degree-7 polynomial through eight nodes, integrated over one
+# panel, in units of h/120960: the centre panel's (symmetric, so four, from
+# the panel out) and the one-sided rows of the first, second and third
+# panels, mirrored at the right end.
+_CENTRE = (68323.0, -9531.0, 1879.0, -191.0)
+_END_ROWS = np.array([
+    [36799.0, 139849.0, -121797.0, 123133.0, -88547.0, 41499.0, -11351.0, 1375.0],
+    [-1375.0, 47799.0, 101349.0, -44797.0, 26883.0, -11547.0, 2999.0, -351.0],
+    [351.0, -4183.0, 57627.0, 81693.0, -20227.0, 7227.0, -1719.0, 191.0]])
 
 
-def _quintic_panels(q, h):
-    """Panel integrals of the quintic through each panel's six nearest nodes.
+def _lagrange_panels(q, h):
+    """Panel integrals of the degree-7 polynomial through each panel's eight nearest nodes.
 
-    Interior panels take h/1440 (11, -93, 802, 802, -93, 11), summed as
-    three symmetric pairs; the two panels at each end take _END_ROWS.  The
-    samples are scaled by h/1440 first, so no partial sum overflows where
-    the masses are in the float range.
+    Interior panels take _CENTRE, summed as four symmetric pairs; the three
+    panels at each end take _END_ROWS.  The samples are scaled by h/120960
+    first, so no partial sum overflows where the masses are in the float
+    range.
     """
-    s = q * (h / 1440.0)
+    c0, c1, c2, c3 = _CENTRE
+    s = q * (h / 120960.0)
     out = np.empty(len(q) - 1, dtype=s.dtype)
-    out[2:-2] = 802.0 * (s[2:-3] + s[3:-2]) - 93.0 * (s[1:-4] + s[4:-1]) + 11.0 * (s[:-5] + s[5:])
-    out[:2] = _END_ROWS @ s[:6]
-    out[-2:] = _END_ROWS[::-1, ::-1] @ s[-6:]
+    out[3:-3] = c0 * (s[3:-4] + s[4:-3]) + c1 * (s[2:-5] + s[5:-2]) \
+        + c2 * (s[1:-6] + s[6:-1]) + c3 * (s[:-7] + s[7:])
+    out[:3] = _END_ROWS @ s[:8]
+    out[-3:] = _END_ROWS[::-1, ::-1] @ s[-8:]
     return out
 
 
@@ -373,7 +380,7 @@ def _trapezoid(x0, x1, v0, v1):
 
 
 def _samples(grid: Grid, v):
-    """(q, w): the quintic rule's samples in the grid's uniform coordinate, and v x."""
+    """(q, w): the Lagrange rule's samples in the grid's uniform coordinate, and v x."""
     w = v * grid.x
     return (w, w) if isinstance(grid, LogGrid) else (v, w)
 
@@ -412,17 +419,21 @@ def _power_fit(du, w):
 
 
 def _touched(q):
-    """Panels whose quintic stencil touches a jump, an exact zero or a non-finite value."""
+    """Panels whose Lagrange stencil touches a jump, an exact zero or a non-finite value."""
     step = np.abs(np.diff(q))
     neighbour = np.zeros_like(step)
     neighbour[1:] = step[:-1]
     neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
     bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | (q[:-1] == 0) | (q[1:] == 0)
-    # a panel's stencil spans the panel and two steps on either side (the
-    # two end panels at each side reuse the nearest interior stencil)
+    # a panel's stencil spans the panel and three steps on either side (the
+    # three end panels at each side reuse the nearest interior stencil)
     pairs = bad[:-1] | bad[1:]
-    touched = pairs[:-3] | pairs[2:-1] | bad[4:]
-    return np.concatenate((touched[:1], touched[:1], touched, touched[-1:], touched[-1:]))
+    quads = pairs[:-2] | pairs[2:]
+    touched = np.empty(len(step), dtype=bool)
+    np.logical_or(quads[:-3], quads[3:], out=touched[3:-3])
+    touched[:3] = touched[3]
+    touched[-3:] = touched[-4]
+    return touched
 
 
 def _panel_analysis(grid: Grid, v):
@@ -433,20 +444,21 @@ def _panel_analysis(grid: Grid, v):
     * power-law fit c x^gamma with a log-curvature correction where ln(v x)
       is straight to rounding (|corr| <= _STRAIGHT): exact for pure,
       complex and truncated monomials.  Also used, where valid, on any
-      panel whose six-node stencil touches a jump (a step _JUMP times
-      both neighbouring steps), since no quintic fits across one;
-    * the quintic panel rule h/1440 (11 q_{i-2} - 93 q_{i-1} + 802 q_i
-      + 802 q_{i+1} - 93 q_{i+2} + 11 q_{i+3}), one-sided _END_ROWS on the
-      two panels at each end, everywhere else, including panels where the
+      panel whose eight-node stencil touches a jump (a step _JUMP times
+      both neighbouring steps), since no polynomial fits across one;
+    * the Lagrange panel rule h/120960 (-191 q_{i-3} + 1879 q_{i-2}
+      - 9531 q_{i-1} + 68323 q_i + 68323 q_{i+1} - 9531 q_{i+2}
+      + 1879 q_{i+3} - 191 q_{i+4}), one-sided _END_ROWS on the three
+      panels at each end, everywhere else, including panels where the
       integrand changes sign (on its own the power fit is only second
-      order there).  It is sixth order, and exact for polynomials of
-      degree 5 in the grid's uniform coordinate: q = v x in u on a
+      order there).  It is eighth order, and exact for polynomials of
+      degree 7 in the grid's uniform coordinate: q = v x in u on a
       LogGrid, q = v in x on a LinearGrid;
     * plain trapezoid where neither is valid: the power fit fails and the
       stencil touches a jump, an exact zero or a non-finite value.
 
     Returns (masses, fit, trapezoid, du, damp, w): the masks of the panels
-    on the power fit and on trapezoid (the quintic rule takes the rest), each
+    on the power fit and on trapezoid (the Lagrange rule takes the rest), each
     panel's width in u, its correction as the factor 1 - corr, clamped to 1
     where |corr| >= 0.5, and the samples w = v x the rules read.
     """
@@ -459,19 +471,19 @@ def _panel_analysis(grid: Grid, v):
         damp = 1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0)
         fallback = np.where(ok, power * damp, _trapezoid(x[:-1], x[1:], v[:-1], v[1:]))
         use_fit = _touched(q) | (ok & (np.abs(corr) <= _STRAIGHT))
-        masses = np.where(use_fit, fallback, _quintic_panels(q, grid.h))
+        masses = np.where(use_fit, fallback, _lagrange_panels(q, grid.h))
     return masses, use_fit & ok, use_fit & ~ok, du, damp, w
 
 
 def _panel_masses(grid: Grid, v) -> np.ndarray:
-    """Per-panel integrals of v dx, sixth order across sign changes (see _panel_analysis)."""
+    """Per-panel integrals of v dx, eighth order across sign changes (see _panel_analysis)."""
     return _panel_analysis(grid, v)[0]
 
 
 def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid):
     """Per-panel integrals of v dx = f x^j dx by the rule _panel_analysis chose for f.
 
-    ``fit`` and ``trapezoid`` index the panels of those two rules (the quintic
+    ``fit`` and ``trapezoid`` index the panels of those two rules (the Lagrange
     rule takes the rest), ``du`` and ``damp`` are the fit panels' widths in u
     and correction factors.  Only the fitted exponent is v's own.  A fit
     panel where v x underflowed to zero, and f x did not, takes trapezoid.
@@ -480,7 +492,7 @@ def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid):
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q, w = _samples(grid, v)
-        out = _quintic_panels(q, grid.h)
+        out = _lagrange_panels(q, grid.h)
         w0 = w[fit]
         ratio = w[fit + 1] / w0
         z = _log_ratio(ratio)
@@ -517,14 +529,14 @@ def _cumulative_moments(f: GridFunction):
     from f: ln(f x^(j+1)) = ln(f x) + j u, so the straightness test and the
     curvature correction of every moment are those of f, and so are its
     sampled jumps and exact zeros.  Moment j only samples f x^j, runs the
-    quintic rule, refits the exponent on the fit panels and fits its stub;
+    Lagrange rule, refits the exponent on the fit panels and fits its stub;
     its samples come as the running product f x ... x.  Moment 0 is
     cumulative_integral(f) itself.  A moment whose samples times x (which
     its panel rules read, and which are the next moment's samples) or whose
     running integral leave the float range raises InvalidDataError.  On a
     LinearGrid from 0, x^j adds a zero at x = 0 that a rule decided for
     f x^j would read as data, falling back to lower-order rules beside it;
-    the rule of f keeps the quintic there.
+    the rule of f keeps the Lagrange rule there.
     """
     _require_finite(f.values)
     grid, v = f.grid, f.values

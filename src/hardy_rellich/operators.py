@@ -28,7 +28,7 @@ analysis, that of f: ln(f x^(j+1)) = ln(f x) + j u, so the rule each panel
 takes and its curvature correction are the same for every moment, exactly,
 and f x^j has the jumps and zeros of f.  The moments, the analytic family
 T_{1,z} behind the resolvent and the A side of the weighted pairs all take
-their accuracy from the grid's cumulative panel rule, which is sixth order
+their accuracy from the grid's cumulative panel rule, which is eighth order
 also where the integrand changes sign; that matters here, since
 (x^n f)^(n) has n sign changes.  Inverses act on analytic closures only:
 (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz coefficients,
@@ -76,11 +76,12 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     The n moments int_0^x t^j f share one panel analysis, that of f: x^j
     only adds j u to ln(f x), so the rule each panel takes is the same for
     every moment (see grid._cumulative_moments).  The samples f x^j and the
-    powers x^(-1-j) are running products.  The chain A_{n-1} ... A_0
-    would equal the nested oracle to rounding, which loses digits on the
-    round trips: T_5 of (x^5 f)^(5) at 4096 nodes reads 3.5e-8 relative
-    against 4e-13 here.  At a node x = 0 (a LinearGrid from 0) T_n f takes
-    its limit f(0)/n!.
+    powers x^(-1-j) are running products.  The chain A_{n-1} ... A_0 of
+    cumulative integrals equals the nested oracle to rounding and pays n
+    panel analyses for the one here; on the round trips the two agree:
+    T_5 of (x^5 f)^(5), f = x^1.5 e^-x, at 4096 nodes reads 1.5e-14
+    relative here and 5.0e-15 nested.  At a node x = 0 (a LinearGrid from
+    0) T_n f takes its limit f(0)/n!.
     """
     _check_index(n)
     x = f.grid.x

@@ -34,6 +34,17 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _run_showing_warnings(capsys, argv):
+    """_run with every warning shown, each time it is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        return _run(capsys, argv)
+
+
+SAMPLED_WARNING = ("warning: UserWarning: computing an order-1 derivative numerically "
+                   "from samples; expect degraded accuracy")
+
+
 def test_every_command_is_covered():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -235,7 +246,8 @@ def _write_pair(path):
 def test_ratio_of_a_two_component_csv(capsys, tmp_path):
     path = tmp_path / "pair.csv"
     _write_pair(path)
-    code, out, err = _run(capsys, ["ratio", "--n", "1", "--function", f"csv:{path}"])
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                                    f"csv:{path}"])
     assert code == 0, err
     exact = json.loads(_run(capsys, ["ratio", "--n", "1", "--x-min", "1e-4", "--x-max", "60",
                                      "--points", "2048", "--function",
@@ -247,9 +259,11 @@ def test_ratio_of_a_two_component_csv(capsys, tmp_path):
 
 def test_two_component_csv_is_the_vector_of_its_columns(capsys, tmp_path):
     _write_pair(tmp_path / "pair.csv")
-    whole = _run(capsys, ["ratio", "--n", "1", "--function", f"csv:{tmp_path / 'pair.csv'}"])
-    split = _run(capsys, ["ratio", "--n", "1", "--function",
-                          f"vec:csv:{tmp_path / 'one.csv'}|csv:{tmp_path / 'two.csv'}"])
+    whole = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                           f"csv:{tmp_path / 'pair.csv'}"])
+    split = _run_showing_warnings(capsys, [
+        "ratio", "--n", "1", "--function",
+        f"vec:csv:{tmp_path / 'one.csv'}|csv:{tmp_path / 'two.csv'}"])
     assert whole[0] == split[0] == 0, whole[2] + split[2]
     whole, split = (json.loads(out)["report"] for _, out, _ in (whole, split))
     for key in ("m", "numerator", "denominator", "ratio"):
@@ -258,11 +272,23 @@ def test_two_component_csv_is_the_vector_of_its_columns(capsys, tmp_path):
 
 def test_ratio_of_a_vector_with_a_sampled_component(capsys, tmp_path):
     _write_pair(tmp_path / "pair.csv")
-    code, out, err = _run(capsys, ["ratio", "--n", "1", "--function",
-                                   f"vec:csv:{tmp_path / 'one.csv'}|gamma"])
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                                    f"vec:csv:{tmp_path / 'one.csv'}|gamma"])
     assert code == 0, err
     report = json.loads(out)["report"]
     assert report["m"] == 2 and report["slack"] > 0
+
+
+@pytest.mark.parametrize("spec", ["csv:{dir}/one.csv", "csv:{dir}/pair.csv",
+                                  "vec:csv:{dir}/one.csv|gamma",
+                                  "vec:csv:{dir}/one.csv|csv:{dir}/two.csv"])
+def test_sampled_ratios_print_one_warning(capsys, tmp_path, spec):
+    # one line per ratio, however many of its components are sampled
+    _write_pair(tmp_path / "pair.csv")
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                                    spec.format(dir=tmp_path)])
+    assert code == 0 and json.loads(out)["report"]["slack"] > 0
+    assert err.splitlines() == [SAMPLED_WARNING]
 
 
 def test_ratio_refuses_alpha_for_vectors(capsys):

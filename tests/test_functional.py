@@ -376,3 +376,21 @@ def test_non_decaying_integrand_warns_once():
         glazman_ratio(2, -0.5, gamma_class(2, 1))
     assert [str(w.message) for w in caught] == [
         "integrand does not decay at the window ends; truncation error may dominate"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: birman_ratio_sampled(1, f),
+    lambda f: vector_birman_ratio(1, [f, f]),
+    lambda f: vector_birman_ratio(1, [f, gamma_class(2.5)]),
+])
+def test_sampled_ratio_warns_once_at_the_caller(call):
+    # finite differences warn once per ratio, on every route, and the
+    # warning names the line that asked for the ratio
+    grid = LogGrid(1e-4, 60.0, 2048)
+    f = GridFunction(grid, grid.x**2.5 * np.exp(-grid.x))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert call(f).slack > 0
+    assert [str(w.message) for w in caught] == [
+        "computing an order-1 derivative numerically from samples; expect degraded accuracy"]
+    assert caught[0].filename == __file__

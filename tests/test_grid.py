@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hardy_rellich import grid as grid_module
 from hardy_rellich.errors import InvalidDataError, SingularityError
 from hardy_rellich.grid import (
     GridFunction,
@@ -279,7 +280,7 @@ class TestCumulativeIntegral:
                                              np.maximum(0.0, (x - 1.0) * (2.0 - x))))
         assert np.all(F.values[x <= 1.0] == 0.0)
 
-    def test_sixth_order_across_sign_change(self):
+    def test_eighth_order_across_sign_change(self):
         # (2.5 - x) x^1.5 e^-x changes sign at x = 2.5, where a power-law
         # fit is only second order; its antiderivative is x^2.5 e^-x
         def err(count):
@@ -288,38 +289,88 @@ class TestCumulativeIntegral:
             F = cumulative_integral(GridFunction(grid, (2.5 - x) * x**1.5 * np.exp(-x)))
             return np.max(np.abs(F.values - x**2.5 * np.exp(-x)))
 
-        errors = [err(2**k) for k in (10, 11, 12)]
-        # sixth order: 64 per doubling
-        assert 48.0 <= errors[0] / errors[1] <= 80.0
-        assert 48.0 <= errors[1] / errors[2] <= 80.0
-        assert errors[2] <= 2e-9
+        # at 4096 nodes the error is at rounding level
+        errors = [err(2**k) for k in (9, 10, 11)]
+        # eighth order: 256 per doubling
+        assert 192.0 <= errors[0] / errors[1] <= 320.0
+        assert 192.0 <= errors[1] / errors[2] <= 320.0
+        assert errors[2] <= 3e-14
 
-    @pytest.mark.parametrize("log", [True, False])
-    def test_quintic_exact_in_the_uniform_coordinate(self, log):
-        # the panel rule is exact for degree-5 polynomials in u on a LogGrid
-        # (v x = P(u)) and in x on a LinearGrid (v = P(x)), without zeros
-        grid = LogGrid(1e-2, 1e2, 97) if log else LinearGrid(0.5, 3.0, 97)
+    @staticmethod
+    def _polynomial_error(coeffs, log, count):
+        """Relative error of the running integral of a polynomial in the uniform coordinate.
+
+        The polynomial is v x = P(u) on a LogGrid and v = P(x) on a
+        LinearGrid, and has no zeros on the window.
+        """
+        grid = LogGrid(1e-2, 1e2, count) if log else LinearGrid(0.5, 3.0, count)
         t = (grid.u - grid.u[0]) if log else grid.x - grid.a
-        poly = np.polynomial.Polynomial([1.0, 0.5, 0.3, -0.1, 0.02, 0.001])
+        poly = np.polynomial.Polynomial(coeffs)
         samples = poly(t)
         assert np.min(np.abs(samples)) > 0.1
         F = cumulative_integral(GridFunction(grid, samples / grid.x if log else samples))
         exact = poly.integ()(t)
-        assert np.max(np.abs(F.values - F.values[0] - exact)) <= 1e-13 * np.max(np.abs(exact))
+        return np.max(np.abs(F.values - F.values[0] - exact)) / np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("log", [True, False])
+    def test_quintic_exact_in_the_uniform_coordinate(self, log):
+        coeffs = [1.0, 0.5, 0.3, -0.1, 0.02, 0.001]
+        assert self._polynomial_error(coeffs, log, 97) <= 1e-13
+
+    @pytest.mark.parametrize("count", [8, 9, 97])
+    @pytest.mark.parametrize("log", [True, False])
+    def test_degree_7_exact_in_the_uniform_coordinate(self, log, count):
+        # eight nodes per stencil: exact for degree 7, also on the smallest
+        # grids, where the end rows meet the single interior panel
+        coeffs = [1.0, 0.5, 0.3, -0.1, 0.02, 0.001, -2e-4, 1e-5]
+        assert self._polynomial_error(coeffs, log, count) <= 1e-13
 
     @pytest.mark.parametrize("a", [0.5, 0.0])
-    def test_linear_grid_sixth_order(self, a):
-        # cos 3x changes sign three times on [a, 4]; the rule runs in x
+    def test_linear_grid_eighth_order(self, a):
+        # T_8 on [a, 4] changes sign eight times; the rule runs in x.  The
+        # end rows' ninth-order term keeps the ratio a little below 256 here
         def err(count):
             grid = LinearGrid(a, 4.0, count)
-            F = cumulative_integral(GridFunction.from_callable(grid, lambda x: np.cos(3 * x)))
-            return np.max(np.abs(F.values - (np.sin(3 * grid.x) - math.sin(3 * a)) / 3))
+            poly = np.polynomial.Chebyshev.basis(8, domain=[a, 4.0])
+            F = cumulative_integral(GridFunction(grid, poly(grid.x)))
+            return np.max(np.abs(F.values - poly.integ(lbnd=a)(grid.x)))
 
-        # at 1025 nodes the error is at rounding level
-        errors = [err(count) for count in (129, 257, 513)]
-        # sixth order: 64 per doubling
-        assert 48.0 <= errors[0] / errors[1] <= 80.0
-        assert 48.0 <= errors[1] / errors[2] <= 80.0
+        # at 513 nodes the error is at rounding level
+        errors = [err(count) for count in (65, 129, 257)]
+        # eighth order: 256 per doubling
+        assert 192.0 <= errors[0] / errors[1] <= 320.0
+        assert 192.0 <= errors[1] / errors[2] <= 320.0
+        assert errors[2] <= 4e-13
+
+
+def _lagrange_weights(panel):
+    """Exact integrals over (panel, panel + 1) of the Lagrange basis on nodes 0..7."""
+    out = []
+    for i in range(8):
+        coeffs = [Fraction(1)]          # prod_{j != i} (t - j), lowest power first
+        for j in range(8):
+            if j != i:
+                coeffs = [a - j * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [0])]
+        scale = math.prod(Fraction(i - j) for j in range(8) if j != i)
+        out.append(sum(c * (Fraction(panel + 1) ** (k + 1) - Fraction(panel) ** (k + 1)) / (k + 1)
+                       for k, c in enumerate(coeffs)) / scale)
+    return out
+
+
+def test_panel_weights_are_the_exact_lagrange_integrals():
+    # panel 3 of eight nodes is the centre panel; panels 0-2 are the end rows
+    centre = [w * 120960 for w in _lagrange_weights(3)]
+    assert centre == list(grid_module._CENTRE[::-1] + grid_module._CENTRE)
+    for panel, row in enumerate(grid_module._END_ROWS):
+        assert [w * 120960 for w in _lagrange_weights(panel)] == row.tolist()
+
+
+def test_panel_rule_on_eight_nodes_integrates_each_basis_polynomial():
+    # every row in place: the seven panels of an eight-node grid, including
+    # the mirrored right end, read the exact integrals of each basis sample
+    exact = np.array([[float(w) for w in _lagrange_weights(panel)] for panel in range(7)])
+    got = np.array([grid_module._lagrange_panels(e, 1.0) for e in np.eye(8)]).T
+    np.testing.assert_allclose(got, exact, rtol=1e-15, atol=1e-17)
 
 
 class TestDifferentiate:

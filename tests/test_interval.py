@@ -159,8 +159,12 @@ def test_vector_ratio_takes_sampled_and_analytic_components():
     grid = LogGrid(1e-4, 60.0, 2048)
     sampled = [GridFunction.from_callable(grid, c.deriv(0)) for c in comps]
     exact = vector_birman_ratio(1, comps, grid)
-    whole = vector_birman_ratio(1, sampled)
-    mixed = vector_birman_ratio(1, [sampled[0], comps[1]], grid)
+    # one finite-difference warning per ratio, however many components are sampled
+    with pytest.warns(UserWarning, match="numerically from samples") as whole_warned:
+        whole = vector_birman_ratio(1, sampled)
+    with pytest.warns(UserWarning, match="numerically from samples") as mixed_warned:
+        mixed = vector_birman_ratio(1, [sampled[0], comps[1]], grid)
+    assert len(whole_warned) == len(mixed_warned) == 1
     assert whole.m == mixed.m == exact.m == 2
     # finite differences of second order on 2048 nodes
     assert whole.ratio == pytest.approx(exact.ratio, rel=1e-4)
