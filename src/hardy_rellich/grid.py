@@ -14,17 +14,19 @@ weight before squaring, (|f| x^(p/2))^2, so |f|^2 x^p stays in the float
 range wherever the product does: the inverse-power weights x^(-2n) of the
 Birman denominators reach n = 51 on the default window, where |f|^2 alone
 would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
-integration, which feeds the averaging operators, picks one of three panel
-rules per panel: a power-law fit with a log-curvature correction where
-ln(v x) is straight to rounding (exact for monomials, also used beside
-sampled jumps), an eight-node Lagrange rule in the grid's uniform
-coordinate everywhere else (eighth order also where the integrand changes
-sign, where the power fit is only second order), and plain trapezoid
-where neither applies (exact zeros, non-finite values).  Choosing the
-rules is an analysis of v x (its log-slopes and curvature, jumps and
-zeros) apart from the masses it yields, so the moments v x^j, whose logs
-differ from ln(v x) by j u only, reuse the analysis of v: the averaging
-operators' binomial moments pay for one analysis, not n.
+integration, which feeds the averaging operators, integrates each panel by
+the eight-node Lagrange rule in the grid's uniform coordinate (u on a
+LogGrid, x on a LinearGrid): eighth order, also where the integrand
+changes sign or has a root at a node.  A panel leaves that rule only when
+its stencil touches a sampled jump, a support edge (the end of a run of
+exact zeros) or a non-finite value, where no polynomial fits: it takes a
+power-law fit with a log-curvature correction where that fit is valid,
+and plain trapezoid where it is not.  The jump branch serves sampled data,
+and analytic closures with jumps, such as the optimality probe, as long as
+they cannot declare their breakpoints for the quadrature to split at.
+The rule is decided once, from v: x^j adds no jump or support edge, and
+only j u to ln(v x), so the moments v x^j reuse it, and the averaging
+operators' binomial moments pay for one rule, not n.
 """
 
 from __future__ import annotations
@@ -315,9 +317,6 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
     return float(np.real(res.value))
 
 
-# A power-law panel whose curvature correction is at most this is straight
-# to rounding, so the fit keeps pure and complex monomials exact to ~1e-12.
-_STRAIGHT = 1e-8
 # A step this many times larger than both neighbouring steps is a sampled
 # jump: no degree-7 polynomial through eight nodes across it resembles the data.
 _JUMP = 8.0
@@ -386,45 +385,48 @@ def _samples(grid: Grid, v):
 
 
 def _power_fit(du, w):
-    """Per-panel integrals of w du for w = c e^(gamma u), before correction.
+    """(ok, corr): where the power-law fit c e^(gamma u) is valid per panel, and its correction.
 
-    Returns the masses, where the fit is valid (nonzero samples, no sign
-    flip or half-turn of phase, tame exponent), and the signed curvature
-    correction corr = (du^2/12) (ln w)'', taken from the neighbouring panel
-    slopes and averaged over the valid nodes at each panel's two ends; a
-    panel with none (an end panel next to a sign flip) gets 0/0 = nan,
-    which is never read as straight and never applied.  Invalid panels
-    divide by zero; the caller silences those warnings.
+    The fit is valid on a panel with nonzero finite samples, no sign flip
+    or half-turn of phase between them, and a tame exponent: z = ln of the
+    sample ratio within |z| < 50.  corr is the signed curvature correction
+    (du^2/12) (ln w)'', taken from the neighbouring panel slopes and
+    averaged over the valid nodes at each panel's two ends; a panel with
+    none (an end panel next to a sign flip) gets 0/0 = nan, which is never
+    applied.  Invalid panels divide by zero; the caller silences those
+    warnings.
     """
-    ratio = w[1:] / w[:-1]
-    ok = (w[:-1] != 0) & (w[1:] != 0) & np.isfinite(ratio)
-    ratio = np.where(ok, ratio, 1.0)
-    # z is the slope of ln w times du, per panel
-    if np.iscomplexobj(ratio):
-        z = _log_ratio(ratio)
-        ok &= np.abs(z.imag) < 0.5 * np.pi
-    else:
-        ok &= ratio > 0
-        z = _log_ratio(np.where(ok, ratio, 1.0))
-    ok &= np.abs(z) < 50.0
-    power = _power_law(w[:-1], ratio, z, du)
-    ok &= np.isfinite(power)
+    # z is the slope of ln w times du, per panel: infinite or nan where a
+    # sample is zero or non-finite or the sign flips
+    z = _log_ratio(w[1:] / w[:-1])
+    ok = (np.abs(z) < 50.0) & (np.abs(z.imag) < 0.5 * np.pi)
 
     slope = z / du
     node_ok = ok[1:] & ok[:-1]
     curv = np.where(node_ok, (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1])), 0.0)
     sums = np.concatenate(([0.0], curv)) + np.concatenate((curv, [0.0]))
     counts = np.concatenate(([0], node_ok)) + np.concatenate((node_ok, [0]))
-    return power, ok, sums / counts * du**2 / 12.0
+    return ok, sums / counts * du**2 / 12.0
 
 
 def _touched(q):
-    """Panels whose Lagrange stencil touches a jump, an exact zero or a non-finite value."""
+    """Panels whose Lagrange stencil touches a sampled jump, a support edge or a non-finite value.
+
+    A jump is a step _JUMP times both neighbouring steps.  A support edge is
+    an exact zero that ends a run of zeros beside a nonzero sample: an
+    interior node k with q_k = 0 and exactly one of q_(k-1), q_(k+1) zero.
+    An isolated root, the inside of a run of zeros and a zero at either
+    end of the grid leave the stencil alone: a polynomial through them is
+    as good as anywhere.
+    """
     step = np.abs(np.diff(q))
     neighbour = np.zeros_like(step)
     neighbour[1:] = step[:-1]
     neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
-    bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | (q[:-1] == 0) | (q[1:] == 0)
+    zero = q == 0
+    edge = np.zeros_like(zero)
+    edge[1:-1] = zero[1:-1] & (zero[:-2] != zero[2:])
+    bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | edge[:-1] | edge[1:]
     # a panel's stencil spans the panel and three steps on either side (the
     # three end panels at each side reuse the nearest interior stencil)
     pairs = bad[:-1] | bad[1:]
@@ -436,74 +438,58 @@ def _touched(q):
     return touched
 
 
-def _panel_analysis(grid: Grid, v):
-    """Per-panel integrals of v dx, and the rule each panel took.
+def _panel_rule(grid: Grid, v):
+    """The cumulative panel rule of v: (fit, trapezoid, du, damp).
 
-    Three rules, chosen per panel:
-
-    * power-law fit c x^gamma with a log-curvature correction where ln(v x)
-      is straight to rounding (|corr| <= _STRAIGHT): exact for pure,
-      complex and truncated monomials.  Also used, where valid, on any
-      panel whose eight-node stencil touches a jump (a step _JUMP times
-      both neighbouring steps), since no polynomial fits across one;
-    * the Lagrange panel rule h/120960 (-191 q_{i-3} + 1879 q_{i-2}
-      - 9531 q_{i-1} + 68323 q_i + 68323 q_{i+1} - 9531 q_{i+2}
-      + 1879 q_{i+3} - 191 q_{i+4}), one-sided _END_ROWS on the three
-      panels at each end, everywhere else, including panels where the
-      integrand changes sign (on its own the power fit is only second
-      order there).  It is eighth order, and exact for polynomials of
-      degree 7 in the grid's uniform coordinate: q = v x in u on a
-      LogGrid, q = v in x on a LinearGrid;
-    * plain trapezoid where neither is valid: the power fit fails and the
-      stencil touches a jump, an exact zero or a non-finite value.
-
-    Returns (masses, fit, trapezoid, du, damp, w): the masks of the panels
-    on the power fit and on trapezoid (the Lagrange rule takes the rest), each
-    panel's width in u, its correction as the factor 1 - corr, clamped to 1
-    where |corr| >= 0.5, and the samples w = v x the rules read.
+    Every panel takes the eight-node Lagrange rule (_lagrange_panels) but
+    those whose stencil is _touched.  Of these, ``fit`` indexes the panels
+    where the power fit v = c x^gamma is valid, and ``trapezoid`` the
+    rest; du and damp are the fit panels' widths in u and their curvature
+    corrections as the factor 1 - corr (1 where |corr| >= 0.5 or is nan).
+    The fit is examined on the span of touched panels only, widened by
+    one panel on either side for the slopes that the curvature reads.
     """
-    x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q, w = _samples(grid, v)
+        touched = np.flatnonzero(_touched(q))
+        if not len(touched):
+            return touched, touched, np.empty(0), np.empty(0)
+        lo, hi = max(touched[0] - 1, 0), min(touched[-1] + 2, len(q) - 1)
         # on a LinearGrid u = ln x is -inf at x = 0, where the fit is invalid
-        du = np.diff(grid.u if isinstance(grid, LogGrid) else np.log(x))
-        power, ok, corr = _power_fit(du, w)
+        u = grid.u[lo:hi + 1] if isinstance(grid, LogGrid) else np.log(grid.x[lo:hi + 1])
+        du = np.diff(u)
+        ok, corr = _power_fit(du, w[lo:hi + 1])
+        at = touched - lo
+        ok, corr, du = ok[at], corr[at], du[at]
         damp = 1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0)
-        fallback = np.where(ok, power * damp, _trapezoid(x[:-1], x[1:], v[:-1], v[1:]))
-        use_fit = _touched(q) | (ok & (np.abs(corr) <= _STRAIGHT))
-        masses = np.where(use_fit, fallback, _lagrange_panels(q, grid.h))
-    return masses, use_fit & ok, use_fit & ~ok, du, damp, w
+    return touched[ok], touched[~ok], du[ok], damp[ok]
 
 
-def _panel_masses(grid: Grid, v) -> np.ndarray:
-    """Per-panel integrals of v dx, eighth order across sign changes (see _panel_analysis)."""
-    return _panel_analysis(grid, v)[0]
+def _moment_masses(grid: Grid, v, rule):
+    """Per-panel integrals of v dx by a rule from _panel_rule, and the samples w = v x it read.
 
-
-def _moment_masses(grid: Grid, v, fit, du, damp, trapezoid):
-    """Per-panel integrals of v dx = f x^j dx by the rule _panel_analysis chose for f.
-
-    ``fit`` and ``trapezoid`` index the panels of those two rules (the Lagrange
-    rule takes the rest), ``du`` and ``damp`` are the fit panels' widths in u
-    and correction factors.  Only the fitted exponent is v's own.  A fit
-    panel where v x underflowed to zero, and f x did not, takes trapezoid.
-    Returns the masses and the samples w = v x the rules read.
+    The rule may be that of f, for v = f x^j: the Lagrange panels read v's
+    samples and the fit panels refit v's own exponent, with f's correction
+    (ln(f x^(j+1)) = ln(f x) + j u has the curvature of ln(f x)).  A fit
+    panel whose fit is not finite, as where v x underflowed to zero and
+    f x did not, takes trapezoid.
     """
+    fit, trapezoid, du, damp = rule
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q, w = _samples(grid, v)
         out = _lagrange_panels(q, grid.h)
-        w0 = w[fit]
-        ratio = w[fit + 1] / w0
-        z = _log_ratio(ratio)
-        fitted = _power_law(w0, ratio, z, du) * damp
-        lost = ~(np.isfinite(z) & np.isfinite(fitted))
-        if lost.any():
-            trapezoid = np.concatenate((trapezoid, fit[lost]))
-            fit, fitted = fit[~lost], fitted[~lost]
-        out[fit] = fitted
-        t = trapezoid
-        out[t] = _trapezoid(x[t], x[t + 1], v[t], v[t + 1])
+        if len(fit):
+            w0 = w[fit]
+            ratio = w[fit + 1] / w0
+            z = _log_ratio(ratio)
+            fitted = _power_law(w0, ratio, z, du) * damp
+            kept = np.isfinite(z) & np.isfinite(fitted)
+            out[fit[kept]] = fitted[kept]
+            trapezoid = np.concatenate((trapezoid, fit[~kept]))
+        if len(trapezoid):
+            t = trapezoid
+            out[t] = _trapezoid(x[t], x[t + 1], v[t], v[t + 1])
     return out, w
 
 
@@ -525,32 +511,26 @@ def _cumulative(grid: Grid, v, panels) -> np.ndarray:
 def _cumulative_moments(f: GridFunction):
     """Yield the samples of int_0^x t^j f(t) dt for j = 0, 1, 2, ...
 
-    Each is cumulative_integral of f x^j, whose panel rule is decided once,
-    from f: ln(f x^(j+1)) = ln(f x) + j u, so the straightness test and the
-    curvature correction of every moment are those of f, and so are its
-    sampled jumps and exact zeros.  Moment j only samples f x^j, runs the
-    Lagrange rule, refits the exponent on the fit panels and fits its stub;
-    its samples come as the running product f x ... x.  Moment 0 is
-    cumulative_integral(f) itself.  A moment whose samples times x (which
-    its panel rules read, and which are the next moment's samples) or whose
-    running integral leave the float range raises InvalidDataError.  On a
-    LinearGrid from 0, x^j adds a zero at x = 0 that a rule decided for
-    f x^j would read as data, falling back to lower-order rules beside it;
-    the rule of f keeps the Lagrange rule there.
+    Each is the running integral of f x^j by the panel rule of f, decided
+    once: x^j is smooth and nonzero inside the window, adding no jump or
+    support edge to f and only j u to ln(f x), so the panels that leave
+    the Lagrange rule and their curvature corrections are f's for every
+    moment.  Moment j samples f x^j as the running product f x ... x,
+    runs the Lagrange rule, refits the exponent on the fit panels and fits
+    its stub.  Moment 0 is cumulative_integral(f) itself.  A moment whose
+    samples times x (which its panel rules read, and which are the next
+    moment's samples) or whose running integral leave the float range
+    raises InvalidDataError.
     """
     _require_finite(f.values)
     grid, v = f.grid, f.values
-    masses, fit, trapezoid, du, damp, w = _panel_analysis(grid, v)
-    _require_finite(w, "f x leaves the float range")
-    yield _cumulative(grid, v, masses)
-    del masses  # the later moments need only the rule
-    fit, trapezoid = np.flatnonzero(fit), np.flatnonzero(trapezoid)
-    du, damp = du[fit], damp[fit]
-    for j in itertools.count(2):
-        v = w
-        masses, w = _moment_masses(grid, v, fit, du, damp, trapezoid)
-        _require_finite(w, f"f x^{j} leaves the float range")
+    rule = _panel_rule(grid, v)
+    for j in itertools.count(1):
+        masses, w = _moment_masses(grid, v, rule)
+        _require_finite(w, "f x leaves the float range" if j == 1
+                        else f"f x^{j} leaves the float range")
         yield _cumulative(grid, v, masses)
+        v = w
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:

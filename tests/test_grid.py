@@ -342,6 +342,78 @@ class TestCumulativeIntegral:
         assert 192.0 <= errors[1] / errors[2] <= 320.0
         assert errors[2] <= 4e-13
 
+    def test_power_fit_beside_a_jump_keeps_its_curvature_correction(self):
+        # x^1.5 e^-x cut off at x = 10: the panels whose stencils reach the
+        # jump take the power fit, and its curvature correction keeps the
+        # running integral below the cutoff at 2.0e-13 (6.2e-9 without it)
+        grid = LogGrid.default(4096)
+        x = grid.x
+        F = cumulative_integral(GridFunction(grid, np.where(x <= 10.0, x**1.5 * np.exp(-x), 0.0)))
+        below = x <= 10.0 * (1 - grid.h)
+        t = x[below]
+        # the lower incomplete gamma function of order 5/2
+        erf = np.array([math.erf(r) for r in np.sqrt(t)])
+        exact = 0.75 * math.sqrt(math.pi) * erf - np.exp(-t) * np.sqrt(t) * (t + 1.5)
+        assert np.max(np.abs(F.values[below] - exact)) <= 2e-12 * exact[-1]
+
+    @pytest.mark.parametrize("case", ["grid-end", "isolated-root"])
+    def test_exact_zeros_keep_the_eighth_order(self, case):
+        # sin(3(x - 0.5)) is exactly 0 at the first node, the grid's end; the
+        # Chebyshev T_9 on [0.5, 4] is exactly 0 at its midpoint node 2.25,
+        # between samples of opposite sign.  Neither is a support edge, so
+        # the panels beside them keep the Lagrange rule
+        cheb = np.polynomial.chebyshev
+        t9 = [0.0] * 9 + [1.0]
+        b, values, exact = {
+            "grid-end": (0.5 + 4 * math.pi / 3,
+                         lambda x: np.sin(3 * (x - 0.5)),
+                         lambda x: (1 - np.cos(3 * (x - 0.5))) / 3),
+            "isolated-root": (4.0,
+                              lambda x: cheb.chebval((x - 2.25) / 1.75, t9),
+                              lambda x: 1.75 * cheb.chebval((x - 2.25) / 1.75,
+                                                            cheb.chebint(t9, lbnd=-1))),
+        }[case]
+        errors = []
+        for count in (65, 129, 257):
+            grid = LinearGrid(0.5, b, count)
+            samples = values(grid.x)
+            assert np.count_nonzero(samples == 0.0) >= 1
+            F = cumulative_integral(GridFunction(grid, samples))
+            errors.append(np.max(np.abs(F.values - exact(grid.x))))
+        # eighth order reads about 256 per doubling; a second-order panel
+        # beside the zero reads about 4
+        assert errors[0] / errors[1] >= 150.0
+        assert errors[1] / errors[2] >= 150.0
+
+    @pytest.mark.parametrize("coeffs", [
+        [0.0, 0.0, 2.0, -3.0, 1.0],    # x^2 (x - 1)(x - 2): zeros at nodes 0, 8, 16
+        [-3.0, 7.0, -5.0, 1.0],        # (x - 1)^2 (x - 3): zeros at nodes 8, 24
+    ])
+    def test_polynomials_with_roots_at_nodes_are_exact(self, coeffs):
+        grid = LinearGrid(0.0, 4.0, 33)
+        poly = np.polynomial.Polynomial(coeffs)
+        samples = poly(grid.x)
+        assert np.count_nonzero(samples == 0.0) >= 2
+        F = cumulative_integral(GridFunction(grid, samples))
+        exact = poly.integ()(grid.x)
+        assert np.max(np.abs(F.values - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("case, most", [
+        ("gamma", 16),            # the underflow edge beyond x ~ 745 only
+        ("gamma-complex", 16),
+        ("rational", 0),
+    ])
+    def test_few_panels_leave_the_lagrange_rule(self, case, most):
+        # every panel off the Lagrange rule runs the power fit or trapezoid;
+        # a smooth integrand must not send its panels there
+        grid = LogGrid.default(4096)
+        x = grid.x
+        values = {"gamma": x**1.5 * np.exp(-x),
+                  "gamma-complex": x**1.5 * np.exp(-(1.0 - 0.5j) * x),
+                  "rational": x**1.5 / (1.0 + x**4)}[case]
+        fit, trapezoid, _, _ = grid_module._panel_rule(grid, values)
+        assert len(fit) + len(trapezoid) <= most
+
 
 def _lagrange_weights(panel):
     """Exact integrals over (panel, panel + 1) of the Lagrange basis on nodes 0..7."""
