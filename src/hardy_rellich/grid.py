@@ -14,19 +14,16 @@ weight before squaring, (|f| x^(p/2))^2, so |f|^2 x^p stays in the float
 range wherever the product does: the inverse-power weights x^(-2n) of the
 Birman denominators reach n = 51 on the default window, where |f|^2 alone
 would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
-integration, which feeds the averaging operators, integrates each panel by
-the eight-node Lagrange rule in the grid's uniform coordinate (u on a
-LogGrid, x on a LinearGrid): eighth order, also where the integrand
-changes sign or has a root at a node.  A panel leaves that rule only when
-its stencil touches a sampled jump, a support edge (the end of a run of
-exact zeros) or a non-finite value, where no polynomial fits: it takes a
-power-law fit with a log-curvature correction where that fit is valid,
-and plain trapezoid where it is not.  The jump branch serves sampled data,
-and analytic closures with jumps, such as the optimality probe, as long as
-they cannot declare their breakpoints for the quadrature to split at.
-The rule is decided once, from v: x^j adds no jump or support edge, and
-only j u to ln(v x), so the moments v x^j reuse it, and the averaging
-operators' binomial moments pay for one rule, not n.
+integration, which feeds the averaging operators, runs the eight-node
+Lagrange rule in the grid's uniform coordinate (u on a LogGrid, x on a
+LinearGrid): eighth order, also where the integrand changes sign or has a
+root at a node.  Where no polynomial spans a panel, across a sampled jump
+or beside a support edge (the end of a run of exact zeros), the grid is
+split: such a break panel takes trapezoid, and the rule runs on each run of
+nodes between breaks on its own, so no stencil reads across a break and
+each piece keeps its eighth order.  The breaks are decided once, from v:
+x^j adds no jump or support edge, so the moments v x^j reuse them, and the
+averaging operators' binomial moments pay for one decision, not n.
 """
 
 from __future__ import annotations
@@ -322,28 +319,6 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
 _JUMP = 8.0
 
 
-def _log_ratio(ratio):
-    """ln of the per-panel sample ratios, real or complex."""
-    if np.iscomplexobj(ratio):
-        # several times faster than the complex log
-        return np.log(np.abs(ratio)) + 1j * np.angle(ratio)
-    return np.log(ratio)
-
-
-def _power_law(w0, ratio, z, du):
-    """Panel integrals of w du for w = w0 e^(z s/du), s in (0, du), with e^z = ratio.
-
-    That is w0 du (e^z - 1)/z, by its series where z is near 0 (0/0 at
-    z = 0 before that: the callers silence the warning).
-    """
-    out = (ratio - 1.0) / z
-    small = np.abs(z) < 1e-4
-    if small.any():
-        z = z[small]
-        out[small] = 1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))
-    return w0 * du * out
-
-
 # Weights of the degree-7 polynomial through eight nodes, integrated over one
 # panel, in units of h/120960: the centre panel's (symmetric, so four, from
 # the panel out) and the one-sided rows of the first, second and third
@@ -373,51 +348,15 @@ def _lagrange_panels(q, h):
     return out
 
 
-def _trapezoid(x0, x1, v0, v1):
-    """Panel integrals of v dx by the trapezoid rule."""
-    return 0.5 * (x1 - x0) * (v0 + v1)
+def _breaks(q):
+    """Indices of the break panels of q, the panels that no polynomial spans.
 
-
-def _samples(grid: Grid, v):
-    """(q, w): the Lagrange rule's samples in the grid's uniform coordinate, and v x."""
-    w = v * grid.x
-    return (w, w) if isinstance(grid, LogGrid) else (v, w)
-
-
-def _power_fit(du, w):
-    """(ok, corr): where the power-law fit c e^(gamma u) is valid per panel, and its correction.
-
-    The fit is valid on a panel with nonzero finite samples, no sign flip
-    or half-turn of phase between them, and a tame exponent: z = ln of the
-    sample ratio within |z| < 50.  corr is the signed curvature correction
-    (du^2/12) (ln w)'', taken from the neighbouring panel slopes and
-    averaged over the valid nodes at each panel's two ends; a panel with
-    none (an end panel next to a sign flip) gets 0/0 = nan, which is never
-    applied.  Invalid panels divide by zero; the caller silences those
-    warnings.
-    """
-    # z is the slope of ln w times du, per panel: infinite or nan where a
-    # sample is zero or non-finite or the sign flips
-    z = _log_ratio(w[1:] / w[:-1])
-    ok = (np.abs(z) < 50.0) & (np.abs(z.imag) < 0.5 * np.pi)
-
-    slope = z / du
-    node_ok = ok[1:] & ok[:-1]
-    curv = np.where(node_ok, (slope[1:] - slope[:-1]) / (0.5 * (du[1:] + du[:-1])), 0.0)
-    sums = np.concatenate(([0.0], curv)) + np.concatenate((curv, [0.0]))
-    counts = np.concatenate(([0], node_ok)) + np.concatenate((node_ok, [0]))
-    return ok, sums / counts * du**2 / 12.0
-
-
-def _touched(q):
-    """Panels whose Lagrange stencil touches a sampled jump, a support edge or a non-finite value.
-
-    A jump is a step _JUMP times both neighbouring steps.  A support edge is
-    an exact zero that ends a run of zeros beside a nonzero sample: an
-    interior node k with q_k = 0 and exactly one of q_(k-1), q_(k+1) zero.
-    An isolated root, the inside of a run of zeros and a zero at either
-    end of the grid leave the stencil alone: a polynomial through them is
-    as good as anywhere.
+    A break panel crosses a sampled jump, a step _JUMP times both
+    neighbouring steps, or lies beside a support edge: an exact zero that
+    ends a run of zeros, that is an interior node k with q_k = 0 and exactly
+    one of q_(k-1), q_(k+1) zero.  An isolated root, the inside of a run of
+    zeros and a zero at either end of the grid are no breaks: a polynomial
+    through them is as good as anywhere.
     """
     step = np.abs(np.diff(q))
     neighbour = np.zeros_like(step)
@@ -426,71 +365,52 @@ def _touched(q):
     zero = q == 0
     edge = np.zeros_like(zero)
     edge[1:-1] = zero[1:-1] & (zero[:-2] != zero[2:])
-    bad = (step > _JUMP * neighbour) | ~np.isfinite(step) | edge[:-1] | edge[1:]
-    # a panel's stencil spans the panel and three steps on either side (the
-    # three end panels at each side reuse the nearest interior stencil)
-    pairs = bad[:-1] | bad[1:]
-    quads = pairs[:-2] | pairs[2:]
-    touched = np.empty(len(step), dtype=bool)
-    np.logical_or(quads[:-3], quads[3:], out=touched[3:-3])
-    touched[:3] = touched[3]
-    touched[-3:] = touched[-4]
-    return touched
+    return np.flatnonzero((step > _JUMP * neighbour) | edge[:-1] | edge[1:])
 
 
-def _panel_rule(grid: Grid, v):
-    """The cumulative panel rule of v: (fit, trapezoid, du, damp).
+def _split_panels(q, h, breaks):
+    """Panel integrals of q dt: the Lagrange rule on each run between break panels.
 
-    Every panel takes the eight-node Lagrange rule (_lagrange_panels) but
-    those whose stencil is _touched.  Of these, ``fit`` indexes the panels
-    where the power fit v = c x^gamma is valid, and ``trapezoid`` the
-    rest; du and damp are the fit panels' widths in u and their curvature
-    corrections as the factor 1 - corr (1 where |corr| >= 0.5 or is nan).
-    The fit is examined on the span of touched panels only, widened by
-    one panel on either side for the slopes that the curvature reads.
+    The break panels cut the nodes into runs.  A run of eight nodes or
+    more takes _lagrange_panels on its own nodes, so no stencil reads
+    across a break; a break panel, and every panel of a shorter run, takes
+    trapezoid.  Without breaks this is one _lagrange_panels call.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q, w = _samples(grid, v)
-        touched = np.flatnonzero(_touched(q))
-        if not len(touched):
-            return touched, touched, np.empty(0), np.empty(0)
-        lo, hi = max(touched[0] - 1, 0), min(touched[-1] + 2, len(q) - 1)
-        # on a LinearGrid u = ln x is -inf at x = 0, where the fit is invalid
-        u = grid.u[lo:hi + 1] if isinstance(grid, LogGrid) else np.log(grid.x[lo:hi + 1])
-        du = np.diff(u)
-        ok, corr = _power_fit(du, w[lo:hi + 1])
-        at = touched - lo
-        ok, corr, du = ok[at], corr[at], du[at]
-        damp = 1.0 - np.where(np.abs(corr) < 0.5, corr, 0.0)
-    return touched[ok], touched[~ok], du[ok], damp[ok]
+    if not len(breaks):
+        return _lagrange_panels(q, h)
+    s = q * (0.5 * h)
+    out = s[:-1] + s[1:]
+    for start, end in zip([0, *(breaks + 1).tolist()], [*breaks.tolist(), len(q) - 1]):
+        if end - start >= 7:
+            out[start:end] = _lagrange_panels(q[start:end + 1], h)
+    return out
 
 
-def _moment_masses(grid: Grid, v, rule):
-    """Per-panel integrals of v dx by a rule from _panel_rule, and the samples w = v x it read.
+def _moment_masses(f: GridFunction):
+    """Yield (v, masses) for v = f x^j, j = 0, 1, 2, ...: v and its panel integrals of v dx.
 
-    The rule may be that of f, for v = f x^j: the Lagrange panels read v's
-    samples and the fit panels refit v's own exponent, with f's correction
-    (ln(f x^(j+1)) = ln(f x) + j u has the curvature of ln(f x)).  A fit
-    panel whose fit is not finite, as where v x underflowed to zero and
-    f x did not, takes trapezoid.
+    The rule runs in the grid's uniform coordinate, on q = v x in u on a
+    LogGrid and on q = v in x on a LinearGrid, split at f's break panels.
+    The breaks are decided once, from moment 0: x^j is smooth and nonzero
+    inside the window, so it adds no jump or support edge.  v x^j is the
+    running product v x ... x.  Non-finite samples of f raise
+    InvalidDataError, and so does a moment whose samples times x (which the
+    rule reads on a LogGrid, and which are the next moment's samples) leave
+    the float range.
     """
-    fit, trapezoid, du, damp = rule
-    x = grid.x
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q, w = _samples(grid, v)
-        out = _lagrange_panels(q, grid.h)
-        if len(fit):
-            w0 = w[fit]
-            ratio = w[fit + 1] / w0
-            z = _log_ratio(ratio)
-            fitted = _power_law(w0, ratio, z, du) * damp
-            kept = np.isfinite(z) & np.isfinite(fitted)
-            out[fit[kept]] = fitted[kept]
-            trapezoid = np.concatenate((trapezoid, fit[~kept]))
-        if len(trapezoid):
-            t = trapezoid
-            out[t] = _trapezoid(x[t], x[t + 1], v[t], v[t + 1])
-    return out, w
+    _require_finite(f.values)
+    grid, v = f.grid, f.values
+    breaks = None
+    for j in itertools.count(1):
+        with np.errstate(over="ignore"):
+            w = v * grid.x
+        _require_finite(w, "f x leaves the float range" if j == 1
+                        else f"f x^{j} leaves the float range")
+        q = w if isinstance(grid, LogGrid) else v
+        if breaks is None:
+            breaks = _breaks(q)
+        yield v, _split_panels(q, grid.h, breaks)
+        v = w
 
 
 def _cumulative(grid: Grid, v, panels) -> np.ndarray:
@@ -511,26 +431,14 @@ def _cumulative(grid: Grid, v, panels) -> np.ndarray:
 def _cumulative_moments(f: GridFunction):
     """Yield the samples of int_0^x t^j f(t) dt for j = 0, 1, 2, ...
 
-    Each is the running integral of f x^j by the panel rule of f, decided
-    once: x^j is smooth and nonzero inside the window, adding no jump or
-    support edge to f and only j u to ln(f x), so the panels that leave
-    the Lagrange rule and their curvature corrections are f's for every
-    moment.  Moment j samples f x^j as the running product f x ... x,
-    runs the Lagrange rule, refits the exponent on the fit panels and fits
-    its stub.  Moment 0 is cumulative_integral(f) itself.  A moment whose
-    samples times x (which its panel rules read, and which are the next
-    moment's samples) or whose running integral leave the float range
-    raises InvalidDataError.
+    Each is the (0, x_min) stub of f x^j plus the running sum of its panel
+    masses from _moment_masses, which split every moment at f's break
+    panels and run the eight-node Lagrange rule on the runs between them.
+    Moment 0 is cumulative_integral(f) itself.  A running integral that
+    leaves the float range raises InvalidDataError.
     """
-    _require_finite(f.values)
-    grid, v = f.grid, f.values
-    rule = _panel_rule(grid, v)
-    for j in itertools.count(1):
-        masses, w = _moment_masses(grid, v, rule)
-        _require_finite(w, "f x leaves the float range" if j == 1
-                        else f"f x^{j} leaves the float range")
-        yield _cumulative(grid, v, masses)
-        v = w
+    for v, masses in _moment_masses(f):
+        yield _cumulative(f.grid, v, masses)
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:

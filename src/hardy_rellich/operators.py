@@ -23,16 +23,16 @@ Golub-Kahan bidiagonal B.
 On sampled functions apply_cesaro expands the repeated-integration form
 (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt into n
 binomial moments int_0^x t^j f(t) dt, each a cumulative integral; the
-literal nested form is kept as an oracle.  The moments share one panel
-rule, that of f: x^j adds no jump or support edge to f, and only j u to
-ln(f x), so the panels that leave the Lagrange rule and their curvature
-corrections are f's for every moment.  The
+literal nested form is kept as an oracle.  The moments share one split
+of the grid, that of f: x^j adds no jump or support edge to f, so the break
+panels where the running integrals split are f's for every moment.  The
 moments, the analytic family T_{1,z} behind the resolvent and the A side of
 the weighted pairs all take their accuracy from the grid's cumulative
-panel rule, which is eighth order also where the integrand changes sign;
-that matters here, since (x^n f)^(n) has n sign changes.  Inverses act on
-analytic closures only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the
-exact Leibniz coefficients, and equivalently as the operator polynomial
+rule, the eight-node Lagrange rule on each run between breaks, which is
+eighth order also where the integrand changes sign; that matters here,
+since (x^n f)^(n) has n sign changes.  Inverses act on analytic closures
+only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz
+coefficients, and equivalently as the operator polynomial
 prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor.
 """
 
@@ -47,8 +47,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .constants import _check_index, leibniz_coeffs
 from .errors import ConvergenceError
-from .grid import (GridFunction, LogGrid, _cumulative_moments, _moment_masses, _panel_rule,
-                   cumulative_integral)
+from .grid import GridFunction, LogGrid, _cumulative_moments, _moment_masses, cumulative_integral
 
 __all__ = [
     "WeightedPairSpec",
@@ -73,12 +72,12 @@ RESOLVENT_MARGIN = 0.05
 def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     """Apply T_n through the binomial-moment expansion of the Cauchy kernel.
 
-    The n moments int_0^x t^j f share one panel rule, that of f: the
-    panels that leave the Lagrange rule are decided once, from f's samples
-    (see grid._cumulative_moments).  The samples f x^j and the powers
-    x^(-1-j) are running products.  The chain A_{n-1} ... A_0 of
-    cumulative integrals equals the nested oracle to rounding and decides
-    n panel rules for the one here; on the round trips the two agree:
+    The n moments int_0^x t^j f share one split of the grid, that of f:
+    its break panels are decided once, from f's samples (see
+    grid._moment_masses).  The samples f x^j and the powers x^(-1-j) are
+    running products.  The chain A_{n-1} ... A_0 of cumulative integrals
+    equals the nested oracle to rounding and decides n splits for the one
+    here; on the round trips the two agree:
     T_5 of (x^5 f)^(5), f = x^1.5 e^-x, at 4096 nodes reads 1.5e-14
     relative here and 5.0e-15 nested.  At a node x = 0 (a LinearGrid from
     0) T_n f takes its limit f(0)/n!.
@@ -248,9 +247,11 @@ def power_weight_pair(j: int) -> WeightedPairSpec:
 
 
 def _suffix_panels(f: GridFunction) -> np.ndarray:
-    """integral_{x_i}^{x_max} of f dx, by the same panel rule as cumulative."""
-    grid, v = f.grid, f.values
-    panels = _moment_masses(grid, v, _panel_rule(grid, v))[0]
+    """integral_{x_i}^{x_max} of f dx, by the panel masses of cumulative_integral.
+
+    Non-finite samples of f, or of f x, raise InvalidDataError as there.
+    """
+    panels = next(_moment_masses(f))[1]
     out = np.zeros(len(f.grid), dtype=panels.dtype)
     out[:-1] = np.cumsum(panels[::-1])[::-1]
     return out

@@ -342,19 +342,42 @@ class TestCumulativeIntegral:
         assert 192.0 <= errors[1] / errors[2] <= 320.0
         assert errors[2] <= 4e-13
 
-    def test_power_fit_beside_a_jump_keeps_its_curvature_correction(self):
-        # x^1.5 e^-x cut off at x = 10: the panels whose stencils reach the
-        # jump take the power fit, and its curvature correction keeps the
-        # running integral below the cutoff at 2.0e-13 (6.2e-9 without it)
-        grid = LogGrid.default(4096)
-        x = grid.x
-        F = cumulative_integral(GridFunction(grid, np.where(x <= 10.0, x**1.5 * np.exp(-x), 0.0)))
-        below = x <= 10.0 * (1 - grid.h)
-        t = x[below]
-        # the lower incomplete gamma function of order 5/2
-        erf = np.array([math.erf(r) for r in np.sqrt(t)])
-        exact = 0.75 * math.sqrt(math.pi) * erf - np.exp(-t) * np.sqrt(t) * (t + 1.5)
-        assert np.max(np.abs(F.values[below] - exact)) <= 2e-12 * exact[-1]
+    def test_running_integral_below_a_jump_keeps_its_accuracy(self):
+        # x^1.5 e^-x cut off at x = 10: the running integral splits at the
+        # break panel across the jump, and the Lagrange rule runs on either
+        # side, so below the cutoff it keeps the accuracy of a smooth input
+        def err(count):
+            grid = LogGrid.default(count)
+            x = grid.x
+            F = cumulative_integral(GridFunction(grid, np.where(x <= 10.0, x**1.5 * np.exp(-x), 0.0)))
+            below = x <= 10.0 * (1 - grid.h)
+            t = x[below]
+            # the lower incomplete gamma function of order 5/2
+            erf = np.array([math.erf(r) for r in np.sqrt(t)])
+            exact = 0.75 * math.sqrt(math.pi) * erf - np.exp(-t) * np.sqrt(t) * (t + 1.5)
+            return np.max(np.abs(F.values[below] - exact)) / exact[-1]
+
+        assert err(4096) <= 1e-14
+        assert err(1024) <= 2e-12
+
+    @pytest.mark.parametrize("log, count", [(False, 65), (False, 129), (True, 257)])
+    def test_each_run_is_exact_beside_a_jump(self, log, count):
+        # degree-7 pieces P up to the middle node and Q after it, polynomial
+        # in the uniform coordinate t: the jump between them is a break
+        # panel, and the Lagrange rule on the runs either side of it is exact
+        grid = LogGrid(1e-2, 1e2, count) if log else LinearGrid(0.0, 4.0, count)
+        t = (grid.u - grid.u[0]) if log else grid.x
+        mid = count // 2
+        P = np.polynomial.Polynomial([1.0, 0.5, 0.3, -0.1, 0.02, 0.001, -2e-4, 1e-5])
+        Q = np.polynomial.Polynomial([30.0, -0.7, 0.2, 0.05, -0.01, 0.002, 1e-4, -1e-5])
+        q = np.where(np.arange(count) <= mid, P(t), Q(t))
+        assert grid_module._breaks(q).tolist() == [mid]
+        F = cumulative_integral(GridFunction(grid, q / grid.x if log else q)).values
+        F = F - F[0]                             # the (0, x_min) stub
+        left = P.integ(lbnd=t[0])(t[:mid + 1])
+        right = Q.integ(lbnd=t[mid + 1])(t[mid + 1:])
+        assert np.max(np.abs(F[:mid + 1] - left)) <= 1e-13 * np.max(np.abs(left))
+        assert np.max(np.abs(F[mid + 1:] - F[mid + 1] - right)) <= 1e-13 * np.max(np.abs(right))
 
     @pytest.mark.parametrize("case", ["grid-end", "isolated-root"])
     def test_exact_zeros_keep_the_eighth_order(self, case):
@@ -399,20 +422,19 @@ class TestCumulativeIntegral:
         assert np.max(np.abs(F.values - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("case, most", [
-        ("gamma", 16),            # the underflow edge beyond x ~ 745 only
-        ("gamma-complex", 16),
+        ("gamma", 2),             # the two panels beside the underflow edge beyond x ~ 745
+        ("gamma-complex", 2),
         ("rational", 0),
     ])
     def test_few_panels_leave_the_lagrange_rule(self, case, most):
-        # every panel off the Lagrange rule runs the power fit or trapezoid;
-        # a smooth integrand must not send its panels there
+        # every break panel runs trapezoid and ends a Lagrange run; a smooth
+        # integrand must not break its grid
         grid = LogGrid.default(4096)
         x = grid.x
         values = {"gamma": x**1.5 * np.exp(-x),
                   "gamma-complex": x**1.5 * np.exp(-(1.0 - 0.5j) * x),
                   "rational": x**1.5 / (1.0 + x**4)}[case]
-        fit, trapezoid, _, _ = grid_module._panel_rule(grid, values)
-        assert len(fit) + len(trapezoid) <= most
+        assert len(grid_module._breaks(values * x)) <= most
 
 
 def _lagrange_weights(panel):

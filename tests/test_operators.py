@@ -186,10 +186,10 @@ class TestNestedOracle:
 
 
 def _per_moment_cesaro(n, f):
-    """apply_cesaro with a full cumulative_integral, and panel rule, per moment.
+    """apply_cesaro with a full cumulative_integral, and split of the grid, per moment.
 
     The moment samples f x^j and the powers x^(-1-j) are the running products
-    apply_cesaro forms, so the two routes differ only in sharing the rule.
+    apply_cesaro forms, so the two routes differ only in sharing the split.
     """
     x = f.grid.x
     recip = 1.0 / x
@@ -228,9 +228,9 @@ def _exp_inverse_image(n, x):
 
 
 class TestSharedMomentAnalysis:
-    # apply_cesaro decides the panel rule once, from f, for all n moments;
-    # x^j adds no jump or support edge and only j u to ln(f x), so it must
-    # match the route that decides the rule of every moment afresh
+    # apply_cesaro decides its break panels once, from f, for all n moments;
+    # x^j adds no jump or support edge, so it must match the route that
+    # decides the breaks of every moment afresh
     @pytest.mark.parametrize("N", [256, 1024, 4096])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_smooth_inputs_match_the_per_moment_route(self, n, N):
@@ -485,6 +485,24 @@ class TestWeightedPair:
     def test_bad_side(self, grid, bump):
         with pytest.raises(ValueError):
             ops.weighted_pair_apply(ops.power_weight_pair(0), "C", bump)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_non_finite_sample_raises_on_both_sides(self, side):
+        lg = LogGrid.default(256)
+        values = np.exp(-lg.x)
+        values[100] = np.nan
+        with pytest.raises(InvalidDataError, match="grid samples contain non-finite values"):
+            ops.weighted_pair_apply(ops.power_weight_pair(0), side, GridFunction(lg, values))
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_overflowing_integrand_times_x_raises_on_both_sides(self, side):
+        # with phi = psi = w = 1 both sides integrate f itself; 1e303 x
+        # leaves the float range beyond x ~ 1.8e5
+        ones = np.ones_like
+        spec = ops.WeightedPairSpec(phi=ones, psi=ones, w=ones, K=1.0)
+        lg = LogGrid.default(256)
+        with pytest.raises(InvalidDataError, match="f x leaves the float range"):
+            ops.weighted_pair_apply(spec, side, GridFunction(lg, np.full(len(lg), 1e303)))
 
     def test_a_side_eighth_order_across_sign_change(self):
         # for j = 0, (A f)(x) = int_x^inf f(t)/t dt; here f(t)/t is the
