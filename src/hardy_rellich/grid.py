@@ -21,16 +21,20 @@ root at a node.  Where no polynomial spans a panel, across a sampled jump
 or beside a support edge (the end of a run of exact zeros), the grid is
 split: such a break panel takes trapezoid, and the rule runs on each run of
 nodes between breaks on its own, so no stencil reads across a break and
-each piece keeps its eighth order.  The breaks are decided once, from v:
-x^j adds no jump or support edge, so the moments v x^j reuse them, and the
-averaging operators' binomial moments pay for one decision, not n.
+each piece keeps its eighth order.  The moments v x^j go through in blocks
+of rows, as many as fit a fixed budget of samples (one row from 8192
+nodes): a block forms its running products, checks them, splits them and
+sums its panel masses in one pass of numpy calls.  The breaks are decided
+once, from v: x^j adds no jump or support edge, so every block reuses
+them.  A row's results are the same bits in a block as alone, and the
+averaging operators' n binomial moments pay for one decision and about
+n / rows passes, not n of each.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -333,19 +337,32 @@ _END_ROWS = np.array([
 def _lagrange_panels(q, h):
     """Panel integrals of the degree-7 polynomial through each panel's eight nearest nodes.
 
-    Interior panels take _CENTRE, summed as four symmetric pairs; the three
-    panels at each end take _END_ROWS.  The samples are scaled by h/120960
-    first, so no partial sum overflows where the masses are in the float
-    range.
+    q holds one integrand per row, or is a single row.  Interior panels
+    take _CENTRE, summed as four symmetric pairs; the three panels at each
+    end take _END_ROWS.  The samples are scaled by h/120960 first, so no
+    partial sum overflows where the masses are in the float range.
     """
     c0, c1, c2, c3 = _CENTRE
     s = q * (h / 120960.0)
-    out = np.empty(len(q) - 1, dtype=s.dtype)
-    out[3:-3] = c0 * (s[3:-4] + s[4:-3]) + c1 * (s[2:-5] + s[5:-2]) \
-        + c2 * (s[1:-6] + s[6:-1]) + c3 * (s[:-7] + s[7:])
-    out[:3] = _END_ROWS @ s[:8]
-    out[-3:] = _END_ROWS[::-1, ::-1] @ s[-8:]
+    out = np.empty_like(s[..., 1:])
+    centre = out[..., 3:-3]
+    np.multiply(s[..., 3:-4] + s[..., 4:-3], c0, out=centre)
+    centre += c1 * (s[..., 2:-5] + s[..., 5:-2])
+    centre += c2 * (s[..., 1:-6] + s[..., 6:-1])
+    centre += c3 * (s[..., :-7] + s[..., 7:])
+    out[..., :3] = _end_panels(_END_ROWS, s[..., :8])
+    out[..., -3:] = _end_panels(_END_ROWS[::-1, ::-1], s[..., -8:])
     return out
+
+
+def _end_panels(rows, s):
+    """The three end panels of each row of s, eight scaled samples a row, by the 3 x 8 weights rows.
+
+    One matrix-vector product per row: one matrix product for the whole
+    block would sum in another order, and a row's panels would then depend
+    on the rows beside it.
+    """
+    return (rows @ s[..., None])[..., 0]
 
 
 def _breaks(q):
@@ -358,87 +375,119 @@ def _breaks(q):
     zeros and a zero at either end of the grid are no breaks: a polynomial
     through them is as good as anywhere.
     """
-    step = np.abs(np.diff(q))
-    neighbour = np.zeros_like(step)
-    neighbour[1:] = step[:-1]
-    neighbour[:-1] = np.maximum(neighbour[:-1], step[1:])
+    step = np.abs(q[1:] - q[:-1])
+    neighbour = np.empty_like(step)
+    neighbour[0], neighbour[-1] = step[1], step[-2]
+    np.maximum(step[:-2], step[2:], out=neighbour[1:-1])
+    neighbour *= _JUMP
+    brk = step > neighbour
     zero = q == 0
-    edge = np.zeros_like(zero)
-    edge[1:-1] = zero[1:-1] & (zero[:-2] != zero[2:])
-    return np.flatnonzero((step > _JUMP * neighbour) | edge[:-1] | edge[1:])
+    edge = zero[1:-1] & (zero[:-2] != zero[2:])   # nodes 1 .. N-2
+    brk[1:] |= edge
+    brk[:-1] |= edge
+    return brk.nonzero()[0]
 
 
 def _split_panels(q, h, breaks):
-    """Panel integrals of q dt: the Lagrange rule on each run between break panels.
+    """Panel integrals of each row of q dt: the Lagrange rule on each run between break panels.
 
-    The break panels cut the nodes into runs.  A run of eight nodes or
-    more takes _lagrange_panels on its own nodes, so no stencil reads
-    across a break; a break panel, and every panel of a shorter run, takes
-    trapezoid.  Without breaks this is one _lagrange_panels call.
+    The break panels cut the nodes into runs, the same for every row.  A
+    run of eight nodes or more takes the Lagrange rule on its own nodes, so
+    no stencil reads across a break: _lagrange_panels runs once on the
+    whole rows, which gives a panel three or more panels inside its run the
+    run's own centre stencil, and the three panels at each inner end of a
+    run take _END_ROWS again, on the run's first or last eight nodes.  A
+    break panel, and every panel of a shorter run, takes trapezoid.
     """
+    out = _lagrange_panels(q, h)
     if not len(breaks):
-        return _lagrange_panels(q, h)
-    s = q * (0.5 * h)
-    out = s[:-1] + s[1:]
-    for start, end in zip([0, *(breaks + 1).tolist()], [*breaks.tolist(), len(q) - 1]):
+        return out
+    scale, last = h / 120960.0, q.shape[-1] - 1
+    short = []
+    for start, end in zip([0, *(breaks + 1).tolist()], [*breaks.tolist(), last]):
         if end - start >= 7:
-            out[start:end] = _lagrange_panels(q[start:end + 1], h)
+            if start:
+                out[..., start:start + 3] = _end_panels(_END_ROWS, q[..., start:start + 8] * scale)
+            if end < last:
+                out[..., end - 3:end] = _end_panels(_END_ROWS[::-1, ::-1],
+                                                    q[..., end - 7:end + 1] * scale)
+        elif end > start:
+            short.append(np.arange(start, end))
+    k = np.concatenate((breaks, *short)) if short else breaks
+    out[..., k] = q[..., k] * (0.5 * h) + q[..., k + 1] * (0.5 * h)
     return out
 
 
-def _moment_masses(f: GridFunction):
-    """Yield (v, masses) for v = f x^j, j = 0, 1, 2, ...: v and its panel integrals of v dx.
+# Samples per block of moment rows: a block of a few thousand samples stays
+# in cache and shares each numpy call between its rows.  From 8192 nodes a
+# block is one row: two rows of 8192 ran T_4 and T_8 about 10 % slower than
+# one, and a block holds all of its rows' temporaries at once.
+_BLOCK = 8192
 
-    The rule runs in the grid's uniform coordinate, on q = v x in u on a
-    LogGrid and on q = v in x on a LinearGrid, split at f's break panels.
-    The breaks are decided once, from moment 0: x^j is smooth and nonzero
-    inside the window, so it adds no jump or support edge.  v x^j is the
-    running product v x ... x.  Non-finite samples of f raise
-    InvalidDataError, and so does a moment whose samples times x (which the
-    rule reads on a LogGrid, and which are the next moment's samples) leave
-    the float range.
+
+def _moment_panels(f: GridFunction, count: int):
+    """Yield (heads, panels) for the moments v = f x^j, j < count, a block of rows at a time.
+
+    A block holds max(1, _BLOCK // N) consecutive moments: panels holds
+    their panel integrals of v dx, one row per moment, and heads the first
+    three samples of each v, which its (0, x_min) stub reads.  The rule
+    runs in the grid's uniform coordinate, on q = v x in u on a LogGrid and
+    on q = v in x on a LinearGrid, split at f's break panels.  The breaks
+    are decided once, from moment 0: x^j is smooth and nonzero inside the
+    window, so it adds no jump or support edge.  Each block forms the
+    running products v x, checks them for finiteness and splits them in
+    one pass.  Non-finite samples of f raise InvalidDataError, and so does
+    a moment whose samples times x (which the rule reads on a LogGrid, and
+    which are the next moment's samples) leave the float range; the rows
+    before that moment are yielded first, so the caller's checks on them
+    come first, as if the moments went one at a time.
     """
     _require_finite(f.values)
-    grid, v = f.grid, f.values
-    breaks = None
-    for j in itertools.count(1):
-        with np.errstate(over="ignore"):
-            w = v * grid.x
-        _require_finite(w, "f x leaves the float range" if j == 1
-                        else f"f x^{j} leaves the float range")
-        q = w if isinstance(grid, LogGrid) else v
-        if breaks is None:
-            breaks = _breaks(q)
-        yield v, _split_panels(q, grid.h, breaks)
-        v = w
+    grid, v, breaks = f.grid, f.values, None
+    size = max(1, _BLOCK // len(grid))
+    for j in range(0, count, size):
+        w = np.empty((min(size, count - j), len(grid)), dtype=v.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            above = v
+            for row in w:  # w[k] = v x^(k+1), each row the one above times x
+                above = np.multiply(above, grid.x, out=row)
+        rows = len(w)
+        if not np.isfinite(w).all():
+            rows = int(np.argmin(np.isfinite(w).all(axis=1)))
+        if rows:
+            heads = [v[:3], *w[:rows - 1, :3]]
+            q = w[:rows] if isinstance(grid, LogGrid) else np.concatenate((v[None], w[:rows - 1]))
+            if breaks is None:
+                breaks = _breaks(q[0])
+            yield heads, _split_panels(q, grid.h, breaks)
+        if rows < len(w):
+            power = j + rows + 1
+            raise InvalidDataError("f x leaves the float range" if power == 1
+                                   else f"f x^{power} leaves the float range")
+        v = w[-1]
 
 
-def _cumulative(grid: Grid, v, panels) -> np.ndarray:
-    """Samples of the running integral: the (0, x_min) stub plus the panel sums."""
-    x = grid.x
-    stub = _power_stub(x[:3].tolist(), v[:3], strict=True) if isinstance(grid, LogGrid) else 0.0
-    dtype = complex if (np.iscomplexobj(panels) or np.iscomplexobj(v)) else float
-    out = np.empty(len(x), dtype=dtype)
-    out[0] = stub
-    with np.errstate(over="ignore"):
-        out[1:] = stub + np.cumsum(panels)
-    # a non-finite stub or partial sum stays non-finite to the end
-    if not cmath.isfinite(out[-1]):
-        raise InvalidDataError("running integral leaves the float range")
-    return out
+def _running_integrals(grid: Grid, heads, panels) -> np.ndarray:
+    """Rows of the running integral of each moment: its (0, x_min) stub plus its panel sums.
 
-
-def _cumulative_moments(f: GridFunction):
-    """Yield the samples of int_0^x t^j f(t) dt for j = 0, 1, 2, ...
-
-    Each is the (0, x_min) stub of f x^j plus the running sum of its panel
-    masses from _moment_masses, which split every moment at f's break
-    panels and run the eight-node Lagrange rule on the runs between them.
-    Moment 0 is cumulative_integral(f) itself.  A running integral that
-    leaves the float range raises InvalidDataError.
+    heads and panels are a block of _moment_panels.  The stub is the
+    power-law model of the moment on a LogGrid, where a diverging one
+    raises SingularityError, and 0 on a LinearGrid.  A moment whose running
+    integral leaves the float range raises InvalidDataError.  The moments
+    are checked in order, the stub before the sum.
     """
-    for v, masses in _moment_masses(f):
-        yield _cumulative(f.grid, v, masses)
+    out = np.empty((len(panels), panels.shape[1] + 1), dtype=panels.dtype)
+    x = grid.x[:3].tolist()
+    log = isinstance(grid, LogGrid)
+    with np.errstate(over="ignore"):
+        np.cumsum(panels, axis=-1, out=out[:, 1:])
+        for row, w in zip(out, heads):
+            row[0] = stub = _power_stub(x, w, strict=True) if log else 0.0
+            # a non-finite stub or partial sum stays non-finite to the end
+            if not cmath.isfinite(stub + row[-1]):
+                raise InvalidDataError("running integral leaves the float range")
+        out[:, 1:] += out[:, :1]
+    return out
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -448,7 +497,8 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     model; a fitted local exponent <= -1 raises SingularityError.  On a
     LinearGrid integration starts at the left endpoint.
     """
-    return GridFunction(f.grid, next(_cumulative_moments(f)))
+    heads, panels = next(_moment_panels(f, 1))
+    return GridFunction(f.grid, _running_integrals(f.grid, heads, panels)[0])
 
 
 def differentiate(f: GridFunction, order: int = 1) -> GridFunction:

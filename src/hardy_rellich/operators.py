@@ -25,12 +25,14 @@ On sampled functions apply_cesaro expands the repeated-integration form
 binomial moments int_0^x t^j f(t) dt, each a cumulative integral; the
 literal nested form is kept as an oracle.  The moments share one split
 of the grid, that of f: x^j adds no jump or support edge to f, so the break
-panels where the running integrals split are f's for every moment.  The
-moments, the analytic family T_{1,z} behind the resolvent and the A side of
-the weighted pairs all take their accuracy from the grid's cumulative
-rule, the eight-node Lagrange rule on each run between breaks, which is
-eighth order also where the integrand changes sign; that matters here,
-since (x^n f)^(n) has n sign changes.  Inverses act on analytic closures
+panels where the running integrals split are f's for every moment.  They
+go through the grid's cumulative rule in blocks of rows, a pass of numpy
+calls per block rather than per moment, and each comes out as it would
+alone.  The moments, the analytic family T_{1,z} behind the resolvent and
+the A side of the weighted pairs all take their accuracy from the grid's
+cumulative rule, the eight-node Lagrange rule on each run between breaks,
+which is eighth order also where the integrand changes sign; that matters
+here, since (x^n f)^(n) has n sign changes.  Inverses act on analytic closures
 only: (T_n^{-1} f)(x) = (x^n f)^(n), expanded by the exact Leibniz
 coefficients, and equivalently as the operator polynomial
 prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor.
@@ -47,7 +49,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .constants import _check_index, leibniz_coeffs
 from .errors import ConvergenceError
-from .grid import GridFunction, LogGrid, _cumulative_moments, _moment_masses, cumulative_integral
+from .grid import GridFunction, LogGrid, _moment_panels, _running_integrals, cumulative_integral
 
 __all__ = [
     "WeightedPairSpec",
@@ -73,37 +75,50 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     """Apply T_n through the binomial-moment expansion of the Cauchy kernel.
 
     The n moments int_0^x t^j f share one split of the grid, that of f:
-    its break panels are decided once, from f's samples (see
-    grid._moment_masses).  The samples f x^j and the powers x^(-1-j) are
-    running products.  The chain A_{n-1} ... A_0 of cumulative integrals
-    equals the nested oracle to rounding and decides n splits for the one
-    here; on the round trips the two agree:
-    T_5 of (x^5 f)^(5), f = x^1.5 e^-x, at 4096 nodes reads 1.5e-14
-    relative here and 5.0e-15 nested.  At a node x = 0 (a LinearGrid from
-    0) T_n f takes its limit f(0)/n!.
+    its break panels are decided once, from f's samples.  The moments come
+    in blocks of rows (see grid._moment_panels), so their samples f x^j,
+    panel masses and running integrals take one pass of numpy calls per
+    block; the rows of each block are then combined with the powers
+    x^(-1-j), in moment order.  The samples f x^j and the powers are
+    running products, so the result is the same bits as one moment at a
+    time.  The chain A_{n-1} ... A_0 of cumulative integrals equals the
+    nested oracle to rounding and decides n splits for the one here; on
+    the round trips the two agree: T_5 of (x^5 f)^(5), f = x^1.5 e^-x, at
+    4096 nodes reads 1.5e-14 relative here and 5.0e-15 nested.  At a node
+    x = 0 (a LinearGrid from 0) T_n f takes its limit f(0)/n!.
     """
     _check_index(n)
     x = f.grid.x
     origin = x[0] == 0.0                           # only the first node can be 0
     recip = np.divide(1.0, x, out=np.zeros_like(x), where=x > 0) if origin else 1.0 / x
-    power, acc = recip, 0.0
+    power, acc, j = recip, 0.0, 0
     fact = math.factorial(n - 1)
-    for j, moment in zip(range(n), _cumulative_moments(f)):
-        coeff = math.comb(n - 1, j) * (-1.0) ** j / fact
-        acc = acc + coeff * power * moment
-        power = power * recip
+    for heads, panels in _moment_panels(f, n):
+        for moment in _running_integrals(f.grid, heads, panels):
+            coeff = math.comb(n - 1, j) * (-1.0) ** j / fact
+            acc = acc + coeff * power * moment
+            power, j = power * recip, j + 1
     if origin:
         acc[0] = f.values[0] / math.factorial(n)
     return GridFunction(f.grid, acc)
 
 
 def apply_cesaro_nested(n: int, f: GridFunction) -> GridFunction:
-    """Oracle for apply_cesaro: n literal cumulative integrations, then /x^n."""
+    """Oracle for apply_cesaro: n literal cumulative integrations, then /x^n.
+
+    At a node x = 0 (a LinearGrid from 0) T_n f takes its limit f(0)/n!.
+    """
     _check_index(n)
     g = f
     for _ in range(n):
         g = cumulative_integral(g)
-    return GridFunction(f.grid, g.values * f.grid.x ** (-float(n)))
+    x = f.grid.x
+    origin = int(x[0] == 0.0)                      # only the first node can be 0
+    values = g.values.copy()
+    values[origin:] *= x[origin:] ** (-float(n))
+    if origin:
+        values[0] = f.values[0] / math.factorial(n)
+    return GridFunction(f.grid, values)
 
 
 def apply_inverse_cesaro(n: int, f: AnalyticFunction) -> Callable:
@@ -249,9 +264,11 @@ def power_weight_pair(j: int) -> WeightedPairSpec:
 def _suffix_panels(f: GridFunction) -> np.ndarray:
     """integral_{x_i}^{x_max} of f dx, by the panel masses of cumulative_integral.
 
-    Non-finite samples of f, or of f x, raise InvalidDataError as there.
+    The masses are those of a one-row block of grid._moment_panels, without
+    the (0, x_min) stub: non-finite samples of f, or of f x, raise
+    InvalidDataError as there.
     """
-    panels = next(_moment_masses(f))[1]
+    panels = next(_moment_panels(f, 1))[1][0]
     out = np.zeros(len(f.grid), dtype=panels.dtype)
     out[:-1] = np.cumsum(panels[::-1])[::-1]
     return out

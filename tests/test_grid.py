@@ -436,6 +436,37 @@ class TestCumulativeIntegral:
                   "rational": x**1.5 / (1.0 + x**4)}[case]
         assert len(grid_module._breaks(values * x)) <= most
 
+    @pytest.mark.parametrize("case", ["noise", "jump-onto-zeros", "short-runs"])
+    def test_one_pass_matches_the_rule_run_by_run(self, case):
+        # _split_panels runs the Lagrange rule once over whole rows and
+        # redoes the panels beside each break; that must give the same bits
+        # as the rule on each run alone, for every row of a block
+        grid = LogGrid.default(1024)
+        x = grid.x
+        # jumps onto nodes 21, 25, 34, 41, 121 and 129: runs of 4, 9, 7 and 8 nodes between them
+        level = np.cumsum(np.isin(np.arange(len(x)), [21, 25, 34, 41, 121, 129])) % 2
+        values = {"noise": np.random.default_rng(7).standard_normal(len(x)),
+                  "jump-onto-zeros": np.where(x >= 1.0, x**-0.3, 0.0) * (1.0 - 0.5j),
+                  "short-runs": np.exp(-x) * 40.0**level}[case]
+        rows = values * x ** np.arange(4)[:, None]
+        breaks = grid_module._breaks(rows[0])
+        assert len(breaks) >= 2
+        one_pass = grid_module._split_panels(rows, grid.h, breaks)
+        assert np.array_equal(one_pass, _split_run_by_run(rows, grid.h, breaks))
+        for row, panels in zip(rows, one_pass):
+            assert np.array_equal(grid_module._split_panels(row[None], grid.h, breaks)[0], panels)
+
+
+def _split_run_by_run(q, h, breaks):
+    """Reference for grid._split_panels: trapezoid on every panel, then the
+    Lagrange rule on each run of eight nodes or more, on that run alone."""
+    s = q * (0.5 * h)
+    out = s[..., :-1] + s[..., 1:]
+    for start, end in zip([0, *(breaks + 1).tolist()], [*breaks.tolist(), q.shape[-1] - 1]):
+        if end - start >= 7:
+            out[..., start:end] = grid_module._lagrange_panels(q[..., start:end + 1], h)
+    return out
+
 
 def _lagrange_weights(panel):
     """Exact integrals over (panel, panel + 1) of the Lagrange basis on nodes 0..7."""

@@ -178,6 +178,17 @@ class TestNestedOracle:
         out = ops.apply_cesaro_nested(4, GridFunction(grid, np.zeros(len(grid))))
         assert np.all(out.values == 0)
 
+    def test_linear_grid_from_zero(self):
+        # at x = 0 the oracle takes the limit f(0)/n! that apply_cesaro takes,
+        # with no 0 * inf on the way
+        lg = LinearGrid(0.0, 2.0, 1025)
+        f = GridFunction(lg, np.exp(-lg.x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nested, kernel = ops.apply_cesaro_nested(2, f), ops.apply_cesaro(2, f)
+        assert nested.values[0] == kernel.values[0] == 0.5
+        assert np.max(np.abs(nested.values - kernel.values)) <= 1e-8
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_oracle_equivalence(self, grid, bump, n):
         kernel = ops.apply_cesaro(n, bump)
@@ -230,17 +241,24 @@ def _exp_inverse_image(n, x):
 class TestSharedMomentAnalysis:
     # apply_cesaro decides its break panels once, from f, for all n moments;
     # x^j adds no jump or support edge, so it must match the route that
-    # decides the breaks of every moment afresh
-    @pytest.mark.parametrize("N", [256, 1024, 4096])
+    # decides the breaks of every moment afresh.  The moments go in blocks
+    # of 8192 samples: 32 rows at 256 nodes, 2 at 4096, 1 from 8192 on
+    @pytest.mark.parametrize("N", [256, 1024, 4096, 8192, 16384])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_smooth_inputs_match_the_per_moment_route(self, n, N):
         lg = LogGrid.default(N)
-        for f, _ in TestRoundTripsAtReferenceSize.FUNCTIONS:
-            inverse = ops.apply_inverse_cesaro(n, f)(lg.x)
-            for scale in (1.0, 0.6 - 0.8j):
-                sampled = GridFunction(lg, scale * inverse)
-                reference = _per_moment_cesaro(n, sampled)
-                assert _max_rel(ops.apply_cesaro(n, sampled).values, reference) <= 1e-13
+        x = lg.x
+        inputs = [scale * ops.apply_inverse_cesaro(n, f)(x)
+                  for f, _ in TestRoundTripsAtReferenceSize.FUNCTIONS
+                  for scale in (1.0, 0.6 - 0.8j)]
+        inputs.append(np.where(x >= 1.0, x**-0.3, 0.0))         # a jump onto zeros
+        inputs.append(np.maximum(x - 1.0, 0.0) * np.exp(-x))    # a support edge, no jump
+        for values in inputs:
+            sampled = GridFunction(lg, values)
+            shared, reference = ops.apply_cesaro(n, sampled).values, _per_moment_cesaro(n, sampled)
+            if n == 1:  # one moment is cumulative_integral, bit for bit
+                assert np.array_equal(shared, reference)
+            assert _max_rel(shared, reference) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("case", ["jump", "jump-steep", "underflow"])
@@ -273,6 +291,21 @@ class TestSharedMomentAnalysis:
             t2, t3 = (ops.apply_cesaro(n, f).values[1:] for n in (2, 3))
         assert np.max(np.abs(t2 - (x - 1.0 + np.exp(-x)) / x**2)) <= 1e-8
         assert np.max(np.abs(t3 - (0.5 * x**2 - x + 1.0 - np.exp(-x)) / x**3)) <= 1e-5
+
+    @pytest.mark.parametrize("N", [256, 4096])
+    @pytest.mark.parametrize("case", ["stub-before-overflow", "f x^3", "f x"])
+    def test_the_first_error_of_the_moment_order_wins(self, case, N):
+        # the checks run as if the moments went one at a time: moment j's
+        # stub and running integral before f x^(j+2); at 256 nodes all three
+        # moments share a block, at 4096 the third starts the second block
+        lg = LogGrid.default(N)
+        error, message, values = {
+            "stub-before-overflow": (SingularityError, r"x\^-1\.200 near 0", lg.x**-1.2 * 1e300),
+            "f x^3": (InvalidDataError, r"^f x\^3 leaves the float range$", np.full(N, 1e296)),
+            "f x": (InvalidDataError, r"^f x leaves the float range$", np.full(N, 1e303)),
+        }[case]
+        with pytest.raises(error, match=message):
+            ops.apply_cesaro(3, GridFunction(lg, values))
 
     def test_typed_errors(self, grid):
         with pytest.raises(SingularityError):
