@@ -290,35 +290,30 @@ def _times_power(acc, x, p, powers, nonpositive):
 
 
 class LogGaussian(AnalyticFunction):
-    """x^power * exp(-(ln x - mu)^2 / (2 s^2)): a smooth bump in u = ln x.
+    """exp(-(ln x - mu)^2 / (2 s^2)): a smooth bump in u = ln x.
 
     Carries two derivative closures, which is all the spectral checks need.
     """
 
     order = 2
 
-    def __init__(self, mu: float = 0.0, s: float = 1.0, power: float = 0.0):
+    def __init__(self, mu: float = 0.0, s: float = 1.0):
         self.mu = float(mu)
         self.s = float(s)
         # the closures divide by s^2, which must be a positive float too
         if not (self.s > 0 and 0 < self.s * self.s < math.inf):
             raise ValueError(f"the width s must be positive and finite, with s^2 in the "
                              f"float range, got {s}")
-        self.power = float(power)
 
     def _value(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             u = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-        out = np.exp(-((u - self.mu) ** 2) / (2 * self.s**2))
-        if self.power != 0:
-            out = out * np.where(x > 0, x, 1.0) ** self.power
-        return np.where(x > 0, out, 0.0)
+        return np.where(x > 0, np.exp(-((u - self.mu) ** 2) / (2 * self.s**2)), 0.0)
 
     def _slope(self, x):
-        # f'(x) = f(x) * (power - (ln x - mu)/s^2) / x
-        u = np.log(x)
-        return self.power - (u - self.mu) / self.s**2
+        # f'(x) = f(x) * (mu - ln x)/s^2 / x
+        return (self.mu - np.log(x)) / self.s**2
 
     def deriv(self, j: int) -> Callable:
         if j == 0:

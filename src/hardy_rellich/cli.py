@@ -6,8 +6,11 @@ keys keep a fixed order, so identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 validation error, 3 numerical
 non-convergence.
 
-The only environment-variable configuration is HARDY_RELLICH_OUTDIR, which
-prefixes relative output paths.
+Each ``cmd_*`` function maps parsed arguments to its payload dict and writes
+nothing to stdout; ``main`` alone serializes the payload and writes it, to
+stdout or to ``--output``.  The only environment-variable configuration is
+HARDY_RELLICH_OUTDIR, which prefixes relative output paths (``--output``,
+``--csv``, ``--svg``); input paths such as ``csv:PATH`` are read as given.
 
 Each command imports the numeric modules it runs inside its own function,
 so building the parser and running ``constants`` never import numpy.
@@ -154,7 +157,7 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
         poly = poly * np.polynomial.Polynomial([0.0, 1.0]) ** degree
         return analytic.PowerExp([(coef, k) for k, coef in enumerate(poly.coef)], 0.0)
     if name == "csv":
-        components = grid.read_csv(_resolve_path(body))
+        components = grid.read_csv(body)
         return components[0] if len(components) == 1 else components
     if name == "vec":  # a several-column CSV part adds each of its components
         parts = [parse_function(part, n, bounds) for part in body.split("|")]
@@ -167,7 +170,7 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> dict:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     alphas = [float(v) for v in args.alpha.split(",")] if args.alpha else []
@@ -185,11 +188,10 @@ def cmd_constants(args) -> int:
             row[f"glazman(alpha={format_float(alpha)})"] = \
                 constants._float_weighted_constant(n, alpha)
         rows.append(row)
-    emit({"command": "constants", "n_max": args.n_max, "rows": rows}, args.output)
-    return 0
+    return {"command": "constants", "n_max": args.n_max, "rows": rows}
 
 
-def cmd_ratio(args) -> int:
+def cmd_ratio(args) -> dict:
     from . import functional, grid
 
     f = parse_function(args.function, args.n)
@@ -206,18 +208,17 @@ def cmd_ratio(args) -> int:
         report = functional.glazman_ratio(args.n, args.alpha, f, lg)
     else:
         report = functional.birman_ratio(args.n, f, lg)
-    emit({"command": "ratio", "function": args.function,
-          "window": [args.x_min, args.x_max], "points": args.points,
-          "report": report.to_dict()}, args.output)
-    return 0
+    return {"command": "ratio", "function": args.function,
+            "window": [args.x_min, args.x_max], "points": args.points,
+            "report": report.to_dict()}
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args) -> dict:
     from . import functional
 
     eps = tuple(float(v) for v in args.eps.split(","))
     sweep = functional.sharpness_sweep(args.n, eps, args.cutoff)
-    emit({
+    return {
         "command": "sharpness",
         "n": args.n,
         "cutoff": args.cutoff,
@@ -225,11 +226,10 @@ def cmd_sharpness(args) -> int:
         "constant": sweep.constant,
         "extrapolated_limit": sweep.extrapolated_limit,
         "reports": [r.to_dict() for r in sweep.reports],
-    }, args.output)
-    return 0
+    }
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args) -> dict:
     from . import grid, operators
 
     lg = grid.LogGrid(args.x_min, args.x_max, args.points)
@@ -249,7 +249,7 @@ def cmd_norm(args) -> int:
         target = 2.0 * spec.K
     estimate = operators.estimate_operator_norm(
         op, lg, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
-    emit({
+    return {
         "command": "norm",
         "operator": args.operator,
         "n": args.n,
@@ -260,11 +260,10 @@ def cmd_norm(args) -> int:
         "estimate": estimate,
         "target": target,
         "relative_deviation": (estimate - target) / target,
-    }, args.output)
-    return 0
+    }
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     from . import spectral
 
     target = constants._float_constant("b_n", args.n)
@@ -275,7 +274,7 @@ def cmd_spectrum(args) -> int:
     if args.svg:
         with open(_resolve_path(args.svg), "w") as handle:
             handle.write(spectral.curve_to_svg(curve))
-    emit({
+    return {
         "command": "spectrum",
         "n": args.n,
         "theta_count": args.theta_count,
@@ -284,11 +283,10 @@ def cmd_spectrum(args) -> int:
         "deviation": abs(peak - target),
         "csv": args.csv,
         "svg": args.svg,
-    }, args.output)
-    return 0
+    }
 
 
-def cmd_mellin_check(args) -> int:
+def cmd_mellin_check(args) -> dict:
     from . import analytic, grid, spectral
 
     if args.points & (args.points - 1):
@@ -307,7 +305,7 @@ def cmd_mellin_check(args) -> int:
         f, count=2 * args.points, window=(args.x_min, args.x_max))
     data = spectral.mellin_forward(sampled)
     parseval = abs(data.norm() ** 2 - mass) / mass
-    emit({
+    return {
         "command": "mellin-check",
         "points": args.points,
         "window": [args.x_min, args.x_max],
@@ -316,11 +314,10 @@ def cmd_mellin_check(args) -> int:
         "residual": residual,
         "residual_doubled": doubled,
         "parseval_relative_error": parseval,
-    }, args.output)
-    return 0
+    }
 
 
-def cmd_interval(args) -> int:
+def cmd_interval(args) -> dict:
     from . import functional, grid, interval
 
     problem = interval.IntervalProblem(args.n, args.a, args.c, args.side)
@@ -328,13 +325,12 @@ def cmd_interval(args) -> int:
     if isinstance(f, (list, grid.GridFunction, functional.ProbeSpec)):
         raise ValueError("interval ratios need a scalar analytic test function")
     report = interval.interval_ratio(problem, f, panels=args.panels)
-    emit({
+    return {
         "command": "interval",
         "function": args.function,
         "panels": args.panels,
         "report": report.to_dict(),
-    }, args.output)
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
             "sweeps, operator norms, spectra, and the Mellin diagonalization."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", type=str, default=None,
+                        help="write the JSON payload to this file instead of stdout")
 
-    p = sub.add_parser("constants",
+    p = sub.add_parser("constants", parents=[common],
                        help="exact sharp constants c_n, operator norms b_n, "
                             "and optional power-weighted constants")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--alpha", type=str, default=None,
                    help="comma-separated weight powers for extra columns")
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("ratio",
+    p = sub.add_parser("ratio", parents=[common],
                        help="derivative-energy to weighted-mass ratio of a "
                             "test function, with its sharp constant and slack")
     p.add_argument("--n", type=int, required=True)
@@ -379,10 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="power weight for the weighted (Glazman-type) ratio")
     _add_window(p)
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("sharpness",
+    p = sub.add_parser("sharpness", parents=[common],
                        help="probe ratios descending toward the sharp "
                             "constant as sigma approaches -1/2")
     p.add_argument("--n", type=int, required=True)
@@ -390,10 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated positive offsets from -1/2")
     p.add_argument("--cutoff", type=float, default=10.0,
                    help="probe cutoff a (tail becomes subdominant for large a)")
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_sharpness)
 
-    p = sub.add_parser("norm",
+    p = sub.add_parser("norm", parents=[common],
                        help="operator norm by Golub-Kahan-Lanczos "
                             "bidiagonalization of the discretized averaging "
                             "operator or weighted pair")
@@ -413,20 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most bidiagonalization steps, each one operator "
                         "application and one adjoint application; restarts "
                         "replay their cycle on top")
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("spectrum",
+    p = sub.add_parser("spectrum", parents=[common],
                        help="sampled spectral curve of the n-th averaging "
                             "operator (CSV canonical, SVG optional)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta-count", type=int, default=8192)
     p.add_argument("--csv", type=str, default=None)
     p.add_argument("--svg", type=str, default=None)
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("mellin-check",
+    p = sub.add_parser("mellin-check", parents=[common],
                        help="residual of the transformed scaling identity "
                             "(the transform diagonalizes the generator)")
     _add_window(p, points=2**14)
@@ -434,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="center of the log-Gaussian test bump in ln x")
     p.add_argument("--width", type=float, default=0.003,
                    help="width of the log-Gaussian test bump")
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_mellin_check)
 
-    p = sub.add_parser("interval",
+    p = sub.add_parser("interval", parents=[common],
                        help="finite-interval ratio with boundary-distance "
                             "weight (left, right, or both-sided)")
     p.add_argument("--n", type=int, required=True)
@@ -447,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", type=str, default="bridge:degree=0",
                    help=REGISTRY_HELP)
     p.add_argument("--panels", type=int, default=4096)
-    p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_interval)
 
     return parser
@@ -464,7 +456,8 @@ def main(argv=None) -> int:
         # one line per warning, like the error line, without the echoed source
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            emit(args.func(args), args.output)
+            return 0
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE

@@ -129,10 +129,9 @@ class GridFunction:
         if values.shape != (len(grid),):
             raise InvalidDataError(
                 f"values shape {values.shape} does not match grid of {len(grid)} nodes")
-        if not np.iscomplexobj(values):
-            values = values.astype(float)
         self.grid = grid
-        self.values = values.copy()
+        # one copy, never a view of the caller's array; real samples become float
+        self.values = np.array(values, dtype=None if np.iscomplexobj(values) else float)
         self.values.flags.writeable = False
 
     @classmethod

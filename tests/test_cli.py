@@ -229,6 +229,42 @@ def test_module_entry_matches_in_process_run(capsys, tmp_path, name):
     assert proc.stdout == out
 
 
+# output files: HARDY_RELLICH_OUTDIR prefixes relative output paths, not inputs
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_lands_in_the_outdir_as_stdout_would_read(capsys, tmp_path, monkeypatch, name):
+    code, out, _ = _run(capsys, COMMANDS[name])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HARDY_RELLICH_OUTDIR", "out")
+    (tmp_path / "out").mkdir()
+    code_to_file, printed, _ = _run(capsys, COMMANDS[name] + ["--output", "payload.json"])
+    assert code == code_to_file == 0 and printed == ""
+    assert (tmp_path / "out" / "payload.json").read_text() == out
+    assert not (tmp_path / "payload.json").exists()
+
+
+def test_spectrum_writes_its_curve_to_the_outdir(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HARDY_RELLICH_OUTDIR", "out")
+    (tmp_path / "out").mkdir()
+    code, out, _ = _run(capsys, ["spectrum", "--n", "3", "--theta-count", "256",
+                                 "--csv", "curve.csv", "--svg", "curve.svg"])
+    assert code == 0 and json.loads(out)["csv"] == "curve.csv"
+    lines = (tmp_path / "out" / "curve.csv").read_text().splitlines()
+    assert lines[0] == "theta,re,im" and len(lines) == 256 + 2
+    assert (tmp_path / "out" / "curve.svg").read_text().startswith("<svg")
+
+
+def test_csv_input_is_read_from_the_working_directory(capsys, tmp_path, monkeypatch):
+    _write_pair(tmp_path / "pair.csv")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HARDY_RELLICH_OUTDIR", "out")
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1",
+                                                    "--function", "csv:one.csv"])
+    assert code == 0 and err.splitlines() == [SAMPLED_WARNING]
+    assert json.loads(out)["report"]["slack"] > 0
+
+
 # vector-valued functions: sampled, analytic, and mixed
 
 def _write_pair(path):
@@ -289,6 +325,20 @@ def test_sampled_ratios_print_one_warning(capsys, tmp_path, spec):
                                                     spec.format(dir=tmp_path)])
     assert code == 0 and json.loads(out)["report"]["slack"] > 0
     assert err.splitlines() == [SAMPLED_WARNING]
+
+
+def test_ratio_of_uniform_samples_from_zero(capsys, tmp_path):
+    # a uniform CSV takes the LinearGrid branches of integrate, norm_sq and
+    # differentiate; x^2 e^-x has the exact ratio 1 for n = 1
+    from hardy_rellich import grid
+
+    lg = grid.LinearGrid(0.0, 40.0, 4097)
+    grid.write_csv([grid.GridFunction(lg, lg.x**2 * np.exp(-lg.x))], tmp_path / "uniform.csv")
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                                    f"csv:{tmp_path / 'uniform.csv'}"])
+    assert code == 0 and err.splitlines() == [SAMPLED_WARNING]
+    report = json.loads(out)["report"]
+    assert abs(report["ratio"] - 1.0) <= 2e-4 and report["slack"] > 0
 
 
 def test_ratio_refuses_alpha_for_vectors(capsys):
@@ -433,6 +483,11 @@ def test_probe_scale_past_the_float_range_reads_infinity(capsys, argv):
     (["ratio", "--n", "1", "--function", "gamma:p=nan"], "power nan is not a finite"),
     (["interval", "--n", "1", "--function", "gamma:p=nan"], "power nan is not a finite"),
     (["ratio", "--n", "2", "--function", "vec:gamma:p=3|gamma:p=-inf"], "power -inf"),
+    # the registry's refusals
+    (["ratio", "--n", "1", "--function", "zero"], "numerically zero"),
+    (["ratio", "--n", "1", "--function", "nosuch"], "unknown test function 'nosuch'"),
+    (["ratio", "--n", "1", "--function", "gamma:p"], "malformed function argument 'p'"),
+    (["ratio", "--n", "1", "--function", "bridge"], "need an interval"),
 ])
 def test_extreme_inputs_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -69,6 +69,14 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [float, int, complex])
+    def test_values_do_not_alias_the_callers_array(self, default_grid, dtype):
+        samples = np.arange(len(default_grid)).astype(dtype)
+        f = GridFunction(default_grid, samples)
+        kept = f.values.copy()
+        assert f.values.dtype == (complex if dtype is complex else float)
+        samples[:] = 7
+        assert np.array_equal(f.values, kept) and not f.values.flags.writeable
 
     def test_vector_values_rejected(self, default_grid):
         # a vector is a list of scalar GridFunctions, one per component
@@ -139,6 +147,13 @@ class TestIntegrate:
         grid = LinearGrid(0.0, 1.0, 4097)
         res = integrate(GridFunction.from_callable(grid, lambda x: 3 * x**2))
         assert abs(res.value - 1.0) <= 1e-7
+
+    def test_linear_grid_from_zero_refuses_a_negative_power(self):
+        # f(0) x^p with p < 0 and f(0) != 0 has no value at the node x = 0
+        grid = LinearGrid(0.0, 1.0, 65)
+        f = GridFunction.from_callable(grid, lambda x: np.exp(-x))
+        with pytest.raises(SingularityError, match="negative weight power"):
+            integrate(f, -2.0)
 
 
 # The windows of the command line (its default, also mellin-check's) and of
@@ -436,7 +451,8 @@ class TestCumulativeIntegral:
                   "rational": x**1.5 / (1.0 + x**4)}[case]
         assert len(grid_module._breaks(values * x)) <= most
 
-    @pytest.mark.parametrize("case", ["noise", "jump-onto-zeros", "short-runs"])
+    @pytest.mark.parametrize("case", ["noise", "jump-onto-zeros", "short-runs",
+                                      "jump-onto-last"])
     def test_one_pass_matches_the_rule_run_by_run(self, case):
         # _split_panels runs the Lagrange rule once over whole rows and
         # redoes the panels beside each break; that must give the same bits
@@ -445,12 +461,19 @@ class TestCumulativeIntegral:
         x = grid.x
         # jumps onto nodes 21, 25, 34, 41, 121 and 129: runs of 4, 9, 7 and 8 nodes between them
         level = np.cumsum(np.isin(np.arange(len(x)), [21, 25, 34, 41, 121, 129])) % 2
+        # one jump onto the last node of an input that does not decay (e^-x
+        # underflows there and would hide it): the last run ends one panel early
+        last = np.arange(len(x)) == len(x) - 1
         values = {"noise": np.random.default_rng(7).standard_normal(len(x)),
                   "jump-onto-zeros": np.where(x >= 1.0, x**-0.3, 0.0) * (1.0 - 0.5j),
-                  "short-runs": np.exp(-x) * 40.0**level}[case]
+                  "short-runs": np.exp(-x) * 40.0**level,
+                  "jump-onto-last": x**-0.3 * 40.0**last}[case]
         rows = values * x ** np.arange(4)[:, None]
         breaks = grid_module._breaks(rows[0])
-        assert len(breaks) >= 2
+        if case == "jump-onto-last":
+            assert breaks.tolist() == [len(x) - 2]
+        else:
+            assert len(breaks) >= 2
         one_pass = grid_module._split_panels(rows, grid.h, breaks)
         assert np.array_equal(one_pass, _split_run_by_run(rows, grid.h, breaks))
         for row, panels in zip(rows, one_pass):
