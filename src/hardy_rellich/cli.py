@@ -390,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sharpness)
 
     p = sub.add_parser("norm", parents=[common],
-                       help="operator norm by Golub-Kahan-Lanczos "
-                            "bidiagonalization of the discretized averaging "
-                            "operator or weighted pair")
+                       help="operator norm of the discretized averaging "
+                            "operator or weighted pair: the largest multiplier "
+                            "on the wrap boundary, Golub-Kahan-Lanczos "
+                            "bidiagonalization on the cut boundary")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--operator", choices=("cesaro", "pair-a", "pair-b"),
                    default="cesaro")
@@ -401,14 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("wrap", "cut"), default="wrap",
                    help="periodic wrap in ln x (default) or hard window cut")
     _add_window(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="start vector of the cut boundary's iteration")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="stop when the estimate moves by at most this "
-                        "(relative) in one step")
+                   help="cut boundary: stop when the estimate moves by at most "
+                        "this (relative) in one step")
     p.add_argument("--max-iter", type=int, default=10000,
-                   help="most bidiagonalization steps, each one operator "
-                        "application and one adjoint application; restarts "
-                        "replay their cycle on top")
+                   help="cut boundary: most bidiagonalization steps, each one "
+                        "operator application and one adjoint application; "
+                        "restarts replay their cycle on top")
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("spectrum", parents=[common],

@@ -264,7 +264,8 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
     Richardson error estimate from the half-resolution subgrid; the stub is
     the fitted power-law model.  The integrand must decay toward both window
     ends (checked heuristically, warned).  Linearity in f holds to rounding
-    for such integrands.
+    for such integrands.  On a LinearGrid the rule is trapezoid in x; from
+    x = 0 with p < 0 it needs f(0) = 0, and (0, x_1) takes the stub model.
     """
     _require_finite(f.values)
     x = f.grid.x
@@ -277,18 +278,18 @@ def integrate(f: GridFunction, weight_power: float = 0.0) -> QuadratureResult:
         half = _halved(f.grid.u, g[0])
         value = full + stub[0]
     else:
-        if x[0] == 0.0 and p != 0.0:
-            if p > 0 or f.values[0] == 0:
-                w0 = 0.0
-            else:
-                raise SingularityError("negative weight power at a grid node x = 0")
-            weighted = np.concatenate(([w0], f.values[1:] * x[1:] ** p))
-        else:
-            weighted = f.values * x**p
+        origin = int(x[0] == 0.0 and p < 0)
+        if origin and f.values[0] != 0:
+            raise SingularityError("negative weight power at a grid node x = 0")
+        x = x[origin:]
+        weighted = f.values[origin:] * x**p
         _require_finite(weighted)
+        # the integrand's limit at 0 may be nonzero (f^2 x^-2 -> f'(0)^2): node 0
+        # is dropped and (0, x_1) takes the log grid's model of (0, x_min)
+        stub = _power_stub(x[:3], weighted[:3], strict=True) if origin else 0.0
         full = np.trapezoid(weighted, x)
         half = _halved(x, weighted)
-        value = full
+        value = full + stub
     err = abs(full - half) / 3.0
     if not np.iscomplexobj(f.values):
         value = float(np.real(value))

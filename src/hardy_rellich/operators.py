@@ -5,20 +5,20 @@ as T_n = A_{n-1} ... A_0, where A_j f = x^(-(j+1)) int_0^x t^j f is the B side
 of the power-weight pair j: after the unitary substitution phi = x^(1/2) f,
 A_j is causal convolution in u = ln x with e^(-(j+1/2) tau), and the Laplace
 symbol of T_n's kernel is prod_{j<n} 1/(s+j+1/2).  For norm estimation
-(Golub-Kahan-Lanczos) one log-grid engine discretizes T_n and the pairs
-alike as chains of such single-rate steps, each exponential integrated
-exactly against the piecewise-linear interpolant of phi: a real FFT for the
-periodic ("wrap") boundary, whose kernel is periodized (the images of the
-exponential in every later period are summed in closed form, so no kernel
-mass is lost to the window), rescaled cumulative panel sums for the hard
-window ("cut").  Its adjoint is the transpose with respect to the quadrature
-weights (the unweighted transpose converges to the wrong value on log grids).
-estimate_operator_norm runs in coordinates scaled by the square roots of
-those weights, where the adjoint is the plain transpose and a norm is a dot
-product: the wrap boundary on the scaled half-spectrum, where a step is one
-product with the multiplier and no FFT, and the cut boundary on the grid.
-Each step reads the top eigenvalue of the tridiagonal B^T B of the
-Golub-Kahan bidiagonal B.
+one log-grid engine discretizes T_n and the pairs alike as chains of such
+single-rate steps, each exponential integrated exactly against the
+piecewise-linear interpolant of phi: a real FFT for the periodic ("wrap")
+boundary, whose kernel is periodized (the images of the exponential in
+every later period are summed in closed form, so no kernel mass is lost to
+the window), rescaled cumulative panel sums for the hard window ("cut").
+Its adjoint is the transpose with respect to the quadrature weights (the
+unweighted transpose converges to the wrong value on log grids).  The wrap
+boundary is a circulant, whose norm is its largest multiplier modulus;
+estimate_operator_norm reads it there, and runs Golub-Kahan-Lanczos on the
+cut boundary and on any other operator, in coordinates scaled by the square
+roots of the weights, where the adjoint is the plain transpose.  Each step
+reads the top eigenvalue of the tridiagonal B^T B of the Golub-Kahan
+bidiagonal B.
 
 On sampled functions apply_cesaro expands the repeated-integration form
 (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt into n
@@ -365,9 +365,11 @@ class _LogConvolution:
     where adjoint_apply is the plain transpose, the transposed steps in
     reverse order: the circulant needs no scaling there, and the hard
     window's scalings carry sqrt(t).  apply and adjoint_apply conjugate by
-    sqrt(quad_weights), and estimate_operator_norm runs on w itself (see
-    `_unit_frame`).  ``reverse`` mirrors the grid, making the kernel
-    anti-causal; t is mirror-symmetric, so the mirror is exact.
+    sqrt(quad_weights); estimate_operator_norm runs GKL on w itself (see
+    `_unit_frame`) on the hard window, and on the wrap boundary reads the
+    circulant's norm, its largest multiplier modulus.  ``reverse`` mirrors
+    the grid, making the kernel anti-causal; t is mirror-symmetric, so the
+    mirror is exact.
     """
 
     def __init__(self, grid: LogGrid, rates, boundary: str, reverse: bool = False):
@@ -510,29 +512,13 @@ def _unit_frame(op, start: np.ndarray) -> tuple:
 
     w = sqrt(quad_weights) v maps op's quadrature inner product onto it.
     The engine's hard window applies in w directly, as its scalings carry
-    the weights.  The wrap boundary goes on to the half-spectrum c =
-    rfft(w[flip]) scaled by the square roots of the Parseval weights
-    (1, 2, ..., 2, 1)/N (odd N has no Nyquist bin), where its circulant is
-    the product with the multiplier, and its adjoint that with the
-    conjugate; a diagonal scaling commutes with both.  GKL takes only real
-    combinations of these vectors, so it stays in the image of the real
-    grid vectors.  Any other op is conjugated by sqrt(quad_weights).
+    the weights; any other op is conjugated by sqrt(quad_weights).
     """
     if not isinstance(op, _LogConvolution):
         root = np.sqrt(op.quad_weights)
         return (root * start, lambda w: root * op.apply(w / root),
                 lambda w: root * op.adjoint_apply(w / root))
-    start = op._root_weights * start
-    if op.boundary == "cut":
-        return start, op._apply, lambda w: op._apply(w, adjoint=True)
-    N = len(start)
-    parseval = np.full(N // 2 + 1, 2.0 / N)
-    parseval[0] = 1.0 / N
-    if N % 2 == 0:
-        parseval[-1] = 1.0 / N
-    forward, backward = op._multiplier, np.conj(op._multiplier)
-    return (np.sqrt(parseval) * np.fft.rfft(start[op._flip]),
-            lambda c: forward * c, lambda c: backward * c)
+    return op._root_weights * start, op._apply, lambda w: op._apply(w, adjoint=True)
 
 
 # Golub-Kahan steps per cycle before a restart: each step solves the
@@ -569,32 +555,34 @@ def _golub_kahan(apply, adjoint_apply, v: np.ndarray):
 
 def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
                            tol: float = 1e-6, seed: int = 1729) -> float:
-    """Largest singular value of a discretized operator by Golub-Kahan-Lanczos.
+    """Largest singular value of a discretized operator.
 
-    Bidiagonalizes op in its quadrature inner product from a seeded positive
-    start vector; the estimate is the top singular value of the k x k
-    bidiagonal B, the square root of the top eigenvalue of the tridiagonal
-    B^T B, which rises toward ||op|| with k.  Convergence means the
-    estimate moved by at most tol (relative) in one step.  Every _RESTART
-    steps the bidiagonalization restarts from the top Ritz vector, which is
-    rebuilt by replaying the cycle, so memory stays a few vectors.
-    max_iter bounds the steps, each one apply and one adjoint_apply (the
-    replays come on top); running out raises ConvergenceError with the last
-    estimate attached.
+    The engine's wrap boundary is a circulant in the weighted frame, so its
+    norm is its largest multiplier modulus, read in no steps.  Elsewhere
+    Golub-Kahan-Lanczos (GKL) bidiagonalizes op in its quadrature inner
+    product from a seeded positive start vector; the estimate is the top
+    singular value of the k x k bidiagonal B, the square root of the top
+    eigenvalue of the tridiagonal B^T B, which rises toward ||op|| with k.
+    Convergence means the estimate moved by at most tol (relative) in one
+    step.  Every _RESTART steps the bidiagonalization restarts from the top
+    Ritz vector, which is rebuilt by replaying the cycle, so memory stays a
+    few vectors.  max_iter bounds the steps, each one apply and one
+    adjoint_apply (the replays come on top); running out raises
+    ConvergenceError with the last estimate attached.
 
     GKL runs in the unit-weight coordinates of `_unit_frame`, where a norm
-    is a plain dot product: the engine's wrap boundary on the scaled
-    half-spectrum of its circulant, one rfft for the start vector and none
-    per step, its hard window on the grid with the weights folded into its
-    scalings, and any other op with quad_weights, apply and adjoint_apply
-    conjugated by the weights' square roots.  Every frame builds the same
-    Krylov space from the same start vector, so the estimate and the step
-    count do not depend on the frame beyond rounding.
+    is a plain dot product: the engine's hard window with the weights
+    folded into its scalings, and any other op with quad_weights, apply and
+    adjoint_apply conjugated by the weights' square roots.  Both frames
+    build the same Krylov space from the same start vector, so the estimate
+    and the step count do not depend on the frame beyond rounding.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if isinstance(op, _LogConvolution) and op.boundary == "wrap":
+        return float(np.max(np.abs(op._multiplier)))
     rng = np.random.default_rng(seed)
     start, apply, adjoint_apply = _unit_frame(op, rng.random(len(grid)) + 0.5)
     steps, estimate = 0, math.nan

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardy_rellich import cli
 
+EPS = np.finfo(float).eps
+
 COMMANDS = {
     "constants": ["constants", "--n-max", "4", "--alpha", "1.5"],
     "ratio": ["ratio", "--n", "2", "--function", "gamma:p=2.5", "--points", "1024"],
@@ -143,8 +145,9 @@ def test_invalid_probes_exit_2_with_one_error_line(capsys, argv):
 
 
 def test_non_convergence_exits_3(capsys):
-    code, out, err = _run(capsys, ["norm", "--points", "256", "--max-iter", "1",
-                                   "--tol", "1e-16"])
+    # the wrap boundary reads its norm without iterating; the cut boundary iterates
+    code, out, err = _run(capsys, ["norm", "--points", "256", "--boundary", "cut",
+                                   "--max-iter", "1", "--tol", "1e-16"])
     assert code == cli.EXIT_NO_CONVERGENCE == 3
     assert out == "" and "error:" in err
 
@@ -186,7 +189,7 @@ def test_high_power_pair_norm_is_quiet(capsys):
     code, out, err = _run(capsys, ["norm", "--operator", "pair-a", "--pair-power", "60",
                                    "--points", "1024"])
     assert code == 0 and err == ""
-    assert json.loads(out)["estimate"] == pytest.approx(2.0 / 121.0, abs=1e-4)
+    assert json.loads(out)["estimate"] == pytest.approx(2.0 / 121.0, rel=2 * EPS)
 
 
 # fresh interpreters: the -m entry path, and what each import pulls in
@@ -341,6 +344,20 @@ def test_ratio_of_uniform_samples_from_zero(capsys, tmp_path):
     assert abs(report["ratio"] - 1.0) <= 2e-4 and report["slack"] > 0
 
 
+@pytest.mark.parametrize("count,bound", [(1025, 5e-3), (4097, 3e-4), (16385, 2e-5)])
+def test_uniform_samples_from_zero_converge_at_second_order(capsys, tmp_path, count, bound):
+    # x e^-x has the exact ratio 1/2 for n = 1; its denominator's integrand
+    # e^(-2x) is 1 at x = 0, where the samples of f are 0
+    from hardy_rellich import grid
+
+    lg = grid.LinearGrid(0.0, 40.0, count)
+    grid.write_csv([grid.GridFunction(lg, lg.x * np.exp(-lg.x))], tmp_path / "uniform.csv")
+    code, out, err = _run_showing_warnings(capsys, ["ratio", "--n", "1", "--function",
+                                                    f"csv:{tmp_path / 'uniform.csv'}"])
+    assert code == 0 and err.splitlines() == [SAMPLED_WARNING]
+    assert abs(json.loads(out)["report"]["ratio"] - 0.5) <= bound * 0.5
+
+
 def test_ratio_refuses_alpha_for_vectors(capsys):
     code, out, err = _run(capsys, ["ratio", "--n", "1", "--alpha", "1",
                                    "--function", "vec:gamma|gamma:p=2.5"])
@@ -407,7 +424,15 @@ def test_n_past_the_float_range_exits_2(capsys, argv, limit):
 def test_norm_at_the_last_normal_b_n(capsys):
     code, out, err = _run(capsys, ["norm", "--n", "170", "--points", "256"])
     assert code == 0 and err == ""
-    assert abs(json.loads(out)["relative_deviation"]) <= 1e-8
+    assert abs(json.loads(out)["relative_deviation"]) <= 2 * 170 * EPS
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 60, 170])
+def test_wrap_norm_is_b_n_to_rounding(capsys, n):
+    # the largest multiplier of the periodized chain of n steps is b_n to n roundings
+    code, out, err = _run(capsys, ["norm", "--n", str(n), "--points", "256"])
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["relative_deviation"]) <= 2 * n * EPS
 
 
 def test_constants_reach_the_float_limit(capsys):

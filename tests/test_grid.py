@@ -155,6 +155,14 @@ class TestIntegrate:
         with pytest.raises(SingularityError, match="negative weight power"):
             integrate(f, -2.0)
 
+    def test_linear_grid_from_zero_models_the_first_panel(self):
+        # x^2 x^-2 = 1 has the limit 1 at x = 0, where f(0) = 0; (0, x_1) takes it
+        grid = LinearGrid(0.0, 1.0, 65)
+        f = GridFunction.from_callable(grid, lambda x: x**2)
+        assert integrate(f, -2.0).value == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(SingularityError, match="not integrable"):
+            integrate(f, -4.0)
+
 
 # The windows of the command line (its default, also mellin-check's) and of
 # the benchmark's cut checks, and others the tests use
