@@ -3,7 +3,7 @@ sequence and the generalized continuous Cesaro averaging operators.
 
 Submodules
 ----------
-constants   exact rational constants, Leibniz coefficients, spectral polynomials
+constants   exact rational constants, Leibniz coefficients
 grid        log/linear grids, quadrature, cumulative integrals, derivatives
 operators   averaging operators, inverses, resolvent, weighted pairs, norms
 functional  inequality ratios, the optimality probe family, sharpness sweeps
@@ -16,17 +16,13 @@ from .constants import (
     SharpConstant,
     birman_constant,
     cesaro_norm,
-    eval_p_n,
-    eval_r_n,
     glazman_constant,
     leibniz_coeffs,
-    spectral_polynomials,
 )
 from .errors import (
     ConvergenceError,
     HardyRellichError,
     InvalidDataError,
-    PoleError,
     SingularityError,
     TrivialFunctionError,
 )
@@ -37,15 +33,11 @@ __all__ = [
     "SharpConstant",
     "birman_constant",
     "cesaro_norm",
-    "eval_p_n",
-    "eval_r_n",
     "glazman_constant",
     "leibniz_coeffs",
-    "spectral_polynomials",
     "ConvergenceError",
     "HardyRellichError",
     "InvalidDataError",
-    "PoleError",
     "SingularityError",
     "TrivialFunctionError",
     "__version__",

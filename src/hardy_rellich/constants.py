@@ -8,11 +8,8 @@ The central objects are
   Hardy--Rellich-type inequality (n = 1 is Hardy, n = 2 is Rellich),
 * its reciprocal square root  b_n = 2^n / (2n-1)!!, which is the operator
   norm of the n-th generalized Cesaro average,
-* the weighted (Glazman) constant  [prod_{j=1..n} (2n+1-2j-alpha)]^2 / 2^(2n),
-* the coefficients a_j(n,k) in the Leibniz expansion of (x^n f)^(k), and
-* the polynomial p_n(z) = prod_{k=0..n-1} (z+k) together with the rational
-  function r_n(z) = z^n / prod_{k=1..n-1} (1+kz) that maps the spectrum of
-  the Cesaro average T_1 onto the spectrum of T_n.
+* the weighted (Glazman) constant  [prod_{j=1..n} (2n+1-2j-alpha)]^2 / 2^(2n), and
+* the coefficients a_j(n,k) in the Leibniz expansion of (x^n f)^(k).
 """
 
 from __future__ import annotations
@@ -21,24 +18,15 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-from .errors import PoleError
-
-Scalar = Union[int, float, complex, Fraction]
 
 __all__ = [
     "SharpConstant",
     "LeibnizTable",
-    "SpectralPolynomials",
     "double_factorial_odd",
     "birman_constant",
     "cesaro_norm",
     "glazman_constant",
     "leibniz_coeffs",
-    "spectral_polynomials",
-    "eval_p_n",
-    "eval_r_n",
 ]
 
 # Defaults of the grids and of the command-line parser.  They live here, with
@@ -75,20 +63,6 @@ class LeibnizTable:
     n: int
     k: int
     a: tuple  # a[j] multiplies x^(n-k+j) f^(j), 0 <= j <= k
-
-
-@dataclass(frozen=True)
-class SpectralPolynomials:
-    """Dense coefficient data for p_n and r_n (ascending powers, exact ints).
-
-    ``p`` holds the coefficients of p_n(z) = prod_{k=0..n-1}(z+k); ``r_den``
-    holds those of the denominator prod_{k=1..n-1}(1+kz) of r_n, whose
-    numerator is z^n.
-    """
-
-    n: int
-    p: tuple
-    r_den: tuple
 
 
 def _check_index(n: int) -> None:
@@ -191,57 +165,3 @@ def leibniz_coeffs(n: int, k: int) -> LeibnizTable:
             prod *= n - ell
         coeffs.append(math.comb(k, j) * prod)
     return LeibnizTable(n=n, k=k, a=tuple(coeffs))
-
-
-def spectral_polynomials(n: int) -> SpectralPolynomials:
-    """Exact coefficient lists for p_n and the denominator of r_n."""
-    _check_index(n)
-    p = [1]
-    for k in range(n):
-        # multiply by (z + k)
-        nxt = [0] * (len(p) + 1)
-        for i, c in enumerate(p):
-            nxt[i] += k * c
-            nxt[i + 1] += c
-        p = nxt
-    den = [1]
-    for k in range(1, n):
-        # multiply by (1 + k z)
-        nxt = [0] * (len(den) + 1)
-        for i, c in enumerate(den):
-            nxt[i] += c
-            nxt[i + 1] += k * c
-        den = nxt
-    return SpectralPolynomials(n=n, p=tuple(p), r_den=tuple(den))
-
-
-def eval_p_n(n: int, z: Scalar) -> Scalar:
-    """Evaluate p_n(z) = prod_{k=0..n-1} (z+k) in the arithmetic of z."""
-    _check_index(n)
-    out = z - z + 1  # one, in z's type
-    for k in range(n):
-        out = out * (z + k)
-    return out
-
-
-def eval_r_n(n: int, z: Scalar) -> Scalar:
-    """Evaluate r_n(z) = z^n / prod_{k=1..n-1} (1+kz) in the arithmetic of z.
-
-    Raises PoleError at (or within ~1e-12 of) the poles z = -1/k.
-    Satisfies r_n(z) * p_n(1/z) = 1 away from 0 and the poles, and
-    r_n(2) = 2^n/(2n-1)!! -- the spectral-radius anchor.
-    """
-    _check_index(n)
-    num = z - z + 1
-    for _ in range(n):
-        num = num * z
-    den = z - z + 1
-    for k in range(1, n):
-        factor = 1 + k * z
-        if isinstance(factor, (int, Fraction)):
-            if factor == 0:
-                raise PoleError(f"r_{n} has a pole at z = -1/{k}")
-        elif abs(complex(factor)) < 1e-12 * k:
-            raise PoleError(f"r_{n} evaluated too close to its pole at z = -1/{k}")
-        den = den * factor
-    return num / den

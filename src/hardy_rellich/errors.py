@@ -13,10 +13,6 @@ class SingularityError(HardyRellichError):
     """An integrand is non-integrable at the origin (fitted local exponent <= -1)."""
 
 
-class PoleError(HardyRellichError):
-    """Evaluation of a rational function at (or too close to) one of its poles."""
-
-
 class TrivialFunctionError(HardyRellichError):
     """A ratio was requested for a function that is numerically zero."""
 

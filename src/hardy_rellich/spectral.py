@@ -3,13 +3,18 @@
 In u = ln x the Mellin transform with the unitary normalization is a plain
 Fourier transform of g(u) = f(e^u) e^(u/2), so a power-of-two log grid maps
 it onto one FFT; the discrete map is exactly unitary (Parseval holds to
-rounding) and its inverse is the conjugate transform.
+rounding).
 
 The transform diagonalizes the scaling generator S_1 = i (T_1^{-1} - I/2):
 transformed, (x f)' acts as multiplication by (-i lambda + 1/2).  The
 spectrum of the n-th averaging operator is the closed curve
-r_n(1 + e^(i theta)); its maximum modulus is attained at theta = 0 and
-equals the operator norm 2^n/(2n-1)!!.
+r_n(1 + e^(i theta)), the image of T_1's spectrum, the circle
+|z - 1| = 1, under the rational function
+r_n(z) = z^n / prod_{k=1..n-1} (1+kz) = 1/p_n(1/z), since
+T_n^{-1} = p_n(T_1^{-1}) with p_n(z) = prod_{k=0..n-1} (z+k).
+`_curve_point` is the package's one evaluation of r_n.  The curve's
+maximum modulus is attained at theta = 0 and equals the operator norm
+r_n(2) = 2^n/(2n-1)!!.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "MellinData",
     "SpectrumCurve",
     "mellin_forward",
-    "mellin_inverse",
     "verify_diagonalization",
     "spectrum_curve",
     "curve_max_modulus",
@@ -80,22 +84,6 @@ def mellin_forward(f: GridFunction) -> MellinData:
     spectrum = N * np.fft.ifft(g * alt)
     values = (2.0 * math.pi) ** -0.5 * h * np.exp(1j * lam * u0) * spectrum
     return MellinData(lam=lam, values=values, grid=f.grid)
-
-
-def mellin_inverse(data: MellinData) -> GridFunction:
-    """Adjoint FFT: exact inverse of mellin_forward on the same grid."""
-    N = len(data.grid)
-    _require_power_of_two(N)
-    if len(data.values) != N:
-        raise InvalidDataError("spectral sample count does not match the grid")
-    h = data.grid.h
-    u0 = data.grid.u[0]
-    k = np.arange(N)
-    alt = np.where(k % 2 == 0, 1.0, -1.0)
-    spectrum = data.values / ((2.0 * math.pi) ** -0.5 * h * np.exp(1j * data.lam * u0))
-    g = np.fft.fft(spectrum / N) / alt
-    values = g * np.exp(-0.5 * data.grid.u)
-    return GridFunction(data.grid, values)
 
 
 def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,

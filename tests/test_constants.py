@@ -14,13 +14,9 @@ from hardy_rellich.constants import (
     birman_constant,
     cesaro_norm,
     double_factorial_odd,
-    eval_p_n,
-    eval_r_n,
     glazman_constant,
     leibniz_coeffs,
-    spectral_polynomials,
 )
-from hardy_rellich.errors import PoleError
 
 
 class TestSharpConstant:
@@ -145,52 +141,6 @@ class TestLeibnizCoeffs:
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             leibniz_coeffs(2, 3)
-
-
-class TestSpectralPolynomials:
-    def test_p1_is_identity(self):
-        assert spectral_polynomials(1).p == (0, 1)
-        for z in (0.3, 2 + 1j, -5):
-            assert eval_p_n(1, z) == z
-
-    def test_p_at_one_is_factorial(self):
-        for n in range(1, 20):
-            assert eval_p_n(n, Fraction(1)) == math.factorial(n)
-            coeffs = spectral_polynomials(n).p
-            assert sum(coeffs) == math.factorial(n)
-
-    def test_r_at_zero(self):
-        for n in range(1, 10):
-            assert eval_r_n(n, 0.0) == 0
-
-    def test_r2_at_two(self):
-        assert eval_r_n(2, Fraction(2)) == Fraction(4, 3)
-
-    def test_spectral_radius_anchor_exact(self):
-        for n in range(1, 33):
-            assert eval_r_n(n, Fraction(2)) == cesaro_norm(n)
-
-    @given(st.integers(min_value=1, max_value=10),
-           st.complex_numbers(min_magnitude=0.1, max_magnitude=50,
-                              allow_nan=False, allow_infinity=False))
-    def test_reciprocal_identity(self, n, z):
-        for k in range(1, n):
-            if abs(1 + k * z) < 1e-3:
-                return  # too close to a pole for a well-conditioned check
-        if abs(z) < 1e-2:
-            return
-        product = eval_r_n(n, z) * eval_p_n(n, 1 / z)
-        assert product == pytest.approx(1.0, rel=1e-9)
-
-    def test_pole_rejection(self):
-        with pytest.raises(PoleError):
-            eval_r_n(3, Fraction(-1, 2))
-        with pytest.raises(PoleError):
-            eval_r_n(3, -0.5 + 0j)
-
-    def test_denominator_coefficients(self):
-        # prod_{k=1..2} (1 + k z) = 1 + 3z + 2z^2
-        assert spectral_polynomials(3).r_den == (1, 3, 2)
 
 
 def test_float_limits_are_the_last_n_that_fit():

@@ -1,6 +1,7 @@
 """Finite-interval ratios: the midpoint splitting identity and strict slack."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_bridge_ratio_exceeds_the_constant(n, a, c, side):
     for degree in (0, 1, 2):
         report = interval_ratio(IntervalProblem(n, a, c, side), _bridge(n, a, c, degree))
         assert report.slack > 0 and report.ratio > report.constant
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("panels", [64, 4096])
+def test_bridges_never_give_a_false_counterexample(n, panels):
+    # cancelling monomial expansions may read a ratio at or below c_n from
+    # n = 4 on; every such ratio must be refused, never reported as slack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, c in ((0.0, 1.0), (0.5, 1.0), (2.0, 2.5), (1.0, 3.0)):
+            for degree in (0, 1, 2):
+                for side in SIDES:
+                    try:
+                        report = interval_ratio(IntervalProblem(n, a, c, side),
+                                                _bridge(n, a, c, degree), panels=panels)
+                    except ConvergenceError:
+                        continue
+                    assert report.slack > 0
 
 
 def test_ratio_at_or_below_the_constant_is_no_counterexample():
