@@ -72,8 +72,8 @@ class ProbeSpec:
         if not self.sigma > -0.5:
             raise ValueError(
                 f"probe needs sigma > -1/2 for square-integrability, got {self.sigma}")
-        if not self.a > 0:
-            raise ValueError(f"cutoff must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"cutoff must be positive and finite, got {self.a}")
 
 
 def _probe_taylor(n: int, sigma: float) -> list:

@@ -34,9 +34,15 @@ take their accuracy from the grid's cumulative rule, the eight-node
 Lagrange rule on each run between breaks, which is eighth order also where
 the integrand changes sign; that matters here, since (x^n f)^(n) has n sign
 changes.  Inverses act on analytic closures only: (T_n^{-1} f)(x) =
-(x^n f)^(n), expanded by the exact Leibniz coefficients; the tests check it
-against the operator polynomial prod_{k=0..n-1}(T_1^{-1} + k) applied
-factor by factor.
+(x^n f)^(n), by one of two routes chosen by the type of f.  For a PowerExp,
+x^n f is again a PowerExp, with the same rate and every power shifted by n,
+so the inverse is that function's n-th derivative closure: one Horner plan
+and one exp per call.  Any other AnalyticFunction goes through the Leibniz
+sum sum_j a_j(n,n) x^j f^(j), which needs its derivative closures up to
+order n, each sampled at every point.  The tests check the PowerExp route
+against an exact sum and against the operator polynomial
+prod_{k=0..n-1}(T_1^{-1} + k) applied factor by factor, and the Leibniz
+route against the PowerExp route.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import AnalyticFunction
+from .analytic import AnalyticFunction, PowerExp
 from .constants import _check_index, leibniz_coeffs
 from .errors import ConvergenceError
 from .grid import GridFunction, LogGrid, _moment_panels, _running_integrals, cumulative_integral
@@ -122,9 +128,18 @@ def apply_cesaro_nested(n: int, f: GridFunction) -> GridFunction:
 def apply_inverse_cesaro(n: int, f: AnalyticFunction) -> Callable:
     """(T_n^{-1} f)(x) = (x^n f)^(n) = sum_j a_j(n,n) x^j f^(j)(x).
 
-    Needs derivative closures up to order n; returns a vectorized callable.
+    Returns a vectorized callable.  A PowerExp f takes the closed route:
+    x^n f is the PowerExp with f's rate and powers p + n, and its n-th
+    derivative closure is the inverse, so a call samples one closure where
+    the Leibniz sum samples n + 1 closures and n powers of x.  Both routes
+    sum terms of the monomial basis and lose digits to their cancellation
+    as n grows, the closed one up to a few times more (n = 8, x^9.5 e^-2x:
+    1.7e-12 of the peak against 1.0e-12).  Any other AnalyticFunction takes
+    the Leibniz sum and needs derivative closures up to order n.
     """
     _check_index(n)
+    if isinstance(f, PowerExp):
+        return PowerExp([(c, p + n) for p, c in f.terms], f.rate).deriv(n)
     if f.order < n:
         raise ValueError(
             f"inverse of order {n} needs {n} derivative closures, function has {f.order}")

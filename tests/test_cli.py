@@ -513,6 +513,9 @@ def test_probe_scale_past_the_float_range_reads_infinity(capsys, argv):
     (["ratio", "--n", "1", "--function", "nosuch"], "unknown test function 'nosuch'"),
     (["ratio", "--n", "1", "--function", "gamma:p"], "malformed function argument 'p'"),
     (["ratio", "--n", "1", "--function", "bridge"], "need an interval"),
+    # an infinite cutoff leaves the probe with no tail and an infinite norm
+    (["sharpness", "--n", "3", "--cutoff", "inf"], "cutoff must be positive and finite"),
+    (["ratio", "--n", "2", "--function", "probe:a=inf"], "cutoff must be positive and finite"),
 ])
 def test_extreme_inputs_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from hardy_rellich.constants import (
     _FLOAT_LIMITS,
-    SharpConstant,
     _float_constant,
     _float_weighted_constant,
     birman_constant,

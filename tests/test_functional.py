@@ -120,7 +120,7 @@ class TestProbeTail:
             with pytest.raises(ValueError, match="sigma > -1/2"):
                 ProbeSpec(2, sigma, 1.0)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_nonpositive_cutoff(self, a):
         with pytest.raises(ValueError, match="cutoff must be positive"):
             ProbeSpec(2, 0.0, a)

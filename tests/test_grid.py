@@ -1,7 +1,6 @@
 """Quadrature, cumulative integration, and differentiation on sampled grids."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np

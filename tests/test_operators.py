@@ -426,6 +426,71 @@ class TestOperatorPolynomial:
             assert np.max(np.abs(d - c)) <= 1e-10 * scale
 
 
+class _LeibnizOnly(AnalyticFunction):
+    """A PowerExp behind the base interface: apply_inverse_cesaro takes the
+    Leibniz sum over its derivative closures, not the PowerExp route."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def deriv(self, j: int):
+        return self.f.deriv(j)
+
+
+class TestInverseRoutes:
+    # a PowerExp f is inverted as the n-th derivative of the PowerExp x^n f,
+    # anything else by the Leibniz sum over f's closures; the first is pinned
+    # to the exact sum on x in [1e-6, 80], and the second to the first
+    FUNCTIONS = [gamma_class(0.5, 0.5), gamma_class(1.5, 1.0), gamma_class(3.0, 2.0),
+                 gamma_class(2.5, 3.0),
+                 polynomial_times_exp([0.0, 0.5, -0.8, 0.3], 1.0),
+                 polynomial_times_exp([0.0, -0.2, 0.9, -0.6], 2.0)]
+    X = np.geomspace(1e-6, 80.0, 61)
+
+    @staticmethod
+    def _exact(n, f, x, mpmath):
+        """(x^n f)^(n) at each x: sum_k C(n,k) (q)_k (-r)^(n-k) x^(q-k) e^(-r x), q = p + n."""
+        rate = mpmath.mpf(f.rate)
+        out = []
+        for point in map(mpmath.mpf, x):
+            total = 0
+            for p, c in f.terms:
+                q = mpmath.mpf(p) + n
+                total += mpmath.mpf(c) * sum(
+                    mpmath.binomial(n, k) * mpmath.ff(q, k) * (-rate) ** (n - k)
+                    * point ** (q - k) for k in range(n + 1))
+            out.append(float(total * mpmath.exp(-rate * point)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_exp_route_matches_the_exact_sum(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            for f in self.FUNCTIONS:
+                exact = self._exact(n, f, self.X, mpmath)
+                inverse = ops.apply_inverse_cesaro(n, f)(self.X)
+                assert _max_rel(inverse, exact) <= 1e-11
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_leibniz_route_agrees_with_the_power_exp_route(self, n):
+        for f in self.FUNCTIONS:
+            closed = ops.apply_inverse_cesaro(n, f)(self.X)
+            leibniz = ops.apply_inverse_cesaro(n, _LeibnizOnly(f))(self.X)
+            assert _max_rel(leibniz, closed) <= 1e-12
+
+    def test_power_exp_route_samples_one_closure(self, monkeypatch):
+        # the saving: one derivative closure per call, not n + 1
+        f = gamma_class(1.5, 1.0)
+        orders = []
+        deriv = type(f).deriv
+        monkeypatch.setattr(type(f), "deriv", lambda self, j: orders.append(j) or deriv(self, j))
+        ops.apply_inverse_cesaro(4, f)(self.X)
+        assert orders == [4]
+        orders.clear()
+        ops.apply_inverse_cesaro(4, _LeibnizOnly(f))(self.X)
+        assert orders == [0, 1, 2, 3, 4]
+
+
 class TestAnalyticFamily:
     def test_z_zero_is_plain_average(self, grid, bump):
         family = ops._apply_T1z(0.0, bump)

@@ -1,5 +1,6 @@
-"""Package surface: every exported name exists."""
+"""Package surface: every exported name exists, and every import is used."""
 
+import ast
 import importlib
 import json
 import os
@@ -12,6 +13,9 @@ import pytest
 
 import hardy_rellich
 
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(str(path.relative_to(ROOT))
+                 for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py"))
 MODULES = ["hardy_rellich"] + [f"hardy_rellich.{info.name}"
                                for info in pkgutil.iter_modules(hardy_rellich.__path__)]
 
@@ -37,3 +41,29 @@ def test_modules_import_numpy_alone():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by an import and never read, __future__ and __all__ aside."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_unused_imports(path):
+    tree = ast.parse((ROOT / path).read_text(), filename=path)
+    assert _unused_imports(tree) == []
