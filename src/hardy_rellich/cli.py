@@ -148,7 +148,11 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
         import numpy as np
 
         kv = _parse_kv(body)
-        degree = int(kv.get("degree", 0))
+        text = kv.get("degree", "0")
+        # numpy's polynomial power stops at 100
+        if not text.isdecimal() or int(text) > 100:
+            raise ValueError(f"bridge degree must be an integer from 0 to 100, got {text!r}")
+        degree = int(text)
         a, c = bounds
         # (x-a)^n (c-x)^n x^degree expanded into a plain polynomial
         poly = np.polynomial.Polynomial([1.0])

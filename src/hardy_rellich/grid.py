@@ -14,14 +14,17 @@ weight before squaring, (|f| x^(p/2))^2, so |f|^2 x^p stays in the float
 range wherever the product does: the inverse-power weights x^(-2n) of the
 Birman denominators reach n = 51 on the default window, where |f|^2 alone
 would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
-integration, which feeds the averaging operators, runs the eight-node
+integration, which feeds the averaging operators, runs the ten-node
 Lagrange rule in the grid's uniform coordinate (u on a LogGrid, x on a
-LinearGrid): eighth order, also where the integrand changes sign or has a
+LinearGrid): each panel integrates the degree-9 polynomial through its ten
+nearest nodes, tenth order, also where the integrand changes sign or has a
 root at a node.  Where no polynomial spans a panel, across a sampled jump
 or beside a support edge (the end of a run of exact zeros), the grid is
 split: such a break panel takes trapezoid, and the rule runs on each run of
 nodes between breaks on its own, so no stencil reads across a break and
-each piece keeps its eighth order.  The moments v x^j go through in blocks
+each piece keeps its tenth order.  A run of eight or nine nodes, too short
+for ten, takes the eight-node rule (eighth order), and a shorter run
+trapezoid.  The moments v x^j go through in blocks
 of rows, as many as fit a fixed budget of samples (one row from 8192
 nodes): a block forms its running products, checks them, splits them and
 sums its panel masses in one pass of numpy calls.  The breaks are decided
@@ -319,44 +322,68 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
 
 
 # A step this many times larger than both neighbouring steps is a sampled
-# jump: no degree-7 polynomial through eight nodes across it resembles the data.
+# jump: no degree-9 polynomial through ten nodes across it resembles the data.
 _JUMP = 8.0
 
 
-# Weights of the degree-7 polynomial through eight nodes, integrated over one
-# panel, in units of h/120960: the centre panel's (symmetric, so four, from
-# the panel out) and the one-sided rows of the first, second and third
-# panels, mirrored at the right end.
-_CENTRE = (68323.0, -9531.0, 1879.0, -191.0)
+# Weights of the degree-9 polynomial through ten nodes, integrated over one
+# panel, in units of h/7257600: the centre panel's (symmetric, so five, from
+# the panel out) and the rows of the first four panels, the centre panel's
+# four one-sided neighbours, mirrored at the right end.
+_UNIT = 7257600.0
+_CENTRE = (4134338.0, -641776.0, 162680.0, -28939.0, 2497.0)
 _END_ROWS = np.array([
+    [2082753.0, 9449717.0, -11271304.0, 16002320.0, -17283646.0,
+     13510082.0, -7394032.0, 2687864.0, -583435.0, 57281.0],
+    [-57281.0, 2655563.0, 6872072.0, -4397584.0, 3973310.0,
+     -2848834.0, 1481072.0, -520312.0, 110219.0, -10625.0],
+    [10625.0, -163531.0, 3133688.0, 5597072.0, -2166334.0,
+     1295810.0, -617584.0, 206072.0, -42187.0, 3969.0],
+    [-3969.0, 50315.0, -342136.0, 3609968.0, 4763582.0,
+     -1166146.0, 462320.0, -141304.0, 27467.0, -2497.0]])
+# Runs of eight or nine nodes are too short for ten: they take the degree-7
+# polynomial through eight nodes, the first four panels' rows in the same
+# units (h/120960 times 60), mirrored at the right end as above
+_SHORT_ROWS = 60.0 * np.array([
     [36799.0, 139849.0, -121797.0, 123133.0, -88547.0, 41499.0, -11351.0, 1375.0],
     [-1375.0, 47799.0, 101349.0, -44797.0, 26883.0, -11547.0, 2999.0, -351.0],
-    [351.0, -4183.0, 57627.0, 81693.0, -20227.0, 7227.0, -1719.0, 191.0]])
+    [351.0, -4183.0, 57627.0, 81693.0, -20227.0, 7227.0, -1719.0, 191.0],
+    [-191.0, 1879.0, -9531.0, 68323.0, 68323.0, -9531.0, 1879.0, -191.0]])
 
 
 def _lagrange_panels(q, h):
-    """Panel integrals of the degree-7 polynomial through each panel's eight nearest nodes.
+    """Panel integrals of the degree-9 polynomial through each panel's ten nearest nodes.
 
-    q holds one integrand per row, or is a single row.  Interior panels
-    take _CENTRE, summed as four symmetric pairs; the three panels at each
-    end take _END_ROWS.  The samples are scaled by h/120960 first, so no
-    partial sum overflows where the masses are in the float range.
+    q holds one integrand per row, or is a single row, of eight nodes or
+    more.  Interior panels take _CENTRE, summed as five symmetric pairs; the
+    four panels at each end take _END_ROWS.  Eight or nine nodes take
+    _SHORT_ROWS at each end instead, the eight-node rule, which covers
+    every panel there.  The samples are scaled by h/7257600 first, so no
+    partial sum overflows where the masses are in the float range.  The
+    one-sided rows amplify rounding more than the centre: the first
+    panel's weights sum to 11.07 in absolute value, in units of h, against
+    1.37 for the centre and 4.67 for the eight-node rule's first panel.
     """
-    c0, c1, c2, c3 = _CENTRE
-    s = q * (h / 120960.0)
+    s = q * (h / _UNIT)
     out = np.empty_like(s[..., 1:])
-    centre = out[..., 3:-3]
-    np.multiply(s[..., 3:-4] + s[..., 4:-3], c0, out=centre)
-    centre += c1 * (s[..., 2:-5] + s[..., 5:-2])
-    centre += c2 * (s[..., 1:-6] + s[..., 6:-1])
-    centre += c3 * (s[..., :-7] + s[..., 7:])
-    out[..., :3] = _end_panels(_END_ROWS, s[..., :8])
-    out[..., -3:] = _end_panels(_END_ROWS[::-1, ::-1], s[..., -8:])
+    if s.shape[-1] < 10:
+        out[..., :4] = _end_panels(_SHORT_ROWS, s[..., :8])
+        out[..., -4:] = _end_panels(_SHORT_ROWS[::-1, ::-1], s[..., -8:])
+        return out
+    c0, c1, c2, c3, c4 = _CENTRE
+    centre = out[..., 4:-4]
+    np.multiply(s[..., 4:-5] + s[..., 5:-4], c0, out=centre)
+    centre += c1 * (s[..., 3:-6] + s[..., 6:-3])
+    centre += c2 * (s[..., 2:-7] + s[..., 7:-2])
+    centre += c3 * (s[..., 1:-8] + s[..., 8:-1])
+    centre += c4 * (s[..., :-9] + s[..., 9:])
+    out[..., :4] = _end_panels(_END_ROWS, s[..., :10])
+    out[..., -4:] = _end_panels(_END_ROWS[::-1, ::-1], s[..., -10:])
     return out
 
 
 def _end_panels(rows, s):
-    """The three end panels of each row of s, eight scaled samples a row, by the 3 x 8 weights rows.
+    """The four end panels of each row of s, by the 4 x m weights rows, m scaled samples a row.
 
     One matrix-vector product per row: one matrix product for the whole
     block would sum in another order, and a row's panels would then depend
@@ -394,23 +421,27 @@ def _split_panels(q, h, breaks):
     The break panels cut the nodes into runs, the same for every row.  A
     run of eight nodes or more takes the Lagrange rule on its own nodes, so
     no stencil reads across a break: _lagrange_panels runs once on the
-    whole rows, which gives a panel three or more panels inside its run the
-    run's own centre stencil, and the three panels at each inner end of a
-    run take _END_ROWS again, on the run's first or last eight nodes.  A
-    break panel, and every panel of a shorter run, takes trapezoid.
+    whole rows, which gives a panel four or more panels inside its run the
+    run's own centre stencil, and the four panels at each inner end of a
+    run take _END_ROWS again, on the run's first or last ten nodes.  A run
+    of eight or nine nodes takes _lagrange_panels on its own, the
+    eight-node rule.  A break panel, and every panel of a shorter run,
+    takes trapezoid.
     """
     out = _lagrange_panels(q, h)
     if not len(breaks):
         return out
-    scale, last = h / 120960.0, q.shape[-1] - 1
+    scale, last = h / _UNIT, q.shape[-1] - 1
     short = []
     for start, end in zip([0, *(breaks + 1).tolist()], [*breaks.tolist(), last]):
-        if end - start >= 7:
+        if end - start >= 9:
             if start:
-                out[..., start:start + 3] = _end_panels(_END_ROWS, q[..., start:start + 8] * scale)
+                out[..., start:start + 4] = _end_panels(_END_ROWS, q[..., start:start + 10] * scale)
             if end < last:
-                out[..., end - 3:end] = _end_panels(_END_ROWS[::-1, ::-1],
-                                                    q[..., end - 7:end + 1] * scale)
+                out[..., end - 4:end] = _end_panels(_END_ROWS[::-1, ::-1],
+                                                    q[..., end - 9:end + 1] * scale)
+        elif end - start >= 7:
+            out[..., start:end] = _lagrange_panels(q[..., start:end + 1], h)
         elif end > start:
             short.append(np.arange(start, end))
     k = np.concatenate((breaks, *short)) if short else breaks

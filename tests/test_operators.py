@@ -114,15 +114,29 @@ class TestApplyCesaro:
         assert np.all(np.isfinite(out.values))
         # T_n e^-x = sum_m (-x)^m / (m + n)!; next to 0 the moments cancel
         # against x^(-n), which amplifies the panel rule's error there.  The
-        # bounds are twice the eighth-order rule's relative errors at x = 1/32
+        # bounds are twice the tenth-order rule's relative errors at x = 1/32
         # and from x = 0.5 on, and 1e-14 where those are at rounding level
-        near, far = {1: (1.6e-14, 1e-14), 2: (8e-12, 1e-14), 3: (2.7e-9, 1.1e-13)}[n]
+        near, far = {1: (1e-14, 1e-14), 2: (2.2e-14, 1e-14), 3: (2.9e-12, 1e-14)}[n]
         x = lg.x[1:]
         exact = np.array([math.fsum((-t) ** m / math.factorial(m + n) for m in range(40))
                           for t in x])
         rel = np.abs(out.values[1:] / exact - 1.0)
         assert rel[0] <= near
         assert np.max(rel[x >= 0.5]) <= far
+
+    @pytest.mark.parametrize("apply", [ops.apply_cesaro, ops.apply_cesaro_nested])
+    def test_powers_past_the_float_range_raise_without_warnings(self, apply):
+        # x^-52 overflows at x = 1e-6: T_52 and T_60 raise where they gave
+        # infs and NaNs with numpy warnings only; T_40 stays finite
+        lg = LogGrid.default(256)
+        f = GridFunction(lg, lg.x**1.5 * np.exp(-lg.x))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for n in (52, 60):
+                with pytest.raises(InvalidDataError, match="leaves the float range"):
+                    apply(n, f)
+            assert np.all(np.isfinite(apply(40, f).values))
+        assert caught == []
 
     def test_moments_out_of_range_raise(self, grid):
         # the second moment's samples 1e300 x times x leave the float range
@@ -145,7 +159,7 @@ class TestApplyCesaro:
         # T_n x^sigma = x^sigma / prod_{j=1..n} (sigma + j) at every node.  The
         # binomial moments of x^sigma cancel against x^(-n) at the left window
         # edge, where the Lagrange rule's error in each moment is amplified;
-        # at 1024 nodes the worst node reads 7.3e-8 (x^2.5, n = 6)
+        # at 1024 nodes the worst node reads 8.0e-9 (x^2.5, n = 6)
         lg = LogGrid.default(1024)
         out = ops.apply_cesaro(n, GridFunction(lg, lg.x**sigma))
         exact = lg.x**sigma / math.prod(sigma + j for j in range(1, n + 1))
@@ -548,15 +562,17 @@ class TestRoundTripsAtReferenceSize:
 
 class TestRoundTripsAtTheirRung:
     # the first 2^k grid on which the round trips reach 1e-7: at 512 nodes
-    # for T_2 and T_3 (largest error 5.7e-8), at 256 for the resolvent (3.3e-8).
-    # A sixth-order panel rule misses both by 4-12x and needs one rung more
+    # for T_2 to T_6 (largest error 2.6e-8), at 256 for the resolvent (3.8e-9,
+    # the bench ladder's first rung).  The
+    # eight-node rule missed T_4 to T_6 here by 1.06-1.6x, and a sixth-order
+    # rule missed T_2, T_3 and the resolvent by 4-12x
     FUNCTIONS = [
         (polynomial_times_exp([0.0, 0.3, -0.5, 0.7], 1.0),
          lambda x: (0.3 * x - 0.5 * x**2 + 0.7 * x**3) * np.exp(-x)),
         (gamma_class(3, 2), lambda x: x**3 * np.exp(-2.0 * x)),
     ]
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", range(2))
     def test_cesaro_of_inverse_at_512_nodes(self, n, k):
         f, exact = self.FUNCTIONS[k]
