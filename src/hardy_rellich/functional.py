@@ -13,12 +13,15 @@ g_k = 1/(k! prod_{j=1..n-k} (j + sigma)) > 0.  As int_a^inf x^(-2n) (x-a)^m dx
 
 is free of a and of cancellation, and decreases to c_n as sigma drops to -1/2.
 
-Every half-line grid ratio, of a scalar or of a vector (a list of scalar
-components), sums its norms in one core, _halfline_ratio.  Closures are
-integrated on a LogGrid in one stacked pass (_halfline_norms): f^(n) and f
-of every component are sampled into one array, one row per closure, and
-all rows share one weighting, one trapezoid sum and one set of checks, the
-rule norm_sq runs on a single row.  Sampled components go through norm_sq.
+The half line's two entry points, birman_ratio and glazman_ratio, take a
+closure, a ProbeSpec, sampled data or a list of scalar components (a
+vector; its report carries m).  Except birman_ratio's probe closed form,
+every grid ratio sums its norms in one core, _halfline_ratio, which
+refuses any other input.  Closures are integrated on a LogGrid in one
+stacked pass (_halfline_norms): f^(n) and f of every component are
+sampled into one array, one row per closure, and all rows share one
+weighting, one trapezoid sum and one set of checks, the rule norm_sq runs
+on a single row.  Sampled components go through norm_sq.
 
 Every grid, sampled, vector and interval report is built by _build_report,
 which applies the refusals these routes share: a report has slack > 0, or
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +51,6 @@ __all__ = [
     "RatioReport",
     "probe_ratio_closed_form",
     "birman_ratio",
-    "birman_ratio_sampled",
     "glazman_ratio",
     "sharpness_sweep",
     "SweepResult",
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 TRIVIAL_DENOMINATOR = 1e-300
+MAX_COMPONENTS = 64
 
 
 @dataclass(frozen=True)
@@ -246,15 +249,39 @@ def _halfline_norms(grid: LogGrid, rows) -> list:
     return [float((a + b).real) for a, b in zip(full, stub)]
 
 
-def _halfline_ratio(n, power, components, grid, constant, **extra) -> RatioReport:
+def _probe(n: int, spec: ProbeSpec) -> ProbeSpec:
+    """The probe spec, refused where it was built for another index than the ratio's."""
+    if spec.n != n:
+        raise ValueError(f"probe was built for n={spec.n}, ratio requested for n={n}")
+    return spec
+
+
+def _halfline_ratio(n, power, f, grid, constant, **extra) -> RatioReport:
     """Report of sum int x^p |c^(n)|^2 dx over sum int x^(p-2n) |c|^2 dx, in component order.
 
-    Sampled components keep their grids and take finite-difference
-    derivatives, with one warning per call however many there are; analytic
-    ones need closures up to order n and are stacked on ``grid`` (the
-    default LogGrid if None).
+    f is a scalar test function (a ProbeSpec through its closures) or a
+    list of them, a vector, whose report carries their number m.  Sampled
+    components keep their grids and take finite-difference derivatives,
+    with one warning per call however many there are; analytic ones need
+    closures up to order n and are stacked on ``grid`` (the default LogGrid
+    if None).  Any other input raises ValueError, an empty list
+    TrivialFunctionError.
     """
     power = float(power)
+    if isinstance(f, ProbeSpec):
+        f = ProbeFunction(_probe(n, f))
+    vector = isinstance(f, (list, tuple))
+    components = list(f) if vector else [f]
+    for c in components:
+        if not isinstance(c, (AnalyticFunction, GridFunction)):
+            raise ValueError(f"{'vector components' if vector else 'test functions'} must be "
+                             f"analytic functions or sampled data, got {type(c).__name__}")
+    if vector:
+        if not components:
+            raise TrivialFunctionError("empty component list")
+        if len(components) > MAX_COMPONENTS:
+            raise ValueError(f"at most {MAX_COMPONENTS} components supported")
+        extra["m"] = len(components)
     if any(isinstance(c, GridFunction) for c in components):
         warnings.warn(
             f"computing an order-{n} derivative numerically from samples; "
@@ -277,20 +304,17 @@ def _halfline_ratio(n, power, components, grid, constant, **extra) -> RatioRepor
     return _build_report(n, numerator, denominator, constant, **extra)
 
 
-ProbeOrFunction = Union[ProbeSpec, AnalyticFunction]
-
-
-def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> RatioReport:
+def birman_ratio(n: int, f, grid: Optional[LogGrid] = None) -> RatioReport:
     """Ratio of the n-th derivative energy to the x^(-2n)-weighted mass.
 
-    Probe specs are evaluated through their closed forms; analytic
-    functions are integrated on the grid using their derivative closures
-    (never finite differences).
+    A probe spec is evaluated through its closed form; analytic functions
+    are integrated on the grid using their derivative closures, sampled
+    data by finite differences, and a list of them, a vector, sums its
+    components' squared norms.
     """
     constant = _float_constant("c_n", n)
     if isinstance(f, ProbeSpec):
-        if f.n != n:
-            raise ValueError(f"probe was built for n={f.n}, ratio requested for n={n}")
+        _probe(n, f)
         # the closed form is positive by construction: no vanishing-denominator
         # test.  Its ratio errs by at most n ulps, so a slack inside 8 n ulps
         # (sigma within about 1e-13 of -1/2), or an infinite ratio, has no sign
@@ -302,27 +326,16 @@ def birman_ratio(n: int, f: ProbeOrFunction, grid: Optional[LogGrid] = None) -> 
         return RatioReport(n=n, numerator=numerator, denominator=denominator,
                            ratio=ratio, constant=constant, slack=slack,
                            sigma=f.sigma, a=f.a)
-    return _halfline_ratio(n, 0.0, [f], grid, constant)
+    return _halfline_ratio(n, 0.0, f, grid, constant)
 
 
-def glazman_ratio(n: int, alpha: float, f: ProbeOrFunction,
-                  grid: Optional[LogGrid] = None) -> RatioReport:
-    """Power-weighted ratio: int x^alpha |f^(n)|^2 over int |f|^2 x^(alpha-2n)."""
-    constant = _float_weighted_constant(n, alpha)
-    if isinstance(f, ProbeSpec):
-        f = ProbeFunction(f)
-    return _halfline_ratio(n, alpha, [f], grid, constant, alpha=float(alpha))
+def glazman_ratio(n: int, alpha: float, f, grid: Optional[LogGrid] = None) -> RatioReport:
+    """Power-weighted ratio: int x^alpha |f^(n)|^2 over int |f|^2 x^(alpha-2n).
 
-
-def birman_ratio_sampled(n: int, f: GridFunction, alpha: float = 0.0) -> RatioReport:
-    """Ratio from raw samples: the n-th derivative is finite differences.
-
-    Meant for user-supplied CSV data only; accuracy degrades rapidly with n
-    (a warning is emitted).  Closure-carrying functions should go through
-    birman_ratio/glazman_ratio instead.
+    f is as for birman_ratio, but a probe spec goes through its closures.
     """
-    extra = {"alpha": float(alpha)} if alpha else {}
-    return _halfline_ratio(n, alpha, [f], None, _float_weighted_constant(n, alpha), **extra)
+    constant = _float_weighted_constant(n, alpha)
+    return _halfline_ratio(n, alpha, f, grid, constant, alpha=float(alpha))
 
 
 @dataclass(frozen=True)

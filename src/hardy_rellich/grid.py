@@ -398,13 +398,15 @@ def _breaks(q):
     A break panel crosses a sampled jump, a step _JUMP times both
     neighbouring steps, or lies beside a support edge: an exact zero that
     ends a run of zeros, that is an interior node k with q_k = 0 and exactly
-    one of q_(k-1), q_(k+1) zero.  An isolated root, the inside of a run of
+    one of q_(k-1), q_(k+1) zero.  An end step has one neighbour, and is
+    compared with the two steps next to it, so that a steep but smooth end
+    is not taken for a jump.  An isolated root, the inside of a run of
     zeros and a zero at either end of the grid are no breaks: a polynomial
     through them is as good as anywhere.
     """
     step = np.abs(q[1:] - q[:-1])
     neighbour = np.empty_like(step)
-    neighbour[0], neighbour[-1] = step[1], step[-2]
+    neighbour[0], neighbour[-1] = max(step[1], step[2]), max(step[-2], step[-3])
     np.maximum(step[:-2], step[2:], out=neighbour[1:-1])
     neighbour *= _JUMP
     brk = step > neighbour

@@ -11,9 +11,10 @@ on all nodes (and f^(j), 0 < j < n, once for the vanishing check), and the
 removable 0/0 at a vanishing end is read from the f^(n) samples there.
 The refusals every ratio route shares (non-finite sums, a vanishing
 denominator, a ratio at or below the constant) are those of
-functional._build_report.  The vector-valued ratio on the half line sums
-the norms of a list of scalar components, analytic or sampled, in the core
-of the scalar ones (functional._halfline_ratio), and inherits their slack > 0.
+functional._build_report; interval_ratio refuses all but analytic closures.
+The vector-valued ratio on the half line, vector_birman_ratio, is
+functional.birman_ratio of a list of scalar components, analytic or
+sampled, through the same core (functional._halfline_ratio).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .constants import SIDES, _float_constant
-from .errors import TrivialFunctionError
 from .functional import RatioReport, _build_report, _halfline_ratio
 from .grid import GridFunction, LogGrid
 
@@ -35,8 +35,6 @@ __all__ = [
     "interval_ratio",
     "vector_birman_ratio",
 ]
-
-MAX_COMPONENTS = 64
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,16 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
                    panels: int = 4096) -> RatioReport:
     """Finite-interval ratio of derivative energy to distance-weighted mass.
 
-    A plain trapezoid rule on _quad_nodes.  A mismatch between the declared
-    vanishing and the closures raises ValueError; the refusals of
-    _build_report follow: non-finite sums raise InvalidDataError, a
-    numerically zero f TrivialFunctionError, and a ratio at or below c_n,
-    which the inequality rules out, ConvergenceError with the ratio as
-    last_estimate.
+    A plain trapezoid rule on _quad_nodes.  Any f but an AnalyticFunction,
+    and a mismatch between the declared vanishing and the closures, raise
+    ValueError; the refusals of _build_report follow: non-finite sums raise
+    InvalidDataError, a numerically zero f TrivialFunctionError, and a
+    ratio at or below c_n, which the inequality rules out, ConvergenceError
+    with the ratio as last_estimate.
     """
     n = problem.n
+    if not isinstance(f, AnalyticFunction):
+        raise ValueError("interval ratios need a scalar analytic test function")
     if f.order < n:
         raise ValueError(f"ratio of order {n} needs {n} derivative closures")
     constant = _float_constant("c_n", n)
@@ -168,21 +168,13 @@ def interval_ratio(problem: IntervalProblem, f: AnalyticFunction,
 
 def vector_birman_ratio(n: int, f: Sequence[Union[AnalyticFunction, GridFunction]],
                         grid: Optional[LogGrid] = None) -> RatioReport:
-    """Half-line ratio for vector values: componentwise squared norms summed.
+    """Half-line ratio for vector values: birman_ratio(n, f, grid) of a list f, bit for bit.
 
-    Takes a list of scalar components: analytic closures (preferred),
-    sampled data, or a mix.  An analytic component is sampled on ``grid``;
-    a sampled one keeps its own grid, and its n-th derivative falls back to
-    finite differences with degraded accuracy.
+    The components are analytic closures (preferred), sampled data, or a
+    mix; a scalar raises ValueError.  The half-line core is called from
+    here, so a sampled component's warning names the caller, as it does
+    for birman_ratio.
     """
-    constant = _float_constant("c_n", n)
-    components = list(f)
-    for comp in components:
-        if not isinstance(comp, (AnalyticFunction, GridFunction)):
-            raise ValueError("vector components must be analytic functions or sampled data, "
-                             f"got {type(comp).__name__}")
-    if not components:
-        raise TrivialFunctionError("empty component list")
-    if len(components) > MAX_COMPONENTS:
-        raise ValueError(f"at most {MAX_COMPONENTS} components supported")
-    return _halfline_ratio(n, 0.0, components, grid, constant, m=len(components))
+    if not isinstance(f, (list, tuple)):
+        raise ValueError(f"a vector is a list of components, got {type(f).__name__}")
+    return _halfline_ratio(n, 0.0, f, grid, _float_constant("c_n", n))

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from numbers import Integral
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -227,6 +228,12 @@ class WeightedPairSpec:
 
     power: int
 
+    def __post_init__(self):
+        if not isinstance(self.power, Integral):
+            raise ValueError(f"power index must be an integer, got {self.power!r}")
+        if self.power < 0:
+            raise ValueError("power index must be nonnegative")
+
     @property
     def K(self) -> float:
         """The pair's constant 1/(2j+1), half its norm."""
@@ -238,8 +245,6 @@ def power_weight_pair(j: int) -> WeightedPairSpec:
 
     j = 0 reproduces the Cesaro average as the B side with norm 2.
     """
-    if j < 0:
-        raise ValueError("power index must be nonnegative")
     return WeightedPairSpec(power=j)
 
 
@@ -411,16 +416,17 @@ class DiscreteWeightedPair(_LogConvolution):
     For phi = x^j, psi = x^(-j-1), w = 1 the pair becomes, after the
     unitary substitution, convolution with e^(-(j+1/2) tau) on the shared
     log-grid engine: causal for side B, its mirror image for side A.
-    ``power`` is j and must be the spec's.  Boundaries are as for
+    ``power`` is j, the spec's by default, and any other is refused.  Boundaries are as for
     DiscreteCesaro; with w = 1 the quad_weights are those of L^2(dx), and
     estimate_operator_norm approximates the norm 2K = 2/(2j+1).
     """
 
     def __init__(self, spec: WeightedPairSpec, grid: LogGrid, side: str = "A",
-                 power: int = 0, boundary: str = "wrap"):
+                 power: Optional[int] = None, boundary: str = "wrap"):
         self.side = side.upper()
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+        power = spec.power if power is None else power
         if spec.power != power:
             raise ValueError(f"power {power} does not match the pair's power {spec.power}")
         super().__init__(grid, [power + 0.5], boundary, reverse=self.side == "A")

@@ -47,7 +47,6 @@ class MellinData:
 
     lam: np.ndarray
     values: np.ndarray
-    grid: LogGrid
 
     def norm(self) -> float:
         dlam = self.lam[1] - self.lam[0]
@@ -83,7 +82,7 @@ def mellin_forward(f: GridFunction) -> MellinData:
     alt = np.where(k % 2 == 0, 1.0, -1.0)  # e^{-i pi j}: shifts lambda by -N/2 bins
     spectrum = N * np.fft.ifft(g * alt)
     values = (2.0 * math.pi) ** -0.5 * h * np.exp(1j * lam * u0) * spectrum
-    return MellinData(lam=lam, values=values, grid=f.grid)
+    return MellinData(lam=lam, values=values)
 
 
 def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,

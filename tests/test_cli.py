@@ -232,6 +232,20 @@ def test_module_entry_matches_in_process_run(capsys, tmp_path, name):
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_fresh_processes_print_the_same_bytes_under_any_hash_seed(tmp_path, name):
+    # two interpreters at once, each with its own string-hash seed: no output
+    # may depend on the iteration order of a set or of hashed keys
+    procs = [subprocess.Popen([sys.executable, "-m", "hardy_rellich.cli", *COMMANDS[name]],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC,
+                                                     PYTHONHASHSEED=seed),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for seed in ("1", "2")]
+    (first, first_err), (second, second_err) = (proc.communicate(timeout=120) for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0], first_err + second_err
+    assert first == second and first.startswith(b"{")
+
+
 # output files: HARDY_RELLICH_OUTDIR prefixes relative output paths, not inputs
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -358,11 +372,19 @@ def test_uniform_samples_from_zero_converge_at_second_order(capsys, tmp_path, co
     assert abs(json.loads(out)["report"]["ratio"] - 0.5) <= bound * 0.5
 
 
-def test_ratio_refuses_alpha_for_vectors(capsys):
-    code, out, err = _run(capsys, ["ratio", "--n", "1", "--alpha", "1",
-                                   "--function", "vec:gamma|gamma:p=2.5"])
-    assert code == cli.EXIT_VALIDATION
-    assert out == "" and "--alpha" in err
+def test_ratio_of_a_vector_with_alpha_sums_its_components(capsys):
+    # --alpha weights every component alike: the vector's sums are its components'
+    specs = ["gamma:p=2.5", "polyexp:coeffs=0:0:1:1,rate=2"]
+    options = ["--n", "2", "--alpha", "1.5", "--points", "1024"]
+    code, out, err = _run(capsys, ["ratio", *options, "--function", "vec:" + "|".join(specs)])
+    assert code == 0 and err == ""
+    vector = json.loads(out)["report"]
+    parts = [json.loads(_run(capsys, ["ratio", *options, "--function", spec])[1])["report"]
+             for spec in specs]
+    assert vector["m"] == 2 and vector["alpha"] == 1.5
+    for key in ("numerator", "denominator"):
+        assert vector[key] == sum(part[key] for part in parts), key
+    assert vector["constant"] == parts[0]["constant"] == parts[1]["constant"]
 
 
 def test_non_finite_samples_give_one_error_line(tmp_path):

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hardy_rellich.analytic import PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
 from hardy_rellich.errors import ConvergenceError, HardyRellichError, InvalidDataError
-from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio,
-                                      birman_ratio_sampled, glazman_ratio,
+from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio, glazman_ratio,
                                       probe_ratio_closed_form, random_polynomial_probe,
                                       sharpness_sweep)
 from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
@@ -283,7 +282,7 @@ def _sampled_exp():
     (lambda: glazman_ratio(2, 0.5, gamma_class(1.0)), 0.09765625,
      "not above 0.0976562, the weighted constant of n = 2 and alpha = 0.5"),
     (lambda: vector_birman_ratio(1, [gamma_class(1.5), gamma_class(0.0)]), 0.25, "not above c_1"),
-    (lambda: birman_ratio_sampled(1, _sampled_exp()), 0.25, "not above c_1"),
+    (lambda: birman_ratio(1, _sampled_exp()), 0.25, "not above c_1"),
 ])
 def test_ratio_at_or_below_the_constant_is_refused_on_every_route(call, constant, message):
     with warnings.catch_warnings():
@@ -402,7 +401,7 @@ def test_non_decaying_integrand_warns_once():
 
 
 @pytest.mark.parametrize("call", [
-    lambda f: birman_ratio_sampled(1, f),
+    lambda f: birman_ratio(1, f),
     lambda f: vector_birman_ratio(1, [f, f]),
     lambda f: vector_birman_ratio(1, [f, gamma_class(2.5)]),
 ])

@@ -375,6 +375,26 @@ class TestCumulativeIntegral:
         assert 768.0 <= errors[1] / errors[2] <= 1536.0
         assert errors[2] <= 2e-13
 
+    @pytest.mark.parametrize("a", [0.5, 0.0])
+    @pytest.mark.parametrize("degree,bound", [(10, 5e-9), (11, 5e-8)])
+    def test_steep_smooth_ends_are_no_jumps(self, a, degree, bound):
+        # T_10 and T_11 on [a, 4] are steepest at the ends, where the end step
+        # is more than _JUMP times the one next to it but not the next two:
+        # the end panels keep the Lagrange rule (as break panels they read 1e-2)
+        grid = LinearGrid(a, 4.0, 65)
+        poly = np.polynomial.Chebyshev.basis(degree, domain=[a, 4.0])
+        q = poly(grid.x)
+        assert grid_module._breaks(q).tolist() == []
+        F = cumulative_integral(GridFunction(grid, q))
+        assert np.max(np.abs(F.values - poly.integ(lbnd=a)(grid.x))) <= bound
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_a_jump_onto_an_end_node_is_a_break(self, end):
+        grid = LinearGrid(0.5, 4.0, 65)
+        q = np.polynomial.Chebyshev.basis(10, domain=[0.5, 4.0])(grid.x)
+        q[end] += 40.0
+        assert grid_module._breaks(q).tolist() == [0 if end == 0 else len(q) - 2]
+
     def test_running_integral_below_a_jump_keeps_its_accuracy(self):
         # x^1.5 e^-x cut off at x = 10: the running integral splits at the
         # break panel across the jump, and the Lagrange rule runs on either

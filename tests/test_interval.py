@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from hardy_rellich.analytic import PowerExp, gamma_class, polynomial_times_exp
+from hardy_rellich.analytic import LogGaussian, PowerExp, gamma_class, polynomial_times_exp
 from hardy_rellich.cli import parse_function
 from hardy_rellich.constants import SIDES
-from hardy_rellich.errors import ConvergenceError, InvalidDataError, TrivialFunctionError
-from hardy_rellich.functional import ProbeSpec
+from hardy_rellich.errors import (ConvergenceError, HardyRellichError, InvalidDataError,
+                                  TrivialFunctionError)
+from hardy_rellich.functional import ProbeSpec, birman_ratio, glazman_ratio
 from hardy_rellich.grid import GridFunction, LogGrid
 from hardy_rellich.interval import (
     IntervalProblem,
@@ -195,3 +196,56 @@ def test_vector_ratio_refuses_other_components():
         vector_birman_ratio(1, [gamma_class(2.5), ProbeSpec(n=1, sigma=0.0)])
     with pytest.raises(TrivialFunctionError):
         vector_birman_ratio(1, [])
+
+
+# every ratio route against every kind of input: each route decides its
+# own inputs, and answers with a report or refuses with ValueError or a
+# typed error, never an AttributeError or TypeError from deep inside
+_GRID = LogGrid(1e-4, 60.0, 1024)
+_INPUTS = {
+    "PowerExp": gamma_class(2.5),
+    "LogGaussian": LogGaussian(0.0, 0.5),
+    "probe": ProbeSpec(n=2, sigma=0.0),
+    "probe for n = 4": ProbeSpec(n=4, sigma=0.0),
+    "sampled": GridFunction(_GRID, _GRID.x**2.5 * np.exp(-_GRID.x)),
+    "list": [gamma_class(2.5), gamma_class(3.0, 2.0)],
+    "empty list": [],
+}
+_SCALARS = ("PowerExp", "LogGaussian", "probe", "probe for n = 4", "sampled")
+_HALFLINE_REFUSALS = {"probe for n = 4": "ValueError", "empty list": "TrivialFunctionError"}
+# route: (call, the outcome of each input that gets no report)
+_ROUTES = {
+    "birman_ratio": (lambda f: birman_ratio(2, f, _GRID), _HALFLINE_REFUSALS),
+    "glazman_ratio": (lambda f: glazman_ratio(2, 0.5, f, _GRID), _HALFLINE_REFUSALS),
+    "vector_birman_ratio": (lambda f: vector_birman_ratio(2, f, _GRID),
+                            {**dict.fromkeys(_SCALARS, "ValueError"),
+                             "empty list": "TrivialFunctionError"}),
+    # neither closure vanishes at x = 1, and all else is no closure
+    "interval_ratio": (lambda f: interval_ratio(IntervalProblem(2, 0.0, 1.0), f, 256),
+                       dict.fromkeys(_INPUTS, "ValueError")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_answers_or_refuses_every_input(route):
+    call, refusals = _ROUTES[route]
+    for name, f in _INPUTS.items():
+        try:
+            outcome = type(call(f)).__name__
+        except (ValueError, HardyRellichError) as exc:
+            outcome = type(exc).__name__
+        assert outcome == refusals.get(name, "RatioReport"), name
+
+
+def test_probe_for_another_n_is_refused_on_both_halfline_routes():
+    for call in (lambda f: birman_ratio(2, f), lambda f: glazman_ratio(2, 0.5, f)):
+        with pytest.raises(ValueError, match="probe was built for n=4, ratio requested for n=2"):
+            call(ProbeSpec(n=4, sigma=0.0))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_vector_ratio_is_birman_ratio_of_a_list():
+    sampled = _INPUTS["sampled"]
+    for comps in (_INPUTS["list"], [sampled, gamma_class(3.0, 2.0)], [sampled, sampled]):
+        assert birman_ratio(2, comps, _GRID) == vector_birman_ratio(2, comps, _GRID)

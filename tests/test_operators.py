@@ -619,6 +619,20 @@ class TestWeightedPair:
         assert ops.power_weight_pair(0).K == 1.0
         assert ops.power_weight_pair(1).K == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("power", [-1, -7, 0.5, 2.5, math.nan])
+    def test_spec_refuses_a_negative_or_non_integer_power(self, power):
+        # WeightedPairSpec(-1) would have K = -1 and a growing cut kernel
+        with pytest.raises(ValueError, match="power index must be"):
+            ops.WeightedPairSpec(power)
+
+    @pytest.mark.parametrize("side", "AB")
+    def test_discrete_pair_takes_the_spec_power_by_default(self, grid, side):
+        v = np.random.default_rng(5).standard_normal(len(grid))
+        spec = ops.power_weight_pair(2)
+        implied = ops.DiscreteWeightedPair(spec, grid, side)
+        explicit = ops.DiscreteWeightedPair(spec, grid, side, power=2)
+        assert np.array_equal(implied.apply(v), explicit.apply(v))
+
     def test_discrete_adjoint_exact(self, grid):
         # the linear cut discretization is an exact weighted transpose
         spec = ops.power_weight_pair(0)
@@ -765,10 +779,11 @@ class TestDiscretizationReference:
 
 @pytest.mark.parametrize("boundary", ["wrap", "cut"])
 def test_pair_power_must_match_spec(grid, boundary):
-    # the kernel rate comes from `power`, so a spec for another j is refused
+    # the kernel rate comes from `power`, so a power other than the spec's is refused
     for side in "AB":
         with pytest.raises(ValueError, match="power 0 does not match the pair's power 1"):
-            ops.DiscreteWeightedPair(ops.power_weight_pair(1), grid, side, boundary=boundary)
+            ops.DiscreteWeightedPair(ops.power_weight_pair(1), grid, side, power=0,
+                                     boundary=boundary)
         op = ops.DiscreteWeightedPair(ops.power_weight_pair(1), grid, side, power=1,
                                       boundary=boundary)
         assert ops.estimate_operator_norm(op, grid) == pytest.approx(2.0 / 3.0, rel=0.01)
