@@ -4,7 +4,9 @@ Every command is deterministic given its flags and seed: floating values
 are serialized with fixed 17-significant-digit formatting and dictionary
 keys keep a fixed order, so identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 validation error, 3 numerical
-non-convergence.
+non-convergence.  An error prints one stderr line, ``error: message``, and
+each distinct warning one, ``warning: Category: message``, however often
+and from wherever in the package it was raised.
 
 Each ``cmd_*`` function maps parsed arguments to its payload dict and writes
 nothing to stdout; ``main`` alone serializes the payload and writes it, to
@@ -163,7 +165,7 @@ def parse_function(spec: str, n: int, bounds: Optional[tuple] = None):
         poly = poly * np.polynomial.Polynomial([-a, 1.0]) ** n
         poly = poly * np.polynomial.Polynomial([c, -1.0]) ** n
         poly = poly * np.polynomial.Polynomial([0.0, 1.0]) ** degree
-        return analytic.PowerExp([(coef, k) for k, coef in enumerate(poly.coef)], 0.0)
+        return analytic.polynomial_times_exp(poly.coef, 0.0)
     if name == "csv":
         components = grid.read_csv(body)
         return components[0] if len(components) == 1 else components
@@ -436,16 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = set()
+
+    def show_warning(message, category, *_):  # once per message, wherever it was raised
+        line = f"warning: {category.__name__}: {message}"
+        if line not in shown:
+            shown.add(line)
+            print(line, file=sys.stderr)
+
     with warnings.catch_warnings():
-        # one line per warning, like the error line, without the echoed source
-        warnings.showwarning = _show_warning
+        warnings.showwarning = show_warning
         try:
             emit(args.func(args), args.output)
             return 0

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and _warn, its one way to warn."""
+
+import sys
+import warnings
+
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _warn(message: str) -> None:
+    """UserWarning attributed to the first frame outside the package, at any call depth."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class HardyRellichError(Exception):

@@ -19,9 +19,9 @@ vector; its report carries m).  Except birman_ratio's probe closed form,
 every grid ratio sums its norms in one core, _halfline_ratio, which
 refuses any other input.  Closures are integrated on a LogGrid in one
 stacked pass (_halfline_norms): f^(n) and f of every component are
-sampled into one array, one row per closure, and all rows share one
-weighting, one trapezoid sum and one set of checks, the rule norm_sq runs
-on a single row.  Sampled components go through norm_sq.
+sampled into one array, one row per closure, and grid._norms_sq sums all
+rows at once, by the rule norm_sq runs on a single row.  Sampled
+components go through norm_sq.
 
 Every grid, sampled, vector and interval report is built by _build_report,
 which applies the refusals these routes share: a report has slack > 0, or
@@ -33,17 +33,15 @@ probe's closed form keeps its own rule, a slack above its rounding error.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytic import AnalyticFunction, PowerExp, monomial, polynomial_times_exp
-from .constants import _float_constant, _float_weighted_constant
-from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError
-from .grid import (GridFunction, LogGrid, _log_trapezoid, _weighted_squares, differentiate,
-                   norm_sq)
+from .constants import _check_index, _float_constant, _float_weighted_constant
+from .errors import ConvergenceError, InvalidDataError, TrivialFunctionError, _warn
+from .grid import GridFunction, LogGrid, _norms_sq, differentiate, norm_sq
 
 __all__ = [
     "ProbeSpec",
@@ -70,8 +68,7 @@ class ProbeSpec:
     a: float = 10.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("probe index must be >= 1")
+        _check_index(self.n)
         if not self.sigma > -0.5:
             raise ValueError(
                 f"probe needs sigma > -1/2 for square-integrability, got {self.sigma}")
@@ -232,21 +229,19 @@ def _halfline_norms(grid: LogGrid, rows) -> list:
     """Integrals of |v|^2 x^p dx on a LogGrid for (closure, p) rows, in one pass.
 
     The closures are sampled unwarned, as GridFunction.from_callable samples
-    (non-finite samples raise InvalidDataError below), and stacked one row
-    each; every row takes norm_sq's rule, bit for bit what norm_sq gives for
-    it alone, with one finiteness check and one decay test for all rows.
+    (non-finite samples raise InvalidDataError in _norms_sq), and stacked one
+    row each; every row takes norm_sq's rule, bit for bit what norm_sq gives
+    for it alone, with one finiteness check and one decay test for all rows.
     """
     x = grid.x
     with np.errstate(over="ignore", invalid="ignore"):
         samples = [np.asarray(fn(x)) for fn, _ in rows]
-        for v in samples:
-            if v.shape != x.shape:
-                raise InvalidDataError(
-                    f"values shape {v.shape} does not match grid of {len(x)} nodes")
-        dtype = complex if any(np.iscomplexobj(v) for v in samples) else float
-        weighted = _weighted_squares(grid, np.array(samples, dtype=dtype), [p for _, p in rows])
-    full, stub, _ = _log_trapezoid(grid, weighted)
-    return [float((a + b).real) for a, b in zip(full, stub)]
+    for v in samples:
+        if v.shape != x.shape:
+            raise InvalidDataError(
+                f"values shape {v.shape} does not match grid of {len(x)} nodes")
+    dtype = complex if any(np.iscomplexobj(v) for v in samples) else float
+    return _norms_sq(grid, np.array(samples, dtype=dtype), [p for _, p in rows])
 
 
 def _probe(n: int, spec: ProbeSpec) -> ProbeSpec:
@@ -283,9 +278,8 @@ def _halfline_ratio(n, power, f, grid, constant, **extra) -> RatioReport:
             raise ValueError(f"at most {MAX_COMPONENTS} components supported")
         extra["m"] = len(components)
     if any(isinstance(c, GridFunction) for c in components):
-        warnings.warn(
-            f"computing an order-{n} derivative numerically from samples; "
-            "expect degraded accuracy", stacklevel=3)
+        _warn(f"computing an order-{n} derivative numerically from samples; "
+              "expect degraded accuracy")
     parts, rows = [], []    # per component its (numerator, denominator), or None: stacked
     for c in components:
         if isinstance(c, GridFunction):
@@ -383,6 +377,7 @@ def random_polynomial_probe(n: int, rng: np.random.Generator) -> PowerExp:
     draw is admissible for the n-th ratio.  Coefficients are uniform in
     [-1, 1] with the x^n one bounded away from zero.
     """
+    _check_index(n)
     coeffs = rng.uniform(-1.0, 1.0, 4)
     lead = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
     full = np.concatenate((np.zeros(n), [lead], coeffs))

@@ -6,14 +6,15 @@ nodes are u_k = ln x_min + h k, with the last one set to ln x_max, which is
 np.linspace's construction bit for bit.  Plain integration is composite
 trapezoid in u (spectrally accurate for smooth integrands that decay at the
 window ends) plus an explicit power-law model for the unresolved (0, x_min)
-stub.  One routine runs that rule on a stack of integrands, one per row,
-with one finiteness check and one decay test for them all; ``integrate``
-and ``norm_sq`` pass it a single row, and the ratio functionals pass it
-every integrand of a ratio at once.  A weighted squared norm takes the
-weight before squaring, (|f| x^(p/2))^2, so |f|^2 x^p stays in the float
-range wherever the product does: the inverse-power weights x^(-2n) of the
-Birman denominators reach n = 51 on the default window, where |f|^2 alone
-would underflow and x^(-2n) alone overflow from n = 26.  Cumulative
+stub.  Weighted squared norms have one entry, _norms_sq: it takes a stack
+of sampled functions, one per row, with a weight power each, and sums
+every row by that rule with one finiteness check and one decay test for
+them all; ``norm_sq`` passes it a single row, and the ratio functionals
+every function of a ratio at once.  The weight goes in before squaring,
+(|f| x^(p/2))^2, so |f|^2 x^p stays in the float range wherever the
+product does: the inverse-power weights x^(-2n) of the Birman
+denominators reach n = 51 on the default window, where |f|^2 alone would
+underflow and x^(-2n) alone overflow from n = 26.  Cumulative
 integration, which feeds the averaging operators, runs the ten-node
 Lagrange rule in the grid's uniform coordinate (u on a LogGrid, x on a
 LinearGrid): each panel integrates the degree-9 polynomial through its ten
@@ -24,14 +25,15 @@ split: such a break panel takes trapezoid, and the rule runs on each run of
 nodes between breaks on its own, so no stencil reads across a break and
 each piece keeps its tenth order.  A run of eight or nine nodes, too short
 for ten, takes the eight-node rule (eighth order), and a shorter run
-trapezoid.  The moments v x^j go through in blocks
-of rows, as many as fit a fixed budget of samples (one row from 8192
-nodes): a block forms its running products, checks them, splits them and
-sums its panel masses in one pass of numpy calls.  The breaks are decided
-once, from v: x^j adds no jump or support edge, so every block reuses
-them.  A row's results are the same bits in a block as alone, and the
-averaging operators' n binomial moments pay for one decision and about
-n / rows passes, not n of each.
+trapezoid.  Running integrals have one entry, _running_moments, which
+yields those of the moments v x^j in order; cumulative_integral takes the
+first.  The moments go through in blocks of rows, as many as fit a fixed
+budget of samples (one row from 8192 nodes): a block forms its running
+products, checks them, splits them and sums its panel masses in one pass
+of numpy calls.  The breaks are decided once, from v: x^j adds no jump or
+support edge, so every block reuses them.  A row's results are the same
+bits in a block as alone, and the averaging operators' n binomial moments
+pay for one decision and about n / rows passes, not n of each.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .constants import DEFAULT_POINTS, DEFAULT_WINDOW
-from .errors import InvalidDataError, SingularityError
+from .errors import InvalidDataError, SingularityError, _warn
 
 __all__ = [
     "LogGrid",
@@ -197,7 +198,7 @@ def _power_stub(x, w, strict: bool) -> complex:
         if strict:
             raise SingularityError(
                 f"integrand behaves like x^{re_gamma:.3f} near 0: not integrable")
-        warnings.warn("stub model diverges; using flat fallback", stacklevel=4)
+        _warn("stub model diverges; using flat fallback")
         return w0 * x0
     if re_gamma > 400.0:
         return 0.0
@@ -226,31 +227,30 @@ def _log_trapezoid(grid: LogGrid, weighted):
     ends = g[:, ::len(grid) - 1].tolist()       # (g_0, g_last) per row
     if any(abs(last) > 1e-8 * top or abs(first) > 1e-3 * top
            for top, (first, last) in zip(peak, ends)):
-        warnings.warn(
-            "integrand does not decay at the window ends; "
-            "truncation error may dominate", stacklevel=3)
+        _warn("integrand does not decay at the window ends; truncation error may dominate")
     full = [grid.h * (total - 0.5 * (first + last)) for total, (first, last) in zip(totals, ends)]
     x = grid.x[:3].tolist()
-    stub = []
-    for w in weighted[:, :3]:  # no comprehension frame: the stub's warning names the caller
-        stub.append(_power_stub(x, w, strict=False))
+    stub = [_power_stub(x, w, strict=False) for w in weighted[:, :3]]
     return full, stub, g
 
 
-def _weighted_squares(grid: LogGrid, values, powers):
-    """Rows of (|v| x^(p/2))^2, the integrands of weighted squared norms.
+def _norms_sq(grid: LogGrid, values, powers) -> list:
+    """Integrals of |v|^2 x^p dx over a LogGrid, one float per row v of values and its power p.
 
-    values holds one sampled function per row, powers each row's weight
-    power p.  The weight goes in before squaring, so a row stays in the
-    float range wherever |v|^2 x^p itself does (see norm_sq).  Callers
-    silence numpy's overflow and invalid warnings: non-finite rows raise in
-    _log_trapezoid.
+    Each row's integrand is (|v| x^(p/2))^2, the weight taken before
+    squaring, so it stays in the float range wherever |v|^2 x^p itself does
+    (see norm_sq); _log_trapezoid sums every row, with one finiteness check
+    and one decay test for them all.  numpy warns of nothing: non-finite
+    rows raise InvalidDataError there.
     """
-    root = np.abs(values)
-    for row, p in zip(root, powers):
-        if p != 0.0:
-            row *= grid.x ** (0.5 * p)
-    return root * root
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.abs(values)
+        for row, p in zip(root, powers):
+            if p != 0.0:
+                row *= grid.x ** (0.5 * p)
+        weighted = root * root
+    full, stub, _ = _log_trapezoid(grid, weighted)
+    return [float((a + b).real) for a, b in zip(full, stub)]
 
 
 def _halved(nodes, g):
@@ -308,15 +308,11 @@ def norm_sq(f: GridFunction, weight_power: float = 0.0) -> float:
     Only x^(p/2) must be finite: on the default window (x_min = 1e-6) that
     is p >= -102, the Birman denominators up to n = 51.  The rule is
     integrate's trapezoid sum in u plus the power-law stub, without its
-    error estimate, run on a single row; the ratio functionals run the same
-    rule on all their rows at once.  Other grids go through integrate.
+    error estimate: _norms_sq on a single row, which the ratio functionals
+    run on all their rows at once.  Other grids go through integrate.
     """
-    grid, p = f.grid, float(weight_power)
-    if isinstance(grid, LogGrid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            weighted = _weighted_squares(grid, f.values[None], (p,))
-        full, stub, _ = _log_trapezoid(grid, weighted)
-        return float(np.real(full[0] + stub[0]))
+    if isinstance(f.grid, LogGrid):
+        return _norms_sq(f.grid, f.values[None], (float(weight_power),))[0]
     res = integrate(GridFunction(f.grid, np.abs(f.values) ** 2), weight_power)
     return float(np.real(res.value))
 
@@ -458,25 +454,28 @@ def _split_panels(q, h, breaks):
 _BLOCK = 8192
 
 
-def _moment_panels(f: GridFunction, count: int):
-    """Yield (heads, panels) for the moments v = f x^j, j < count, a block of rows at a time.
+def _running_moments(f: GridFunction, count: int):
+    """Yield the running integral of each moment v = f x^j, j < count, in moment order.
 
-    A block holds max(1, _BLOCK // N) consecutive moments: panels holds
-    their panel integrals of v dx, one row per moment, and heads the first
-    three samples of each v, which its (0, x_min) stub reads.  The rule
-    runs in the grid's uniform coordinate, on q = v x in u on a LogGrid and
-    on q = v in x on a LinearGrid, split at f's break panels.  The breaks
-    are decided once, from moment 0: x^j is smooth and nonzero inside the
-    window, so it adds no jump or support edge.  Each block forms the
-    running products v x, checks them for finiteness and splits them in
-    one pass.  Non-finite samples of f raise InvalidDataError, and so does
-    a moment whose samples times x (which the rule reads on a LogGrid, and
-    which are the next moment's samples) leave the float range; the rows
-    before that moment are yielded first, so the caller's checks on them
-    come first, as if the moments went one at a time.
+    Each is its (0, x_min) stub plus the cumulative sums of its panel
+    integrals of v dx, sampled at every node: the stub is the power-law
+    model of v on a LogGrid, where a diverging one raises SingularityError,
+    and 0 on a LinearGrid.  The rule runs in the grid's uniform coordinate,
+    on q = v x in u on a LogGrid and on q = v in x on a LinearGrid, split at
+    f's break panels, decided once, from moment 0: x^j is smooth and nonzero
+    inside the window, so it adds no jump or support edge.  The moments go
+    in blocks of max(1, _BLOCK // N) rows: each block forms the running
+    products v x, checks them for finiteness, splits them and sums them in
+    one pass.  Non-finite samples of f raise InvalidDataError, and so does a
+    moment whose samples times x (which the rule reads on a LogGrid, and
+    which are the next moment's samples) leave the float range, or whose
+    running integral does.  The moments are checked in order, each stub
+    before its sum, and the rows before a moment out of range are yielded
+    first, as if the moments went one at a time.
     """
     _require_finite(f.values)
     grid, v, breaks = f.grid, f.values, None
+    log, x = isinstance(grid, LogGrid), grid.x[:3].tolist()
     size = max(1, _BLOCK // len(grid))
     for j in range(0, count, size):
         w = np.empty((min(size, count - j), len(grid)), dtype=v.dtype)
@@ -488,39 +487,25 @@ def _moment_panels(f: GridFunction, count: int):
         if not np.isfinite(w).all():
             rows = int(np.argmin(np.isfinite(w).all(axis=1)))
         if rows:
-            heads = [v[:3], *w[:rows - 1, :3]]
-            q = w[:rows] if isinstance(grid, LogGrid) else np.concatenate((v[None], w[:rows - 1]))
+            q = w[:rows] if log else np.concatenate((v[None], w[:rows - 1]))
             if breaks is None:
                 breaks = _breaks(q[0])
-            yield heads, _split_panels(q, grid.h, breaks)
+            panels = _split_panels(q, grid.h, breaks)
+            out = np.empty((rows, len(grid)), dtype=panels.dtype)
+            with np.errstate(over="ignore"):
+                np.cumsum(panels, axis=-1, out=out[:, 1:])
+                for row, head in zip(out, [v[:3], *w[:rows - 1, :3]]):
+                    row[0] = stub = _power_stub(x, head, strict=True) if log else 0.0
+                    # a non-finite stub or partial sum stays non-finite to the end
+                    if not cmath.isfinite(stub + row[-1]):
+                        raise InvalidDataError("running integral leaves the float range")
+                out[:, 1:] += out[:, :1]
+            yield from out
         if rows < len(w):
             power = j + rows + 1
             raise InvalidDataError("f x leaves the float range" if power == 1
                                    else f"f x^{power} leaves the float range")
         v = w[-1]
-
-
-def _running_integrals(grid: Grid, heads, panels) -> np.ndarray:
-    """Rows of the running integral of each moment: its (0, x_min) stub plus its panel sums.
-
-    heads and panels are a block of _moment_panels.  The stub is the
-    power-law model of the moment on a LogGrid, where a diverging one
-    raises SingularityError, and 0 on a LinearGrid.  A moment whose running
-    integral leaves the float range raises InvalidDataError.  The moments
-    are checked in order, the stub before the sum.
-    """
-    out = np.empty((len(panels), panels.shape[1] + 1), dtype=panels.dtype)
-    x = grid.x[:3].tolist()
-    log = isinstance(grid, LogGrid)
-    with np.errstate(over="ignore"):
-        np.cumsum(panels, axis=-1, out=out[:, 1:])
-        for row, w in zip(out, heads):
-            row[0] = stub = _power_stub(x, w, strict=True) if log else 0.0
-            # a non-finite stub or partial sum stays non-finite to the end
-            if not cmath.isfinite(stub + row[-1]):
-                raise InvalidDataError("running integral leaves the float range")
-        out[:, 1:] += out[:, :1]
-    return out
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -530,8 +515,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     model; a fitted local exponent <= -1 raises SingularityError.  On a
     LinearGrid integration starts at the left endpoint.
     """
-    heads, panels = next(_moment_panels(f, 1))
-    return GridFunction(f.grid, _running_integrals(f.grid, heads, panels)[0])
+    return GridFunction(f.grid, next(_running_moments(f, 1)))
 
 
 def differentiate(f: GridFunction, order: int = 1) -> GridFunction:

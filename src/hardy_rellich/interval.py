@@ -171,9 +171,7 @@ def vector_birman_ratio(n: int, f: Sequence[Union[AnalyticFunction, GridFunction
     """Half-line ratio for vector values: birman_ratio(n, f, grid) of a list f, bit for bit.
 
     The components are analytic closures (preferred), sampled data, or a
-    mix; a scalar raises ValueError.  The half-line core is called from
-    here, so a sampled component's warning names the caller, as it does
-    for birman_ratio.
+    mix; a scalar raises ValueError.
     """
     if not isinstance(f, (list, tuple)):
         raise ValueError(f"a vector is a list of components, got {type(f).__name__}")

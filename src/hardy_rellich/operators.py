@@ -26,10 +26,10 @@ binomial moments int_0^x t^j f(t) dt, each a cumulative integral.  The
 literal nested form, apply_cesaro_nested, is the tests' oracle for it and a
 row of the benchmark's scaling table.  The moments share one split
 of the grid, that of f: x^j adds no jump or support edge to f, so the break
-panels where the running integrals split are f's for every moment.  They
-go through the grid's cumulative rule in blocks of rows, a pass of numpy
-calls per block rather than per moment, and each comes out as it would
-alone.  The moments and the analytic family T_{1,z} behind the resolvent
+panels where the running integrals split are f's for every moment.
+grid._running_moments yields their running integrals in order, from
+blocks of rows, a pass of numpy calls per block rather than per moment,
+and each comes out as it would alone.  The moments and the analytic family T_{1,z} behind the resolvent
 take their accuracy from the grid's cumulative rule, the ten-node
 Lagrange rule on each run between breaks, which is tenth order also where
 the integrand changes sign; that matters here, since (x^n f)^(n) has n sign
@@ -47,6 +47,7 @@ route against the PowerExp route.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -57,8 +58,7 @@ import numpy as np
 from .analytic import AnalyticFunction, PowerExp
 from .constants import _check_index, leibniz_coeffs
 from .errors import ConvergenceError
-from .grid import (GridFunction, LogGrid, _moment_panels, _require_finite, _running_integrals,
-                   cumulative_integral)
+from .grid import GridFunction, LogGrid, _require_finite, _running_moments, cumulative_integral
 
 __all__ = [
     "WeightedPairSpec",
@@ -84,7 +84,7 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
 
     The n moments int_0^x t^j f share one split of the grid, that of f:
     its break panels are decided once, from f's samples.  The moments come
-    in blocks of rows (see grid._moment_panels), so their samples f x^j,
+    in blocks of rows (see grid._running_moments), so their samples f x^j,
     panel masses and running integrals take one pass of numpy calls per
     block; the rows of each block are then combined with the powers
     x^(-1-j), in moment order.  The samples f x^j and the powers are
@@ -101,14 +101,13 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     x = f.grid.x
     origin = x[0] == 0.0                           # only the first node can be 0
     recip = np.divide(1.0, x, out=np.zeros_like(x), where=x > 0) if origin else 1.0 / x
-    power, acc, j = recip, 0.0, 0
+    power, acc = recip, 0.0
     fact = math.factorial(n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for heads, panels in _moment_panels(f, n):
-            for moment in _running_integrals(f.grid, heads, panels):
-                coeff = math.comb(n - 1, j) * (-1.0) ** j / fact
-                acc = acc + coeff * power * moment
-                power, j = power * recip, j + 1
+        for j, moment in enumerate(_running_moments(f, n)):
+            coeff = math.comb(n - 1, j) * (-1.0) ** j / fact
+            acc = acc + coeff * power * moment
+            power = power * recip
     if origin:
         acc[0] = f.values[0] / math.factorial(n)
     _require_finite(acc, _OUT_OF_RANGE.format(n=n))
@@ -189,12 +188,15 @@ class ResolventPoint:
     The spectrum of T_1 is the circle |z - 1| = 1; points within
     RESOLVENT_MARGIN of it are rejected as ill-conditioned, and the
     implementation additionally restricts to the exterior |z - 1| > 1, where
-    Re(1/z) < 1/2 makes the family member T_{1,1/z} well defined.
+    Re(1/z) < 1/2 makes the family member T_{1,1/z} well defined.  z must
+    be finite.
     """
 
     z: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.z)):
+            raise ValueError(f"resolvent parameter must be finite, got {self.z}")
         dist = abs(complex(self.z) - 1.0) - 1.0
         if dist <= RESOLVENT_MARGIN:
             raise ValueError(

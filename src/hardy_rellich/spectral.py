@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import DEFAULT_WINDOW
-from .errors import InvalidDataError, TrivialFunctionError
+from .constants import DEFAULT_WINDOW, _check_index
+from .errors import InvalidDataError, TrivialFunctionError, _warn
 from .grid import GridFunction, LogGrid, norm_sq
 
 __all__ = [
@@ -73,10 +73,7 @@ def mellin_forward(f: GridFunction) -> MellinData:
     g = f.values * np.exp(0.5 * f.grid.u)
     peak = np.max(np.abs(g)) if N else 0.0
     if peak > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * peak:
-        import warnings
-
-        warnings.warn("samples do not decay at the window ends; "
-                      "the windowed transform will be inaccurate", stacklevel=2)
+        _warn("samples do not decay at the window ends; the windowed transform will be inaccurate")
     k = np.arange(N)
     lam = 2.0 * math.pi * (k - N // 2) / (N * h)
     alt = np.where(k % 2 == 0, 1.0, -1.0)  # e^{-i pi j}: shifts lambda by -N/2 bins
@@ -111,8 +108,7 @@ def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,
     left = mellin_forward(scaled)
     right = mellin_forward(sampled)
     mismatch = left.values - (-1j * right.lam + 0.5) * right.values
-    dlam = right.lam[1] - right.lam[0]
-    return math.sqrt(float(dlam * np.sum(np.abs(mismatch) ** 2))) / norm_f
+    return MellinData(right.lam, mismatch).norm() / norm_f
 
 
 @dataclass(frozen=True)
@@ -164,6 +160,7 @@ def spectrum_curve(n: int, theta_count: int = 8192) -> SpectrumCurve:
     theta = pi on a node, where the curve passes through 0.  The poles of
     r_n sit on the negative real axis and never meet 1 + e^(i theta).
     """
+    _check_index(n)
     if theta_count < 16:
         raise ValueError("need at least 16 panels for a meaningful curve")
     thetas = np.linspace(0.0, 2.0 * math.pi, theta_count + 1)

@@ -421,6 +421,33 @@ def test_warnings_take_one_line_each(tmp_path, argv, warned):
         assert lines == warned
 
 
+MELLIN_WARNINGS = [
+    "warning: UserWarning: integrand does not decay at the window ends; "
+    "truncation error may dominate",
+    "warning: UserWarning: samples do not decay at the window ends; "
+    "the windowed transform will be inaccurate"]
+
+
+def test_each_distinct_warning_takes_one_line(capsys, tmp_path):
+    # a bump too wide for the window warns from three norms and five
+    # transforms, at several depths: each message prints once, in the order
+    # first raised, in-process under any filter and as a fresh process
+    argv = ["mellin-check", "--points", "1024", "--width", "30"]
+    code, out, err = _run_showing_warnings(capsys, argv)
+    assert code == 0 and json.loads(out)["command"] == "mellin-check"
+    assert err.splitlines() == MELLIN_WARNINGS
+    proc = _python(tmp_path, "-m", "hardy_rellich.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout == out
+    assert proc.stderr.splitlines() == MELLIN_WARNINGS
+
+
+@pytest.mark.parametrize("function", ["gamma", "probe", "probe:sigma=1"])
+def test_ratio_refuses_a_bad_index_alike_for_every_function(capsys, function):
+    code, out, err = _run(capsys, ["ratio", "--n", "0", "--function", function])
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.splitlines() == ["error: index n must be a positive integer, got 0"]
+
+
 # the largest n whose constant fits in a float: 98 for c_n, 178 for b_n (170 for
 # the norm estimate, which needs b_n in the normal range)
 

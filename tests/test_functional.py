@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardy_rellich.analytic import PowerExp, gamma_class
+from hardy_rellich.analytic import LogGaussian, PowerExp, gamma_class
 from hardy_rellich.constants import birman_constant
 from hardy_rellich.errors import ConvergenceError, HardyRellichError, InvalidDataError
 from hardy_rellich.functional import (ProbeFunction, ProbeSpec, birman_ratio, glazman_ratio,
                                       probe_ratio_closed_form, random_polynomial_probe,
                                       sharpness_sweep)
-from hardy_rellich.grid import GridFunction, LogGrid, norm_sq
+from hardy_rellich.grid import GridFunction, LogGrid, integrate, norm_sq
 from hardy_rellich.interval import vector_birman_ratio
+from hardy_rellich.spectral import mellin_forward, verify_diagonalization
 
 
 def _exact_probe_parts(n, sigma, a):
@@ -126,7 +127,7 @@ class TestProbeTail:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_an_index_below_one(self, n):
-        with pytest.raises(ValueError, match="index must be >= 1"):
+        with pytest.raises(ValueError, match="index n must be a positive integer"):
             ProbeSpec(n, 0.0, 1.0)
 
 
@@ -400,19 +401,42 @@ def test_non_decaying_integrand_warns_once():
         "integrand does not decay at the window ends; truncation error may dominate"]
 
 
-@pytest.mark.parametrize("call", [
-    lambda f: birman_ratio(1, f),
-    lambda f: vector_birman_ratio(1, [f, f]),
-    lambda f: vector_birman_ratio(1, [f, gamma_class(2.5)]),
-])
+SAMPLED = "computing an order-1 derivative numerically from samples; expect degraded accuracy"
+DECAY = "integrand does not decay at the window ends; truncation error may dominate"
+STUB = "stub model diverges; using flat fallback"
+TRANSFORM = "samples do not decay at the window ends; the windowed transform will be inaccurate"
+
+
+def _refused(ratio, *args):
+    with pytest.raises(ConvergenceError):
+        ratio(*args)
+
+
+# calls on f = x^2.5 e^-x sampled, and the warnings each gives, in order; the
+# ratio of x^0.4 (not admissible for n = 1) is refused
+WARNING_CALLS = [
+    (lambda f: birman_ratio(1, f), [SAMPLED]),
+    (lambda f: vector_birman_ratio(1, [f, f]), [SAMPLED]),
+    (lambda f: vector_birman_ratio(1, [f, gamma_class(2.5)]), [SAMPLED]),
+    (lambda f: glazman_ratio(2, 0.0, ProbeSpec(2, 0.0)), [DECAY]),
+    (lambda f: _refused(birman_ratio, 1, gamma_class(0.4)), [DECAY, STUB, STUB]),
+    (lambda f: verify_diagonalization(LogGaussian(0, 30), count=1024),
+     [DECAY, TRANSFORM, TRANSFORM]),
+    (lambda f: norm_sq(GridFunction(f.grid, np.ones(len(f.grid)))), [DECAY]),
+    (lambda f: integrate(GridFunction(f.grid, np.ones(len(f.grid)))), [DECAY]),
+    (lambda f: mellin_forward(GridFunction(f.grid, np.ones(len(f.grid)))), [TRANSFORM]),
+]
+
+
+@pytest.mark.parametrize("call", [call for call, _ in WARNING_CALLS])
 def test_sampled_ratio_warns_once_at_the_caller(call):
-    # finite differences warn once per ratio, on every route, and the
-    # warning names the line that asked for the ratio
+    # finite differences warn once per ratio, on every route, and every
+    # warning names the line that made the call, however deep in the
+    # package it was raised
     grid = LogGrid(1e-4, 60.0, 2048)
     f = GridFunction(grid, grid.x**2.5 * np.exp(-grid.x))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert call(f).slack > 0
-    assert [str(w.message) for w in caught] == [
-        "computing an order-1 derivative numerically from samples; expect degraded accuracy"]
-    assert caught[0].filename == __file__
+        call(f)
+    assert [str(w.message) for w in caught] == dict(WARNING_CALLS)[call]
+    assert {w.filename for w in caught} == {__file__}

@@ -1,17 +1,23 @@
-"""Package surface: every exported name exists, and every import is used."""
+"""Package surface: every exported name exists, every import is used, warnings
+have one source, and bad indices are refused alike."""
 
 import ast
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardy_rellich
+from hardy_rellich.functional import ProbeSpec, random_polynomial_probe
+from hardy_rellich.operators import ResolventPoint
+from hardy_rellich.spectral import spectrum_curve
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(str(path.relative_to(ROOT))
@@ -67,3 +73,45 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_no_unused_imports(path):
     tree = ast.parse((ROOT / path).read_text(), filename=path)
     assert _unused_imports(tree) == []
+
+
+def _placed_warnings(tree: ast.Module) -> list:
+    """Lines that call warnings.warn or pass a stacklevel= keyword."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "warn" and \
+                    isinstance(func.value, ast.Name) and func.value.id == "warnings":
+                found.append(f"warnings.warn (line {node.lineno})")
+            found += [f"stacklevel= (line {node.lineno})"
+                      for kw in node.keywords if kw.arg == "stacklevel"]
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.startswith("src") and not path.endswith("errors.py")])
+def test_warnings_go_through_one_helper(path):
+    # errors._warn places every warning at the caller's line; a hard-coded
+    # stacklevel names a file inside the package when reached at another depth
+    tree = ast.parse((ROOT / path).read_text(), filename=path)
+    assert _placed_warnings(tree) == []
+
+
+@pytest.mark.parametrize("call,value", [
+    *[(call, n) for call in ("ProbeSpec", "random_polynomial_probe", "spectrum_curve")
+      for n in (0, -1, 2.5)],
+    ("ResolventPoint", math.inf), ("ResolventPoint", math.nan),
+])
+def test_bad_index_or_resolvent_point_is_refused(call, value):
+    # every n-indexed entry point refuses as constants._check_index does, and
+    # the resolvent a non-finite z, before anything is computed
+    calls = {"ProbeSpec": lambda n: ProbeSpec(n, 0.0),
+             "random_polynomial_probe": lambda n: random_polynomial_probe(
+                 n, np.random.default_rng(0)),
+             "spectrum_curve": spectrum_curve,
+             "ResolventPoint": ResolventPoint}
+    message = "must be finite" if call == "ResolventPoint" else \
+        f"index n must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        calls[call](value)
