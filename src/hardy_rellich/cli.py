@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="periodic wrap in ln x (default) or hard window cut")
     _add_window(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="start vector of the cut boundary's iteration")
+                   help="cut boundary: seeded start, drawn in the frame GKL runs in")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="cut boundary: stop when the estimate moves by at most "
                         "this (relative) in one step")

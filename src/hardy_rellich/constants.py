@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,9 +66,11 @@ class LeibnizTable:
     a: tuple  # a[j] multiplies x^(n-k+j) f^(j), 0 <= j <= k
 
 
-def _check_index(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+def _check_index(n) -> int:
+    """n as a plain int: any positive integer, numpy's included, but not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"index n must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def birman_constant(n: int) -> SharpConstant:
@@ -77,7 +80,7 @@ def birman_constant(n: int) -> SharpConstant:
     integers keep this overflow-free for any n (the numerator exceeds 64-bit
     range already near n = 17).
     """
-    _check_index(n)
+    n = _check_index(n)
     dfac = double_factorial_odd(n)
     c = Fraction(dfac * dfac, 4**n)
     b = Fraction(2**n, dfac)
@@ -138,7 +141,7 @@ def glazman_constant(n: int, alpha) -> Fraction:
     sharp constant at alpha = 0.  A zero value (alpha hitting 2n+1-2j) is a
     valid degenerate constant, not an error.
     """
-    _check_index(n)
+    n = _check_index(n)
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise ValueError(f"the weight power alpha must be finite, got {alpha}")
     a = Fraction(alpha)

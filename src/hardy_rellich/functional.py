@@ -68,7 +68,7 @@ class ProbeSpec:
     a: float = 10.0
 
     def __post_init__(self):
-        _check_index(self.n)
+        object.__setattr__(self, "n", _check_index(self.n))
         if not self.sigma > -0.5:
             raise ValueError(
                 f"probe needs sigma > -1/2 for square-integrability, got {self.sigma}")
@@ -306,6 +306,7 @@ def birman_ratio(n: int, f, grid: Optional[LogGrid] = None) -> RatioReport:
     data by finite differences, and a list of them, a vector, sums its
     components' squared norms.
     """
+    n = _check_index(n)
     constant = _float_constant("c_n", n)
     if isinstance(f, ProbeSpec):
         _probe(n, f)
@@ -328,6 +329,7 @@ def glazman_ratio(n: int, alpha: float, f, grid: Optional[LogGrid] = None) -> Ra
 
     f is as for birman_ratio, but a probe spec goes through its closures.
     """
+    n = _check_index(n)
     constant = _float_weighted_constant(n, alpha)
     return _halfline_ratio(n, alpha, f, grid, constant, alpha=float(alpha))
 
@@ -377,7 +379,7 @@ def random_polynomial_probe(n: int, rng: np.random.Generator) -> PowerExp:
     draw is admissible for the n-th ratio.  Coefficients are uniform in
     [-1, 1] with the x^n one bounded away from zero.
     """
-    _check_index(n)
+    n = _check_index(n)
     coeffs = rng.uniform(-1.0, 1.0, 4)
     lead = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
     full = np.concatenate((np.zeros(n), [lead], coeffs))

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .constants import SIDES, _float_constant
+from .constants import SIDES, _check_index, _float_constant
 from .functional import RatioReport, _build_report, _halfline_ratio
 from .grid import GridFunction, LogGrid
 
@@ -47,8 +47,7 @@ class IntervalProblem:
     side: str = "both"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("index must be >= 1")
+        object.__setattr__(self, "n", _check_index(self.n))
         if not (0 <= self.a < self.c < math.inf):
             raise ValueError(f"need 0 <= a < c < inf, got ({self.a}, {self.c})")
         if self.side not in SIDES:
@@ -175,4 +174,5 @@ def vector_birman_ratio(n: int, f: Sequence[Union[AnalyticFunction, GridFunction
     """
     if not isinstance(f, (list, tuple)):
         raise ValueError(f"a vector is a list of components, got {type(f).__name__}")
+    n = _check_index(n)
     return _halfline_ratio(n, 0.0, f, grid, _float_constant("c_n", n))

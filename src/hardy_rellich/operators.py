@@ -16,9 +16,9 @@ unweighted transpose converges to the wrong value on log grids).  The wrap
 boundary is a circulant, whose norm is its largest multiplier modulus;
 estimate_operator_norm reads it there, and runs Golub-Kahan-Lanczos on the
 cut boundary and on any other operator, in coordinates scaled by the square
-roots of the weights, where the adjoint is the plain transpose.  Each step
-reads the top eigenvalue of the tridiagonal B^T B of the Golub-Kahan
-bidiagonal B.
+roots of the weights, where the adjoint is the plain transpose and where its
+seeded start is drawn, so that every node weighs alike.  Each step reads the
+top eigenvalue of the tridiagonal B^T B of the Golub-Kahan bidiagonal B.
 
 On sampled functions apply_cesaro expands the repeated-integration form
 (T_n f)(x) = x^{-n}/(n-1)! * integral_0^x (x-t)^(n-1) f(t) dt into n
@@ -97,7 +97,7 @@ def apply_cesaro(n: int, f: GridFunction) -> GridFunction:
     powers or their products with the moments leave the float range (x^-52
     at x = 1e-6), InvalidDataError is raised, and numpy warns of nothing.
     """
-    _check_index(n)
+    n = _check_index(n)
     x = f.grid.x
     origin = x[0] == 0.0                           # only the first node can be 0
     recip = np.divide(1.0, x, out=np.zeros_like(x), where=x > 0) if origin else 1.0 / x
@@ -120,7 +120,7 @@ def apply_cesaro_nested(n: int, f: GridFunction) -> GridFunction:
     At a node x = 0 (a LinearGrid from 0) T_n f takes its limit f(0)/n!.
     Out of the float range it raises as apply_cesaro does.
     """
-    _check_index(n)
+    n = _check_index(n)
     g = f
     for _ in range(n):
         g = cumulative_integral(g)
@@ -147,7 +147,7 @@ def apply_inverse_cesaro(n: int, f: AnalyticFunction) -> Callable:
     1.7e-12 of the peak against 1.0e-12).  Any other AnalyticFunction takes
     the Leibniz sum and needs derivative closures up to order n.
     """
-    _check_index(n)
+    n = _check_index(n)
     if isinstance(f, PowerExp):
         return PowerExp([(c, p + n) for p, c in f.terms], f.rate).deriv(n)
     if f.order < n:
@@ -407,7 +407,7 @@ class DiscreteCesaro(_LogConvolution):
     """
 
     def __init__(self, n: int, grid: LogGrid, boundary: str = "wrap"):
-        _check_index(n)
+        n = _check_index(n)
         super().__init__(grid, [j + 0.5 for j in range(n)], boundary)
         self.n = n
 
@@ -450,9 +450,9 @@ def _norm(v: np.ndarray) -> float:
     return peak * math.sqrt(size @ size)
 
 
-def _unit_frame(op, start: np.ndarray) -> tuple:
-    """(start, apply, adjoint_apply) in coordinates whose inner product is the
-    plain dot product, where GKL runs.
+def _unit_frame(op) -> tuple:
+    """(apply, adjoint_apply) in coordinates whose inner product is the plain
+    dot product, where GKL runs and where its start vector is drawn.
 
     w = sqrt(quad_weights) v maps op's quadrature inner product onto it.
     The engine's hard window applies in w directly, as its scalings carry
@@ -460,15 +460,14 @@ def _unit_frame(op, start: np.ndarray) -> tuple:
     """
     if not isinstance(op, _LogConvolution):
         root = np.sqrt(op.quad_weights)
-        return (root * start, lambda w: root * op.apply(w / root),
-                lambda w: root * op.adjoint_apply(w / root))
-    return op._root_weights * start, op._apply, lambda w: op._apply(w, adjoint=True)
+        return lambda w: root * op.apply(w / root), lambda w: root * op.adjoint_apply(w / root)
+    return op._apply, lambda w: op._apply(w, adjoint=True)
 
 
 # Golub-Kahan steps per cycle before a restart: each step solves the
 # eigenproblem of the k x k tridiagonal B^T B afresh, as a dense matrix at
-# O(k^3), so k is bounded; 64 leaves room above the 39 steps the cut pair
-# j = 2 takes at tol 1e-8 on 1024 nodes.
+# O(k^3), so k is bounded; 64 leaves room above the 16-21 steps the cut pair
+# j = 2 takes at tol 1e-8 on 1024 nodes, and the 38-39 it takes at 1e-12.
 _RESTART = 64
 
 
@@ -514,12 +513,18 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
     adjoint_apply (the replays come on top); running out raises
     ConvergenceError with the last estimate attached.
 
-    GKL runs in the unit-weight coordinates of `_unit_frame`, where a norm
-    is a plain dot product: the engine's hard window with the weights
-    folded into its scalings, and any other op with quad_weights, apply and
-    adjoint_apply conjugated by the weights' square roots.  Both frames
-    build the same Krylov space from the same start vector, so the estimate
-    and the step count do not depend on the frame beyond rounding.
+    GKL runs in the unit-weight coordinates w = sqrt(quad_weights) v of
+    `_unit_frame`, where a norm is a plain dot product: the engine's hard
+    window with the weights folded into its scalings, and any other op with
+    quad_weights, apply and adjoint_apply conjugated by the weights' square
+    roots.  Both frames build the same Krylov space from the same start
+    vector, so the estimate and the step count do not depend on the frame
+    beyond rounding.  The seeded start rng.random(N) + 1/2 is drawn as w
+    there, every node alike.  Drawn as v it would carry the weight sqrt(t x),
+    x_max 1e6 times more than x_min on the default window: GKL then took
+    up to twice the steps on the cut pairs, and where the top singular
+    vector sits at small x it stalled, and stopped up to 1.5e-3 low as if
+    converged.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -527,8 +532,8 @@ def estimate_operator_norm(op, grid: LogGrid, max_iter: int = 10000,
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if isinstance(op, _LogConvolution) and op.boundary == "wrap":
         return float(np.max(np.abs(op._multiplier)))
-    rng = np.random.default_rng(seed)
-    start, apply, adjoint_apply = _unit_frame(op, rng.random(len(grid)) + 0.5)
+    apply, adjoint_apply = _unit_frame(op)
+    start = np.random.default_rng(seed).random(len(grid)) + 0.5
     steps, estimate = 0, math.nan
     while True:
         start = start / _norm(start)

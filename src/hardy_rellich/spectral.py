@@ -58,22 +58,27 @@ def _require_power_of_two(count: int) -> None:
         raise InvalidDataError(f"spectral transforms need a power-of-two grid, got {count}")
 
 
+def _log_samples(f: GridFunction) -> np.ndarray:
+    """g(u) = f(e^u) e^(u/2) on a power-of-two LogGrid, the samples the
+    transform takes; it warns where they do not decay at the window ends."""
+    if not isinstance(f.grid, LogGrid):
+        raise InvalidDataError("the transform lives on log grids")
+    _require_power_of_two(len(f.grid))
+    g = f.values * np.exp(0.5 * f.grid.u)
+    peak = np.max(np.abs(g))
+    if peak > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * peak:
+        _warn("samples do not decay at the window ends; the windowed transform will be inaccurate")
+    return g
+
+
 def mellin_forward(f: GridFunction) -> MellinData:
     """f*(lambda) = (2 pi)^(-1/2) integral f(x) x^(-1/2 + i lambda) dx.
 
     Computed as an FFT of f(e^u) e^(u/2); the finite window realizes the
     transform's strong limit, so samples must be negligible at both ends.
     """
-    if not isinstance(f.grid, LogGrid):
-        raise InvalidDataError("the transform lives on log grids")
-    N = len(f.grid)
-    _require_power_of_two(N)
-    h = f.grid.h
-    u0 = f.grid.u[0]
-    g = f.values * np.exp(0.5 * f.grid.u)
-    peak = np.max(np.abs(g)) if N else 0.0
-    if peak > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * peak:
-        _warn("samples do not decay at the window ends; the windowed transform will be inaccurate")
+    g = _log_samples(f)
+    N, h, u0 = len(f.grid), f.grid.h, f.grid.u[0]
     k = np.arange(N)
     lam = 2.0 * math.pi * (k - N // 2) / (N * h)
     alt = np.where(k % 2 == 0, 1.0, -1.0)  # e^{-i pi j}: shifts lambda by -N/2 bins
@@ -91,6 +96,16 @@ def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,
     exact, so the residual (relative to ||f||) measures pure discretization
     error and certifies the diagonalization numerically.  A test function
     that samples to zero has no such residual: TrivialFunctionError.
+
+    The residual ||M[(x f)'] - (1/2 - i lambda) M[f]|| / ||f|| needs only
+    moduli, so it is summed over the plain DFT G(q) = sum_j g_j e^(-2 pi i
+    j q / N) of the samples mellin_forward takes, at lambda = 2 pi q / (N h)
+    for q in (-N/2, N/2]: the phase e^(i lambda u_0) and the alternating
+    shift of mellin_forward have modulus 1 and drop out.  Real samples have
+    G(-q) = conj(G(q)), so one real FFT per sample gives the half spectrum,
+    its interior bins counted twice and q = 0 and N/2 once; complex samples
+    take the full FFT.  Both agree with the norm of mellin_forward's
+    mismatch to rounding.
     """
     if f.order < 1:
         raise ValueError("diagnostic needs one derivative closure")
@@ -104,11 +119,20 @@ def verify_diagonalization(f: AnalyticFunction, count: int = 2**14,
             f"the test function samples to zero on {count} nodes; "
             "a residual relative to its norm is undefined")
     dfx = np.asarray(f.deriv(1)(x))
-    scaled = GridFunction(grid, x * dfx + fx)  # (x f)'
-    left = mellin_forward(scaled)
-    right = mellin_forward(sampled)
-    mismatch = left.values - (-1j * right.lam + 0.5) * right.values
-    return MellinData(right.lam, mismatch).norm() / norm_f
+    left = _log_samples(GridFunction(grid, x * dfx + fx))  # (x f)'
+    right = _log_samples(sampled)
+    N, h = len(grid), grid.h
+    real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
+    q = np.arange(N // 2 + 1 if real else N)
+    q[N // 2 + 1:] -= N                  # the full FFT's bins past N/2 are q < 0
+    lam = 2.0 * math.pi * q / (N * h)
+    transform = np.fft.rfft if real else np.fft.fft
+    mismatch = np.abs(transform(left) - (0.5 + 1j * lam) * transform(right)) ** 2
+    total = float(np.sum(mismatch))
+    if real:
+        total = 2.0 * total - mismatch[0] - mismatch[-1]
+    # dlam (2 pi)^-1 h^2 = h / N: mellin_forward's factors and MellinData.norm's
+    return math.sqrt(h / N * total) / norm_f
 
 
 @dataclass(frozen=True)
@@ -160,7 +184,7 @@ def spectrum_curve(n: int, theta_count: int = 8192) -> SpectrumCurve:
     theta = pi on a node, where the curve passes through 0.  The poles of
     r_n sit on the negative real axis and never meet 1 + e^(i theta).
     """
-    _check_index(n)
+    n = _check_index(n)
     if theta_count < 16:
         raise ValueError("need at least 16 panels for a meaningful curve")
     thetas = np.linspace(0.0, 2.0 * math.pi, theta_count + 1)

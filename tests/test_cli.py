@@ -23,7 +23,8 @@ COMMANDS = {
     "constants": ["constants", "--n-max", "4", "--alpha", "1.5"],
     "ratio": ["ratio", "--n", "2", "--function", "gamma:p=2.5", "--points", "1024"],
     "sharpness": ["sharpness", "--n", "2", "--eps", "0.5,0.1,0.01"],
-    "norm": ["norm", "--n", "2", "--points", "1024"],
+    # the cut boundary runs GKL from the seeded start
+    "norm": ["norm", "--n", "2", "--points", "1024", "--boundary", "cut"],
     "spectrum": ["spectrum", "--n", "3", "--theta-count", "256"],
     "mellin-check": ["mellin-check", "--points", "1024", "--width", "0.3"],
     "interval": ["interval", "--n", "1", "--panels", "256"],

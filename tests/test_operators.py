@@ -965,9 +965,9 @@ def test_cut_cesaro_converges_at_second_order(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_cut_pair_norm(side):
+def _dense_cut_pair_norm(j, side):
     lg = LogGrid.default(1024)
-    forward, _, t = _dense_phi(_discrete("pair", 2, side, "cut", lg), lg)
+    forward, _, t = _dense_phi(_discrete("pair", j, side, "cut", lg), lg)
     return float(np.linalg.norm(np.sqrt(t)[:, None] * forward / np.sqrt(t)[None, :], 2))
 
 
@@ -978,8 +978,29 @@ def test_stopping_rule_is_honest(side, tol):
     # (power iteration stopped 84 tol short here)
     lg = LogGrid.default(1024)
     estimate = ops.estimate_operator_norm(_discrete("pair", 2, side, "cut", lg), lg, tol=tol)
-    dense = _dense_cut_pair_norm(side)
+    dense = _dense_cut_pair_norm(2, side)
     assert abs(estimate - dense) <= 10 * tol * dense
+
+
+def _estimate_after(op, lg, steps):
+    """The GKL estimate after exactly ``steps`` steps."""
+    try:
+        return ops.estimate_operator_norm(op, lg, max_iter=steps, tol=0.0)
+    except ConvergenceError as err:
+        return err.last_estimate
+
+
+@pytest.mark.parametrize("side", "AB")
+@pytest.mark.parametrize("j,steps", [(0, 10), (1, 18), (2, 26)])
+def test_cut_pair_start_reaches_the_discrete_norm_in_pinned_steps(j, steps, side):
+    # GKL draws its start in the unit frame w = sqrt(quad_weights) v, where it
+    # runs: every node weighs alike.  Drawn as v, the start weighed x_max 1e6
+    # times more than x_min, and came within 1e-8 after 11-12, 24-25 and
+    # 37-38 steps
+    lg = LogGrid.default(1024)
+    dense = _dense_cut_pair_norm(j, side)
+    estimate = _estimate_after(_discrete("pair", j, side, "cut", lg), lg, steps)
+    assert abs(estimate - dense) <= 1e-8 * dense
 
 
 class _Diagonal:
@@ -1000,16 +1021,29 @@ class _Diagonal:
 
 def test_cost_stays_bounded_without_convergence():
     # d = 1 - (i/N)^2 clusters the top singular values (gap 1/N^2) beyond
-    # what 3000 steps resolve to tol 1e-10; without restarts the bidiagonal
-    # SVDs alone would take minutes
+    # what 3000 steps resolve to tol 1e-12: it takes about 13000; without
+    # restarts the bidiagonal SVDs alone would take minutes
     lg = LogGrid.default(1024)
     op = _Diagonal(1.0 - (np.arange(1024) / 1024.0) ** 2, lg)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError) as err:
-        ops.estimate_operator_norm(op, lg, max_iter=3000, tol=1e-10)
+        ops.estimate_operator_norm(op, lg, max_iter=3000, tol=1e-12)
     assert time.perf_counter() - start < 10.0
     assert op.applies >= 3000
     assert math.isfinite(err.value.last_estimate) and 0.9999 < err.value.last_estimate <= 1.0
+
+
+@pytest.mark.parametrize("seed,N", [(0, 255), (2153, 64)])
+def test_start_finds_a_top_value_at_small_x(seed, N):
+    # clustered |d| = rand^(1/4) with its top value at x near 1e-5 (index 26
+    # of 255) and 1e-1 (27 of 64): a start drawn as v, with weight sqrt(h x),
+    # stalled there and stopped 8.0e-4 and 1.5e-3 low at tol 1e-7
+    rng = np.random.default_rng(seed)
+    lg = LogGrid.default(N)
+    d = rng.random(N) ** 0.25 * rng.choice([-1.0, 1.0], N)
+    top = float(np.max(np.abs(d)))
+    estimate = ops.estimate_operator_norm(_Diagonal(d, lg), lg, tol=1e-7)
+    assert top * (1.0 - 1e-6) <= estimate <= top * (1.0 + 4.0 * EPS)
 
 
 def test_restarts_converge_to_the_top_value():
@@ -1070,7 +1104,7 @@ def test_wrap_half_spectrum_matches_the_grid(family, index, side, N):
 
 
 def test_wrap_half_spectrum_replays_restarts():
-    # the cut pair j = 8 takes 182 steps at tol 1e-12, more than one cycle, so
+    # the cut pair j = 8 takes 105 steps at tol 1e-12, more than one cycle, so
     # the Ritz vector is rebuilt from a replay in the engine's frame and the grid's
     lg = LogGrid.default(1024)
     op = _discrete("pair", 8, "A", "cut", lg)
@@ -1107,7 +1141,8 @@ def test_zero_operator_ends_on_an_invariant_krylov_space():
 def _reference_norm(op, lg, tol, max_iter=10000, seed=1729):
     """(estimate, steps) of Golub-Kahan-Lanczos in the quad_weights inner
     product on the grid, with the full SVD of the bidiagonal at every step:
-    the algorithm estimate_operator_norm runs, in the weighted frame."""
+    the algorithm estimate_operator_norm runs, in the weighted frame.
+    Without convergence the estimate after max_iter steps is returned."""
     q = op.quad_weights
 
     def q_norm(v):
@@ -1128,7 +1163,8 @@ def _reference_norm(op, lg, tol, max_iter=10000, seed=1729):
                 return
             v = w / beta
 
-    start = np.random.default_rng(seed).random(len(lg)) + 0.5
+    # the package draws its start in the unit frame w = sqrt(q) v
+    start = (np.random.default_rng(seed).random(len(lg)) + 0.5) / np.sqrt(q)
     steps = 0
     while True:
         start = start / q_norm(start)
@@ -1139,9 +1175,8 @@ def _reference_norm(op, lg, tol, max_iter=10000, seed=1729):
             if k:
                 bidiagonal[k - 1, k] = beta
             estimate = float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
-            if abs(estimate - previous) <= tol * estimate:
+            if abs(estimate - previous) <= tol * estimate or steps == max_iter:
                 return estimate, steps
-            assert steps < max_iter
             previous = estimate
             if k + 1 == ops._RESTART:
                 break
@@ -1185,11 +1220,21 @@ def test_unit_frame_matches_the_weighted_svd_reference(family, index, side, boun
 @given(seed=st.integers(0, 2**32 - 1), N=st.sampled_from([64, 255, 256]),
        power=st.floats(0.25, 4.0), tol=st.sampled_from([1e-7, 1e-12]))
 def test_generic_frame_matches_the_weighted_svd_reference(seed, N, power, tol):
-    # an op the engine does not know is conjugated by sqrt(quad_weights)
+    # an op the engine does not know is conjugated by sqrt(quad_weights).
+    # On clustered spectra (power near 1/4) the two frames' rounding can move
+    # the stopping step by one, so the frame, which is what is under test, is
+    # compared after the package's own number of steps.  Some such spectra
+    # (seed 0, N = 255; seed 2153, N = 64) pass through steps where GKL's
+    # loss of orthogonality amplifies that rounding to 3e-8 between any two
+    # frames; test_start_finds_a_top_value_at_small_x runs them
     rng = np.random.default_rng(seed)
     lg = LogGrid.default(N)
     d = rng.random(N) ** power * rng.choice([-1.0, 1.0], N)
-    _assert_matches_reference(_Diagonal(d, lg), lg, tol)
+    op = _Diagonal(d, lg)
+    steps = _fewest_steps(op, lg, tol)
+    estimate = ops.estimate_operator_norm(op, lg, tol=tol, max_iter=steps)
+    assert estimate == pytest.approx(_reference_norm(op, lg, tol=0.0, max_iter=steps)[0],
+                                     rel=1e-13)
 
 
 def _loop_multiplier(rates, lg):

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 import hardy_rellich
-from hardy_rellich.functional import ProbeSpec, random_polynomial_probe
+from hardy_rellich import cli
+from hardy_rellich.analytic import gamma_class
+from hardy_rellich.functional import ProbeSpec, birman_ratio, random_polynomial_probe
+from hardy_rellich.interval import IntervalProblem
 from hardy_rellich.operators import ResolventPoint
 from hardy_rellich.spectral import spectrum_curve
 
@@ -99,19 +102,44 @@ def test_warnings_go_through_one_helper(path):
 
 
 @pytest.mark.parametrize("call,value", [
-    *[(call, n) for call in ("ProbeSpec", "random_polynomial_probe", "spectrum_curve")
-      for n in (0, -1, 2.5)],
+    *[(call, n) for call in ("ProbeSpec", "random_polynomial_probe", "spectrum_curve",
+                             "birman_ratio", "IntervalProblem")
+      for n in (0, -1, 2.5, True)],
     ("ResolventPoint", math.inf), ("ResolventPoint", math.nan),
 ])
 def test_bad_index_or_resolvent_point_is_refused(call, value):
     # every n-indexed entry point refuses as constants._check_index does, and
-    # the resolvent a non-finite z, before anything is computed
+    # the resolvent a non-finite z, before anything is computed; True is no
+    # index, though it equals 1
     calls = {"ProbeSpec": lambda n: ProbeSpec(n, 0.0),
              "random_polynomial_probe": lambda n: random_polynomial_probe(
                  n, np.random.default_rng(0)),
              "spectrum_curve": spectrum_curve,
+             "birman_ratio": lambda n: birman_ratio(n, gamma_class(2.5)),
+             "IntervalProblem": lambda n: IntervalProblem(n, 0.0, 1.0),
              "ResolventPoint": ResolventPoint}
     message = "must be finite" if call == "ResolventPoint" else \
         f"index n must be a positive integer, got {value!r}"
     with pytest.raises(ValueError, match=message):
         calls[call](value)
+
+
+def test_numpy_integer_index_is_accepted():
+    # an index taken from a numpy array is an index; the report keeps a plain int
+    report = birman_ratio(np.int64(2), gamma_class(2.5))
+    assert type(report.n) is int
+    assert report == birman_ratio(2, gamma_class(2.5))
+    problem = IntervalProblem(np.int64(3), 0.0, 1.0)
+    assert type(problem.n) is int and problem.n == 3
+
+
+def test_cli_refuses_index_zero_alike(capsys):
+    # interval refuses n through constants._check_index, as ratio does
+    lines = []
+    for argv in (["ratio", "--n", "0", "--function", "gamma"],
+                 ["interval", "--n", "0", "--function", "bridge"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err)
+    assert lines[0] == lines[1] == "error: index n must be a positive integer, got 0\n"
